@@ -110,7 +110,7 @@ def cmd_solve(args) -> int:
     if args.trace and args.out:
         with open(os.path.join(args.out, "trace.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["iteration", "objective", "residual"])
+            writer.writerow(["iteration", "objective", "newton_decrement"])
             writer.writerows(trace)
     us = ", ".join(f"{u:.6g}" for u in sol.utilities)
     print(f"solve: utilities ({us}), kkt residual {sol.kkt_residual:.2e}"

@@ -112,11 +112,21 @@ class LevelParams:
                    vI_h=F(9) / (7 * v) * vF_h)
 
     @property
+    def interior_fault(self) -> str | None:
+        """The first interior table value that is not positive or not
+        admissible, as ``"name=value op bound"``; None when all are."""
+        for name in ("vF_f", "vF_g", "vF_h"):
+            if getattr(self, name) <= 0:
+                return f"{name}={getattr(self, name)} <= 0"
+        for name, cap in (("vI_f", F(1)), ("vI_g", F(3, 2)), ("vI_h", F(9, 7))):
+            if getattr(self, name) > cap:
+                return f"{name}={getattr(self, name)} > {cap}"
+        return None
+
+    @property
     def interior_valid(self) -> bool:
         """True when every interior table value is positive and admissible."""
-        return (self.vF_f > 0 and self.vF_g > 0 and self.vF_h > 0
-                and self.vI_f <= 1 and self.vI_g <= F(3, 2)
-                and self.vI_h <= F(9, 7))
+        return self.interior_fault is None
 
 
 @dataclass(frozen=True)
@@ -276,10 +286,11 @@ def chain_market_table(params: LowerBoundParams, r: int,
     """The level-r market (1 <= r <= s); the top level carries the extra
     item I, the loser e, and the exiting bidder i."""
     lp = params.level(r)
-    if not lp.interior_valid:
+    fault = lp.interior_fault
+    if fault is not None:
         raise NegativeValue(
             f"level r={r} has no admissible interior values "
-            f"(vF_f={lp.vF_f}); the closed-form sizes break down here")
+            f"({fault}); the closed-form sizes break down here")
     tail = r == params.s
     v = lp.v
     items = {"A": F(lp.s_a), "B": F(lp.s_b), "C": F(lp.s_c),

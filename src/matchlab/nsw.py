@@ -21,7 +21,8 @@ item prices ``t_j >= 0`` and agent prices ``q_i >= 0`` with
 
 and the maximal violation of these conditions (the KKT residual) is
 reported honestly.  Internally the solver follows a primal log-barrier
-path (damped Newton steps) to identify the optimal support, then polishes
+path (damped Newton steps, solved by block elimination on all but small
+problems) to identify the optimal support, then polishes
 primal variables and prices together on that support by Newton on the
 square stationarity system, with an active-set repair loop.
 
@@ -38,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs
 from scipy.optimize import linear_sum_assignment, linprog
 
 from .core import (
@@ -48,6 +50,7 @@ from .core import (
     Instance,
     NoConvergence,
     NotOptimal,
+    TooLarge,
     utilities as core_utilities,
 )
 
@@ -68,6 +71,16 @@ ITERATION_CAP = 200_000
 
 _SUPPLY_EPS = 1e-12
 _SUPPORT_TOL = 1e-6
+
+# Barrier Newton steps.  From this many (agent, item) pairs on, the step is
+# solved by block elimination; below it the explicit Hessian is faster.
+_STRUCTURED_MIN_PAIRS = 150
+# A structured step is kept only when its relative residual is this small
+# after at most this many refinement passes.
+_STEP_RESIDUAL_TOL = 1e-10
+_REFINE_PASSES = 2
+# The explicit Hessian has (na*mk)^2 entries: 4096 pairs take 134 MB.
+_DENSE_MAX_PAIRS = 4096
 
 
 @dataclass(frozen=True)
@@ -641,18 +654,155 @@ def _interior_start(V, b, c, o, lp_point):
     return None
 
 
+class _DenseHessian:
+    """The barrier's negative Hessian as an explicit (na*mk)^2 matrix.
+
+    The buffer is allocated once and reused across Newton steps; problems
+    with more than ``_DENSE_MAX_PAIRS`` pairs raise :class:`TooLarge` before
+    anything is allocated.
+    """
+
+    def __init__(self, V):
+        na, mk = V.shape
+        if na * mk > _DENSE_MAX_PAIRS:
+            raise TooLarge(
+                f"dense Newton step over {na * mk} pairs "
+                f"(limit {_DENSE_MAX_PAIRS})", (na * mk) ** 2)
+        self.vout = np.einsum("ik,il->ikl", V, V)     # constant row blocks
+        self.M = np.empty((na, mk, na, mk))
+        self.rows_i = np.arange(na)
+        self.diag = (np.arange(na * mk), np.arange(na * mk))
+
+    def fill(self, p, s, r, d, mu):
+        """The Hessian at p as an (na*mk, na*mk) view of the buffer."""
+        na, mk = p.shape
+        M, rows_i, diag = self.M, self.rows_i, self.diag
+        M[:] = 0.0
+        M[rows_i, :, rows_i, :] = (self.vout / (s ** 2)[:, None, None]
+                                   + (mu / r ** 2)[:, None, None])
+        Mf = M.reshape(na * mk, na * mk)
+        Mf[diag] += mu / p.ravel() ** 2
+        dd_coup = mu / d ** 2
+        for j in range(mk):
+            M[:, j, :, j] += dd_coup[j]
+        return Mf
+
+    def step(self, p, s, r, d, mu, g):
+        """Solve H x = g."""
+        Mf, diag = self.fill(p, s, r, d, mu), self.diag
+        gv = g.ravel()
+        try:
+            step = np.linalg.solve(Mf, gv)
+        except np.linalg.LinAlgError:
+            Mf[diag] += 1e-12 * np.max(np.abs(Mf))
+            step = np.linalg.solve(Mf, gv)
+        return step.reshape(p.shape)
+
+
+def _structured_step(V, p, s, r, d, mu, g):
+    """Solve H x = g by block elimination, or return None.
+
+    The barrier's negative Hessian is H = diag(mu/p^2) + W W^T, where row
+    (i, j) of W has three nonzeros: V_ij/s_i in agent i's value column,
+    sqrt(mu)/r_i in agent i's budget column and sqrt(mu)/d_j in item j's
+    column (2 na + mk columns in all).  Pairs with p_ij > sqrt(mu) form the
+    set B; the rest, S, have diag(mu/p^2) >= 1 dominating their rows.  S is
+    eliminated by the matrix inversion lemma through the capacitance
+    C = I + W_S^T D_S^-1 W_S, and the |B| x |B| Schur complement
+    D_B + W_B C^-1 W_B^T is solved densely.  (Plain Woodbury over all
+    pairs cancels catastrophically late on the path, where each agent's
+    support holds one or two items.)  Refinement passes against the exact
+    O(na*mk) product H x follow, a second one only when the first falls
+    short.  The step is returned only when
+    ||g - H x||_inf <= _STEP_RESIDUAL_TOL * ||g||_inf and g^T x > 0.
+    """
+    na, mk = p.shape
+    root = math.sqrt(mu)
+    u = V / s[:, None]
+    beta = root / r
+    gamma = root / d
+    big = p > root
+    e = np.where(big, 0.0, p * p / mu)            # D_S^-1, zero on B
+
+    def wt(x):                                    # W^T x
+        return np.concatenate([(u * x).sum(axis=1), beta * x.sum(axis=1),
+                               gamma * x.sum(axis=0)])
+
+    def wz(z):                                    # W z
+        return (u * z[:na, None] + (beta * z[na:2 * na])[:, None]
+                + (gamma * z[2 * na:])[None, :])
+
+    # Capacitance C = I + W_S^T D_S^-1 W_S; agents couple only via items.
+    eu = e * u
+    a_item = eu * gamma
+    b_item = beta[:, None] * e * gamma
+    cap = np.zeros((2 * na + mk, 2 * na + mk))
+    ia, ib = np.arange(na), np.arange(na, 2 * na)
+    ic = np.arange(2 * na, 2 * na + mk)
+    cap[ia, ia] = (eu * u).sum(axis=1)
+    cap[ia, ib] = cap[ib, ia] = beta * eu.sum(axis=1)
+    cap[ib, ib] = beta ** 2 * e.sum(axis=1)
+    cap[ic, ic] = gamma ** 2 * e.sum(axis=0)
+    cap[:na, 2 * na:] = a_item
+    cap[2 * na:, :na] = a_item.T
+    cap[na:2 * na, 2 * na:] = b_item
+    cap[2 * na:, na:2 * na] = b_item.T
+    cap[np.diag_indices_from(cap)] += 1.0
+
+    chol, info = dpotrf(cap)
+    if info:
+        return None
+    bi, bj = np.nonzero(big)
+    nb = bi.size
+    if nb:
+        w_b = np.zeros((nb, 2 * na + mk))
+        rows = np.arange(nb)
+        w_b[rows, bi] = u[bi, bj]
+        w_b[rows, na + bi] = beta[bi]
+        w_b[rows, 2 * na + bj] = gamma[bj]
+        schur = w_b @ dpotrs(chol, w_b.T)[0]
+        schur[rows, rows] += mu / p[bi, bj] ** 2
+        lu, piv, info = dgetrf(schur)
+        if info:
+            return None
+
+    def solve_h(rhs):
+        x_b = np.zeros_like(rhs)
+        y = rhs
+        if nb:
+            w = dpotrs(chol, wt(e * rhs))[0]
+            x_b[bi, bj] = dgetrs(lu, piv, rhs[bi, bj] - w_b @ w)[0]
+            y = rhs - wz(wt(x_b))
+        ey = e * y
+        return ey - e * wz(dpotrs(chol, wt(ey))[0]) + x_b
+
+    def h_times(x):
+        return mu / p ** 2 * x + wz(wt(x))
+
+    with np.errstate(all="ignore"):    # a non-finite x fails the test below
+        bound = _STEP_RESIDUAL_TOL * float(np.max(np.abs(g)))
+        x = solve_h(g)
+        for _ in range(_REFINE_PASSES):
+            x += solve_h(g - h_times(x))
+            if float(np.max(np.abs(g - h_times(x)))) <= bound:
+                return x if float(np.vdot(g, x)) > 0 else None
+    return None
+
+
 def _barrier_solve(V, b, c, o, p0, mu_end, budget, mu_start=0.05,
                    trace=None):
-    """Follow the log-barrier central path; returns (p, t, q, iterations)."""
+    """Follow the log-barrier central path.
+
+    Returns (p, t, q, iterations, structured_steps).  Problems with at
+    least ``_STRUCTURED_MIN_PAIRS`` pairs take structured Newton steps,
+    falling back to the dense step for any step that fails its guard.
+    """
     na, mk = V.shape
-    nv = na * mk
     p = p0.copy()
-    iters = 0
+    iters = structured = 0
     mu = mu_start
-    vout = np.einsum("ik,il->ikl", V, V)     # constant row blocks
-    M = np.empty((na, mk, na, mk))
-    diag = (np.arange(nv), np.arange(nv))
-    rows_i = np.arange(na)
+    dense = None                      # built on the first dense step
+    try_structured = na * mk >= _STRUCTURED_MIN_PAIRS
 
     def phi(pt, mu):
         st = np.einsum("ij,ij->i", V, pt)
@@ -673,23 +823,15 @@ def _barrier_solve(V, b, c, o, p0, mu_end, budget, mu_start=0.05,
             d = c - p.sum(axis=0)
             g = V / s[:, None] + mu / p - mu / r[:, None] - mu / d[None, :]
 
-            M[:] = 0.0
-            M[rows_i, :, rows_i, :] = (vout / (s ** 2)[:, None, None]
-                                       + (mu / r ** 2)[:, None, None])
-            Mf = M.reshape(nv, nv)
-            Mf[diag] += mu / p.ravel() ** 2
-            dd_coup = mu / d ** 2
-            for j in range(mk):
-                M[:, j, :, j] += dd_coup[j]
-
-            gv = g.ravel()
-            try:
-                step = np.linalg.solve(Mf, gv)
-            except np.linalg.LinAlgError:
-                Mf[diag] += 1e-12 * np.max(np.abs(Mf))
-                step = np.linalg.solve(Mf, gv)
-            dp = step.reshape(na, mk)
-            decrement = float(gv @ step)
+            dp = (_structured_step(V, p, s, r, d, mu, g)
+                  if try_structured else None)
+            if dp is None:
+                if dense is None:
+                    dense = _DenseHessian(V)
+                dp = dense.step(p, s, r, d, mu, g)
+            else:
+                structured += 1
+            decrement = float(g.ravel() @ dp.ravel())
             iters += 1
 
             # Largest feasible step, then Armijo backtracking.
@@ -720,10 +862,9 @@ def _barrier_solve(V, b, c, o, p0, mu_end, budget, mu_start=0.05,
             break
         mu = max(mu * 0.02, mu_end)
 
-    s = np.einsum("ij,ij->i", V, p) - o
     r = b - p.sum(axis=1)
     d = c - p.sum(axis=0)
-    return p, mu / d, mu / r, iters
+    return p, mu / d, mu / r, iters, structured
 
 
 # ---------------------------------------------------------------------------
@@ -962,8 +1103,9 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
     ``warm_start`` (a full n_agents-by-n_items matrix, for instance the
     solution of a nearby problem) only speeds up the search.  Raises
     :class:`Infeasible` when an active agent cannot reach non-negative
-    surplus and :class:`NoConvergence` when the certificate tolerance
-    cannot be met inside the iteration budget.
+    surplus, :class:`NoConvergence` when the certificate tolerance
+    cannot be met inside the iteration budget, and :class:`TooLarge` when
+    a Newton step needs the explicit Hessian of more than 4096 pairs.
     """
     if tol <= 0:
         raise DimensionMismatch("tol must be positive")
@@ -991,7 +1133,7 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
     p_live = np.zeros((na_live, len(keep)))
     t_kept = np.zeros(len(keep))
     q_live = np.zeros(na_live)
-    iters_used = 0
+    iters_used = structured_steps = 0
 
     if na_live > 0:
         Vl, bl, ol = V[live_local], b[live_local], o[live_local]
@@ -1016,10 +1158,11 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
                              (1e-12, (1e-7, 3e-5))):
             if iters_used >= max_iter:
                 break
-            p_bar, t_bar, q_bar, it = _barrier_solve(
+            p_bar, t_bar, q_bar, it, it_structured = _barrier_solve(
                 Vl, bl, c, ol, p_path, mu_end, max_iter - iters_used,
                 mu_start=mu_reached, trace=trace)
             iters_used += it
+            structured_steps += it_structured
             p_path, mu_reached = p_bar, mu_end
             cands = [(p_bar, t_bar, q_bar)]
             for tau in taus:
@@ -1035,7 +1178,11 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
                     best = (resid, cand)
             if best[0] <= 0.5 * tol:
                 break
-        _, (p_live, t_kept, q_live) = best
+        best_resid, (p_live, t_kept, q_live) = best
+        if best_resid > tol:
+            # The best candidate is not certified and may not even be
+            # feasible, so it is never assembled or validated.
+            raise NoConvergence(iters_used, best_resid)
 
     # Assemble the full assignment.
     n, m = inst.n_agents, inst.n_items
@@ -1099,6 +1246,8 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
         kkt_residual=residual,
         degenerate_agents=degenerate,
         metadata={"iterations": iters_used,
+                  "structured_steps": structured_steps,
+                  "dense_steps": iters_used - structured_steps,
                   "active_agents": tuple(active),
                   "offsets": offsets_full.tolist()},
     )

@@ -49,7 +49,7 @@ class TestSolveCommand:
                      "--trace"])
         assert code == 0
         lines = (out / "trace.csv").read_text().strip().splitlines()
-        assert lines[0] == "iteration,objective,residual"
+        assert lines[0] == "iteration,objective,newton_decrement"
         assert len(lines) > 2
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from matchlab.core import NegativeValue, TooLarge
 from matchlab.lowerbound import (
+    LevelParams,
     LevelTable,
     LowerBoundMarket,
     LowerBoundParams,
@@ -75,6 +76,16 @@ class TestParams:
         assert not p.level(4).interior_valid
         with pytest.raises(NegativeValue):
             chain_market_table(p, 4, "initial")
+
+    def test_fault_names_the_failing_value(self):
+        # vF_f = 1/4 is positive here; vI_g breaks its upper bound 3/2.
+        lp = LevelParams.from_sizes(1, s_b=5, s_d=9, s_f=20, s_g=5, s_h=13)
+        assert lp.vF_f == F(1, 4)
+        assert lp.interior_fault == "vI_g=19/10 > 3/2"
+        params = LowerBoundParams(s=1, levels=(lp,), k=(lp.s_a, 1))
+        with pytest.raises(NegativeValue, match=r"vI_g=19/10 > 3/2"):
+            chain_market_table(params, 1, "initial")
+        assert lowerbound_params(6).level(4).interior_fault == "vF_f=-57/400 <= 0"
 
 
 class TestTables:

@@ -1,19 +1,25 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from matchlab import instances, nsw
+from matchlab.analysis import benchmark
 from matchlab.core import (
     DegenerateNormalization,
     FractionalAssignment,
     Infeasible,
+    NoConvergence,
     NotOptimal,
+    TooLarge,
     validate_instance,
     uniform_disagreement,
     utilities,
 )
 from matchlab.lottery import sinkhorn
 from matchlab.nsw import (
+    DEFAULT_KKT_TOL,
     Duals,
     NswProblem,
     kkt_check,
@@ -252,6 +258,110 @@ class TestSolveContracts:
         u1 = solve(NswProblem.create(inst)).utilities
         u2 = solve(NswProblem.create(inst)).utilities
         assert np.allclose(u1, u2, atol=1e-9)
+
+    def test_iteration_budget_raises_no_convergence(self):
+        # One Newton step leaves an uncertified (and infeasible) best
+        # candidate; the documented error is NoConvergence, not a
+        # validation error from assembling that candidate.
+        inst = instances.gen_random(4, seed=0)
+        with pytest.raises(NoConvergence) as err:
+            solve(NswProblem.create(inst), max_iter=1)
+        assert err.value.iterations == 1
+        assert err.value.best_residual > DEFAULT_KKT_TOL
+
+    @pytest.mark.parametrize("bargaining", [False, True])
+    def test_n64_certifies(self, bargaining):
+        inst = instances.gen_random(64, seed=0)
+        sol = (benchmark(inst).solution if bargaining
+               else solve(NswProblem.create(inst)))
+        assert sol.kkt_residual <= DEFAULT_KKT_TOL
+        meta = sol.metadata
+        assert meta["structured_steps"] > 0
+        assert meta["structured_steps"] + meta["dense_steps"] == meta["iterations"]
+
+
+def _late_path_state(seed, mu, second_items=False, n=8):
+    """A strictly interior point like those late on the barrier path.
+
+    Each agent holds one item (a random permutation) or, with
+    ``second_items``, also a second one along a path; every other pair and
+    every row and column slack are of order ``mu``.  Returns the
+    arguments of a Newton step: (V, p, s, r, d, g).
+    """
+    rng = np.random.default_rng(seed)
+    V = rng.uniform(0.0, 1.0, (n, n))
+    noise = rng.uniform(0.5, 2.0, (n, n))
+    perm = rng.permutation(n)
+    P = np.eye(n)[perm]
+    if second_items:
+        Q = np.eye(n)[np.roll(perm, 1)]
+        Q[0] = 0.0                      # break the cycle: agent 0 has one item
+        P = 0.7 * P + 0.3 * Q
+    alpha = 1.0 - mu * (max(noise.sum(axis=1).max(),
+                            noise.sum(axis=0).max()) + 1.0)
+    p = alpha * P + mu * noise
+    s = (V * p).sum(axis=1)
+    r = 1.0 - p.sum(axis=1)
+    d = 1.0 - p.sum(axis=0)
+    g = V / s[:, None] + mu / p - mu / r[:, None] - mu / d[None, :]
+    return V, p, s, r, d, g
+
+
+def _relative_residual(H, g, x):
+    return np.max(np.abs(g.ravel() - H @ x.ravel())) / np.max(np.abs(g))
+
+
+class TestNewtonStep:
+    @pytest.mark.parametrize("mu", [1e-2, 1e-6, 1e-10])
+    def test_structured_matches_dense(self, mu):
+        for seed in range(10):
+            V, p, s, r, d, g = _late_path_state(seed, mu)
+            x = nsw._structured_step(V, p, s, r, d, mu, g)
+            assert x is not None
+            dense = nsw._DenseHessian(V)
+            x_dense = dense.step(p, s, r, d, mu, g)
+            H = dense.fill(p, s, r, d, mu)
+            assert _relative_residual(H, g, x) <= 1e-10
+            assert np.max(np.abs(x - x_dense)) <= 1e-8 * np.max(np.abs(x_dense))
+
+    @pytest.mark.parametrize("mu", [1e-2, 1e-6, 1e-10])
+    def test_two_item_supports(self, mu):
+        # Two-item supports with tight rows and columns are the hard case.
+        # At mu = 1e-10 the Hessian holds entries near 1e10, so evaluating
+        # g - H x in doubles is itself off by more than 1e-10 |g|: the dense
+        # solve's true residual reaches 3e-7 on these states, and the
+        # structured step usually declines.  A step it does return must be
+        # backward stable.
+        for seed in range(10):
+            V, p, s, r, d, g = _late_path_state(seed, mu, second_items=True)
+            x = nsw._structured_step(V, p, s, r, d, mu, g)
+            H = nsw._DenseHessian(V).fill(p, s, r, d, mu)
+            if mu >= 1e-6:
+                assert x is not None
+                assert _relative_residual(H, g, x) <= 1e-10
+            if x is not None:
+                xv = x.ravel()
+                backward = np.max(np.abs(g.ravel() - H @ xv)
+                                  / (np.abs(H) @ np.abs(xv) + np.abs(g.ravel())))
+                assert backward <= 1e-13
+                assert float(np.vdot(g, x)) > 0
+
+    def test_small_problems_take_dense_steps(self):
+        sol = solve(NswProblem.create(instances.gen_random(12, seed=0)))
+        assert sol.metadata["structured_steps"] == 0
+        assert sol.metadata["dense_steps"] == sol.metadata["iterations"]
+
+    def test_dense_hessian_size_guard(self):
+        # 65 x 64 pairs would need a 69 Mi-entry (554 MB) Hessian.
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                nsw._DenseHessian(np.ones((65, 64)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        nsw._DenseHessian(np.ones((64, 64)))    # 4096 pairs: allowed
 
 
 class TestSolveTrace:
