@@ -41,6 +41,7 @@ __all__ = [
     "AuditReport",
     "benchmark",
     "approx_ratio",
+    "utility_ratio",
     "rho_exact",
     "rho_scan",
     "truthfulness_audit",
@@ -91,9 +92,14 @@ def approx_ratio(inst: Instance,
                  mechanism_marginals: FractionalAssignment | np.ndarray,
                  bench: BenchmarkResult) -> RatioReport:
     """ratio_i = benchmark utility / mechanism utility, +inf on zero."""
-    mech_u = core_utilities(inst, mechanism_marginals)
-    ratios = np.empty(inst.n_agents)
-    for i in range(inst.n_agents):
+    return utility_ratio(bench, core_utilities(inst, mechanism_marginals))
+
+
+def utility_ratio(bench: BenchmarkResult, mech_u: np.ndarray) -> RatioReport:
+    """:func:`approx_ratio` from the mechanism's utilities; utilities are
+    linear in the marginals, so a Monte-Carlo mean of them will do."""
+    ratios = np.empty(len(mech_u))
+    for i in range(len(mech_u)):
         bench_u = bench.benchmark_utilities[i]
         if mech_u[i] > 0:
             ratios[i] = bench_u / mech_u[i]
@@ -304,13 +310,16 @@ def _replace_row(values: np.ndarray, i: int, row: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def rpi_expected_utilities(inst: Instance, reps: int = 200, seed: int = 0,
-                           n0: int = 4) -> tuple[np.ndarray, np.ndarray]:
-    """Monte-Carlo mean and standard error of per-agent RPI utilities."""
+                           n0: int = 4, tol: float = 1e-7
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """Monte-Carlo mean and standard error of per-agent RPI utilities;
+    ``tol`` is each welfare solve's certificate tolerance."""
     rep_seeds = rng_from_seed(seed, stream=2).integers(0, 2 ** 62, size=reps)
     memo: dict = {}
     samples = np.empty((reps, inst.n_agents))
     for k in range(reps):
-        assignment = rpi_run(inst, n0=n0, seed=int(rep_seeds[k]), _pa_memo=memo)
+        assignment = rpi_run(inst, n0=n0, seed=int(rep_seeds[k]), tol=tol,
+                             _pa_memo=memo)
         samples[k] = core_utilities(inst, assignment)
     mean = samples.mean(axis=0)
     stderr = samples.std(axis=0, ddof=1) / math.sqrt(reps)

@@ -30,6 +30,7 @@ from .analysis import (
     rho_scan,
     rpi_expected_utilities,
     truthfulness_audit,
+    utility_ratio,
 )
 from .core import (
     Infeasible,
@@ -132,9 +133,11 @@ def cmd_mech(args) -> int:
     meta = _base_metadata(inst, seed, tol)
     if args.mechanism == "rpi" and args.reps > 1:
         mean, stderr = rpi_expected_utilities(inst, reps=args.reps,
-                                              seed=seed, n0=args.n0)
+                                              seed=seed, n0=args.n0, tol=tol)
         assignment = run_mechanism("rpi", inst, seed=seed, **opts)
         meta["reps"] = args.reps
+        meta["probs_source"] = f"single draw at seed {seed}"
+        meta["utilities_source"] = f"mean over {args.reps} draws"
         meta["mean_utilities"] = mean.tolist()
         meta["stderr"] = stderr.tolist()
         mech_utils = mean
@@ -149,10 +152,7 @@ def cmd_mech(args) -> int:
     if inst.is_square and np.allclose(np.asarray(inst.supplies), 1.0):
         bench = benchmark(inst, tol=tol)
         report.benchmark_utilities = bench.benchmark_utilities
-        report.ratios = [
-            float(b / u) if u > 0 else (float("inf") if b > 0 else 1.0)
-            for b, u in zip(bench.benchmark_utilities,
-                            np.asarray(mech_utils))]
+        report.ratios = utility_ratio(bench, mech_utils).ratios.tolist()
     if args.lottery:
         meta["lottery"] = decompose(assignment).to_jsonable()
 

@@ -136,7 +136,7 @@ class SupplyUnderflow(MatchingError):
 
 
 class TooLarge(MatchingError):
-    """A generated market or a solver matrix is too large to materialize."""
+    """A generated market is too large to materialize."""
 
     def __init__(self, message: str, total_size: int):
         super().__init__(f"{message} (total size {total_size})")

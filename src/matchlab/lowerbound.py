@@ -386,9 +386,6 @@ class CertificateReport:
     normalization: float
     external_item_gaps: dict[str, float]
 
-    def is_clean(self, tol: float = 1e-9) -> bool:
-        return self.residual <= tol
-
 
 def certify_table(table: LevelTable) -> CertificateReport:
     """Check the optimality conditions of a level table exactly.

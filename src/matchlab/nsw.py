@@ -21,10 +21,13 @@ item prices ``t_j >= 0`` and agent prices ``q_i >= 0`` with
 
 and the maximal violation of these conditions (the KKT residual) is
 reported honestly.  Internally the solver follows a primal log-barrier
-path (damped Newton steps, solved by block elimination on all but small
-problems) to identify the optimal support, then polishes
-primal variables and prices together on that support by Newton on the
-square stationarity system, with an active-set repair loop.
+path to identify the optimal support: damped Newton steps, solved with the
+explicit Hessian below 150 (agent, item) pairs and by block elimination
+from there on, where a step whose componentwise backward error exceeds
+1e-13 ends the path instead.  It then polishes primal variables and prices
+together on that support by Newton on the square stationarity system, with
+an active-set repair loop, over a short ladder of final barrier weights and
+support thresholds, until a candidate's certificate is well within tolerance.
 
 Agents whose maximum achievable surplus is zero (for instance constant
 value rows under an average-value offset) cannot appear in the log
@@ -50,7 +53,6 @@ from .core import (
     Instance,
     NoConvergence,
     NotOptimal,
-    TooLarge,
     utilities as core_utilities,
 )
 
@@ -70,17 +72,16 @@ DEFAULT_KKT_TOL = 1e-7
 ITERATION_CAP = 200_000
 
 _SUPPLY_EPS = 1e-12
-_SUPPORT_TOL = 1e-6
+# Pairs above this mass count as support when a candidate is ranked.
+_SUPPORT_TOL = 1e-9
 
 # Barrier Newton steps.  From this many (agent, item) pairs on, the step is
 # solved by block elimination; below it the explicit Hessian is faster.
 _STRUCTURED_MIN_PAIRS = 150
-# A structured step is kept only when its relative residual is this small
-# after at most this many refinement passes.
-_STEP_RESIDUAL_TOL = 1e-10
+# A structured step is kept only when its componentwise backward error is
+# this small after at most this many refinement passes.
+_STEP_BACKWARD_TOL = 1e-13
 _REFINE_PASSES = 2
-# The explicit Hessian has (na*mk)^2 entries: 4096 pairs take 134 MB.
-_DENSE_MAX_PAIRS = 4096
 
 
 @dataclass(frozen=True)
@@ -154,9 +155,6 @@ class NswSolution:
     degenerate_agents: frozenset[int]
     metadata: dict[str, Any] = field(default_factory=dict)
 
-    def utility_of(self, agent: int) -> float:
-        return float(self.utilities[agent])
-
 
 # ---------------------------------------------------------------------------
 # Certificate checking and renormalization
@@ -223,25 +221,40 @@ def kkt_check(inst: Instance, assignment: FractionalAssignment,
         support_tol = max(assignment.tolerance, 1e-9)
 
     vhat, _ = renormalize(inst, assignment, offsets, skip_agents=skip)
-    checked = np.array([i not in skip for i in range(inst.n_agents)])
-
-    residual = 0.0
-    residual = max(residual, float(np.max(np.maximum(0.0, -t), initial=0.0)))
-    residual = max(residual, float(np.max(np.maximum(0.0, -q), initial=0.0)))
-
-    col_slack = np.asarray(inst.supplies) - p.sum(axis=0)
-    residual = max(residual, float(np.max(np.abs(t * col_slack), initial=0.0)))
+    checked = np.array([i not in skip for i in range(inst.n_agents)], dtype=bool)
     row_slack = assignment.row_budget - p.sum(axis=1)
-    residual = max(residual, float(np.max(
-        np.abs(q[checked] * row_slack[checked]), initial=0.0)))
+    col_slack = np.asarray(inst.supplies) - p.sum(axis=0)
+    residual = _certificate_residual(vhat[checked], p[checked], t, q[checked],
+                                     row_slack[checked], col_slack, support_tol)
+    return max(residual, float(np.max(-q, initial=0.0)))   # skipped rows too
 
-    if checked.any():
-        gap = vhat[checked] - t[None, :] - q[checked, None]
-        residual = max(residual, float(np.max(np.maximum(0.0, gap), initial=0.0)))
-        on_support = p[checked] > support_tol
-        if on_support.any():
-            residual = max(residual, float(np.max(np.abs(gap[on_support]))))
-    return residual
+
+def _certificate_residual(vhat, p, t, q, row_slack, col_slack, support_tol):
+    """Largest violation of conditions (a)-(c) of :func:`kkt_check`.
+
+    Row-indexed arguments hold only the checked rows, and ``vhat`` is
+    already renormalized; ``col_slack`` counts every row's consumption.
+    """
+    gap = vhat - t[None, :] - q[:, None]
+    return max(0.0, float(np.max(-t, initial=0.0)), float(np.max(-q, initial=0.0)),
+               float(np.max(np.abs(t * col_slack), initial=0.0)),
+               float(np.max(np.abs(q * row_slack), initial=0.0)),
+               float(np.max(gap, initial=0.0)),
+               float(np.max(np.abs(gap[p > support_tol]), initial=0.0)))
+
+
+def _quick_residual(V, b, c, o, p, t, q):
+    """Certificate residual of a candidate on the reduced (live rows, kept
+    cols) problem, plus its primal infeasibility, so that an infeasible
+    candidate never wins."""
+    s = _surplus(V, p, o)
+    if np.any(s <= 0):
+        return math.inf
+    rows, cols = p.sum(axis=1), p.sum(axis=0)
+    return max(_certificate_residual(V / s[:, None], p, t, q, b - rows, c - cols,
+                                     _SUPPORT_TOL),
+               float(np.max(-p, initial=0.0)), float(np.max(rows - b, initial=0.0)),
+               float(np.max(cols - c, initial=0.0)))
 
 
 def recover_duals(inst: Instance, assignment: FractionalAssignment,
@@ -336,38 +349,30 @@ def _shift_components(vhat, t, q, support, tight_rows, tight_cols):
         groups.setdefault(find(node), []).append(node)
 
     n, m = q.shape[0], t.shape[0]
-    sup_set = set(support)
+    off = np.ones((n, m), dtype=bool)
+    for (i, j) in support:
+        off[i, j] = False
     for root, members in groups.items():
         if find(root) in frozen:
             continue
-        comp_rows = {idx for kind, idx in members if kind == "r"}
-        comp_cols = {idx for kind, idx in members if kind == "c"}
-        lo, hi = -math.inf, math.inf
-        for j in comp_cols:
-            lo = max(lo, -t[j])               # t_j + d >= 0
-        for i in comp_rows:
-            hi = min(hi, q[i])                # q_i - d >= 0
+        rows = np.zeros(n, dtype=bool)
+        cols = np.zeros(m, dtype=bool)
+        rows[[idx for kind, idx in members if kind == "r"]] = True
+        cols[[idx for kind, idx in members if kind == "c"]] = True
         # Off-support feasibility vhat <= t + q with one endpoint inside.
-        for i in range(n):
-            for j in range(m):
-                if (i, j) in sup_set:
-                    continue
-                in_r, in_c = i in comp_rows, j in comp_cols
-                if in_r == in_c:
-                    continue
-                gap = vhat[i, j] - t[j] - q[i]
-                if in_c:
-                    lo = max(lo, gap)         # d >= vhat - t - q
-                else:
-                    hi = min(hi, -gap)        # d <= t + q - vhat
+        gap = vhat - t[None, :] - q[:, None]
+        lo = max(float(np.max(-t[cols], initial=-math.inf)),     # t_j + d >= 0
+                 float(np.max(gap[off & ~rows[:, None] & cols[None, :]],
+                              initial=-math.inf)))                # d >= vhat - t - q
+        hi = min(float(np.min(q[rows], initial=math.inf)),       # q_i - d >= 0
+                 -float(np.max(gap[off & rows[:, None] & ~cols[None, :]],
+                               initial=-math.inf)))               # d <= t + q - vhat
         if lo > hi:
             continue
         d = min(max(0.0, lo), hi)
         if d != 0.0:
-            for j in comp_cols:
-                t[j] += d
-            for i in comp_rows:
-                q[i] -= d
+            t[cols] += d
+            q[rows] -= d
 
 
 def _duals_from_support(vhat, n, m, support, tight_rows, tight_cols):
@@ -463,10 +468,14 @@ def _solo_max_utility(v_row: np.ndarray, budget: float, c: np.ndarray) -> float:
     return total
 
 
-def _screen_degenerate(V, b, c, o, deg_tol, hint=None):
-    """Split rows into (non-degenerate, degenerate); find an all-positive
-    surplus point for the non-degenerate rows.  Raises Infeasible when no
-    point gives every row non-negative surplus."""
+def _screen_degenerate(V, b, c, o, deg_tol, hint):
+    """Split rows into (non-degenerate, degenerate) and find a base point.
+
+    Returns ``(live, degenerate, base, warm)``: ``base`` is a feasible point
+    with positive surplus on every live row (None when no row is live), and
+    ``warm`` says it is the clipped ``hint``.  Raises Infeasible when no
+    point gives every row non-negative surplus.
+    """
     na, mk = V.shape
     degenerate: set[int] = set()
     for i in range(na):
@@ -480,24 +489,28 @@ def _screen_degenerate(V, b, c, o, deg_tol, hint=None):
 
     live = [i for i in range(na) if i not in degenerate]
     if not live:
-        return [], degenerate, None
-
-    if np.all(o[live] <= deg_tol):
-        # Zero offsets: any point with positive mass on valued items works.
-        return live, degenerate, None
+        return [], degenerate, None, False
 
     # A strictly positive point certifies that no live agent is
     # degenerate; only borderline problems need the LP screen.
-    if hint is not None and hint.shape == (na, mk):
-        h = hint[live]
-        s_h = np.einsum("ij,ij->i", V[live], h) - o[live]
-        if (np.min(s_h) > 10 * deg_tol and h.min() >= 0
-                and np.all(h.sum(axis=1) <= b[live] + 1e-9)
+    Vl, bl, ol = V[live], b[live], o[live]
+    if hint is not None:
+        h = np.minimum(np.maximum(hint[live], 0.0), c)
+        if (np.min(_surplus(Vl, h, ol)) > 10 * deg_tol
+                and np.all(h.sum(axis=1) <= bl + 1e-9)
                 and np.all(h.sum(axis=0) <= c + 1e-9)):
-            return live, degenerate, np.minimum(h, np.broadcast_to(c, h.shape))
-    p_h = _heuristic_positive_point(V[live], b[live], c, o[live], deg_tol)
+            return live, degenerate, h, True
+
+    if np.all(ol <= deg_tol):
+        # Zero offsets: every live row values some item positively.
+        match = _capped_assignment(Vl, bl, c)
+        if match is not None and np.min(_surplus(Vl, match, ol)) > 0:
+            return live, degenerate, match, False
+        return live, degenerate, _proportional_point(bl, c), False
+
+    p_h = _heuristic_positive_point(Vl, bl, c, ol, deg_tol)
     if p_h is not None:
-        return live, degenerate, p_h
+        return live, degenerate, p_h, False
 
     while True:
         x, delta = _max_min_surplus_lp(V[live], b[live], c, o[live])
@@ -506,7 +519,7 @@ def _screen_degenerate(V, b, c, o, deg_tol, hint=None):
                 "no feasible point gives every active agent non-negative "
                 f"surplus (max-min surplus {delta:.3e})")
         if delta > deg_tol:
-            return live, degenerate, x
+            return live, degenerate, x, False
         # Borderline: find which rows are stuck at zero surplus.
         newly = []
         keep_points = []
@@ -518,11 +531,28 @@ def _screen_degenerate(V, b, c, o, deg_tol, hint=None):
                 keep_points.append(xi)
         if not newly:
             # Each alone can be positive; their average is positive for all.
-            return live, degenerate, np.mean(keep_points, axis=0)
+            return live, degenerate, np.mean(keep_points, axis=0), False
         degenerate.update(newly)
         live = [i for i in live if i not in degenerate]
         if not live:
-            return [], degenerate, None
+            return [], degenerate, None, False
+
+
+def _surplus(V, p, o):
+    return np.einsum("ij,ij->i", V, p) - o
+
+
+def _capped_assignment(V, b, c):
+    """Each agent takes her best affordable item, capped by budget and
+    supply; None when agents outnumber items."""
+    na, mk = V.shape
+    if na > mk:
+        return None
+    ri, cj = linear_sum_assignment(V * np.minimum(b[:, None], c[None, :]),
+                                   maximize=True)
+    match = np.zeros((na, mk))
+    match[ri, cj] = np.minimum(b[ri], c[cj])
+    return match
 
 
 def _heuristic_positive_point(V, b, c, o, deg_tol):
@@ -530,20 +560,15 @@ def _heuristic_positive_point(V, b, c, o, deg_tol):
 
     Returns a feasible point with every surplus comfortably positive, or
     None when none of the blends qualifies."""
-    na, mk = V.shape
-    if na > mk:
+    match = _capped_assignment(V, b, c)
+    if match is None:
         return None
-    w = V * np.minimum(b[:, None], c[None, :])
-    ri, cj = linear_sum_assignment(w, maximize=True)
-    match = np.zeros((na, mk))
-    match[ri, cj] = np.minimum(b[ri], c[cj])
     prop = _proportional_point(b, c)
     scale = max(1.0, float(np.max(V)) if V.size else 1.0)
     floor = max(1e-6 * scale, 10 * deg_tol)
     for lam in (0.3, 0.1, 0.03, 0.01):
         p0 = (1 - lam) * match + lam * prop
-        s = np.einsum("ij,ij->i", V, p0) - o
-        if np.all(s > floor):
+        if np.all(_surplus(V, p0, o) > floor):
             return p0
     return None
 
@@ -615,59 +640,36 @@ def _proportional_point(b, c):
     return 0.5 * np.outer(b, c) / total
 
 
-def _interior_start(V, b, c, o, lp_point):
+def _interior_start(V, b, c, o, base):
     """A strictly interior point with positive surplus for every row.
 
-    Blends a positive-surplus base point toward the strictly interior
+    Blends the positive-surplus ``base`` toward the strictly interior
     proportional point; the blend weight is chosen so the minimum surplus
     stays at least half the base point's minimum, never at float noise.
+    Returns None when the blend is not strictly interior.
     """
     prop = _proportional_point(b, c)
-    s_prop = np.einsum("ij,ij->i", V, prop) - o
-    neg = max(0.0, -float(np.min(s_prop)))
-
-    candidates = []
-    if lp_point is not None:
-        candidates.append(lp_point)
-    # Capacity-capped assignment: each agent takes her best affordable item.
-    w = V * np.minimum(b[:, None], c[None, :])
-    if w.shape[0] <= w.shape[1]:
-        ri, cj = linear_sum_assignment(w, maximize=True)
-        match = np.zeros_like(prop)
-        match[ri, cj] = np.minimum(b[ri], c[cj])
-        candidates.append(match)
-    candidates.append(prop)
-
-    for base in candidates:
-        s_base = np.einsum("ij,ij->i", V, base) - o
-        m = float(np.min(s_base))
-        if m <= 0:
-            continue
-        lam = 0.45 if neg == 0.0 else min(0.45, m / (2.0 * (m + neg)))
-        lam = max(lam, 1e-7)
-        p0 = (1 - lam) * base + lam * prop
-        s = np.einsum("ij,ij->i", V, p0) - o
-        if (np.min(s) >= 0.25 * (1 - lam) * m and np.all(p0 > 0)
-                and np.all(p0.sum(axis=1) < b - 1e-15)
-                and np.all(p0.sum(axis=0) < c - 1e-15)):
-            return p0
+    neg = max(0.0, -float(np.min(_surplus(V, prop, o))))
+    m = float(np.min(_surplus(V, base, o)))
+    lam = 0.45 if neg == 0.0 else min(0.45, m / (2.0 * (m + neg)))
+    lam = max(lam, 1e-7)
+    p0 = (1 - lam) * base + lam * prop
+    if (np.min(_surplus(V, p0, o)) >= 0.25 * (1 - lam) * m and np.all(p0 > 0)
+            and np.all(p0.sum(axis=1) < b - 1e-15)
+            and np.all(p0.sum(axis=0) < c - 1e-15)):
+        return p0
     return None
 
 
 class _DenseHessian:
     """The barrier's negative Hessian as an explicit (na*mk)^2 matrix.
 
-    The buffer is allocated once and reused across Newton steps; problems
-    with more than ``_DENSE_MAX_PAIRS`` pairs raise :class:`TooLarge` before
-    anything is allocated.
+    Used only below ``_STRUCTURED_MIN_PAIRS`` pairs; the buffer is allocated
+    once and reused across Newton steps.
     """
 
     def __init__(self, V):
         na, mk = V.shape
-        if na * mk > _DENSE_MAX_PAIRS:
-            raise TooLarge(
-                f"dense Newton step over {na * mk} pairs "
-                f"(limit {_DENSE_MAX_PAIRS})", (na * mk) ** 2)
         self.vout = np.einsum("ik,il->ikl", V, V)     # constant row blocks
         self.M = np.empty((na, mk, na, mk))
         self.rows_i = np.arange(na)
@@ -713,8 +715,11 @@ def _structured_step(V, p, s, r, d, mu, g):
     pairs cancels catastrophically late on the path, where each agent's
     support holds one or two items.)  Refinement passes against the exact
     O(na*mk) product H x follow, a second one only when the first falls
-    short.  The step is returned only when
-    ||g - H x||_inf <= _STEP_RESIDUAL_TOL * ||g||_inf and g^T x > 0.
+    short.  The step is returned only when g^T x > 0 and its componentwise
+    (Oettli-Prager) backward error max |g - H x| / (H |x| + |g|) is at most
+    _STEP_BACKWARD_TOL; H is entrywise non-negative, so |H| |x| is
+    h_times(|x|).  Late on the path H holds entries near mu / p^2, and a
+    normwise bound on g - H x would decline backward-stable steps.
     """
     na, mk = p.shape
     root = math.sqrt(mu)
@@ -780,29 +785,28 @@ def _structured_step(V, p, s, r, d, mu, g):
         return mu / p ** 2 * x + wz(wt(x))
 
     with np.errstate(all="ignore"):    # a non-finite x fails the test below
-        bound = _STEP_RESIDUAL_TOL * float(np.max(np.abs(g)))
         x = solve_h(g)
         for _ in range(_REFINE_PASSES):
             x += solve_h(g - h_times(x))
-            if float(np.max(np.abs(g - h_times(x)))) <= bound:
+            backward = np.abs(g - h_times(x)) / (h_times(np.abs(x)) + np.abs(g))
+            if float(np.max(backward)) <= _STEP_BACKWARD_TOL:
                 return x if float(np.vdot(g, x)) > 0 else None
     return None
 
 
-def _barrier_solve(V, b, c, o, p0, mu_end, budget, mu_start=0.05,
-                   trace=None):
-    """Follow the log-barrier central path.
+def _barrier_solve(V, b, c, o, p0, mu_start, mu_end, budget, trace):
+    """Follow the log-barrier central path from ``mu_start`` to ``mu_end``.
 
-    Returns (p, t, q, iterations, structured_steps).  Problems with at
-    least ``_STRUCTURED_MIN_PAIRS`` pairs take structured Newton steps,
-    falling back to the dense step for any step that fails its guard.
+    Returns (p, t, q, iterations).  Problems with at least
+    ``_STRUCTURED_MIN_PAIRS`` pairs take structured Newton steps, and a
+    declined step ends the centering at the current mu, as a step with no
+    feasible length does; smaller problems take dense steps.
     """
     na, mk = V.shape
     p = p0.copy()
-    iters = structured = 0
+    iters = 0
     mu = mu_start
-    dense = None                      # built on the first dense step
-    try_structured = na * mk >= _STRUCTURED_MIN_PAIRS
+    dense = None if na * mk >= _STRUCTURED_MIN_PAIRS else _DenseHessian(V)
 
     def phi(pt, mu):
         st = np.einsum("ij,ij->i", V, pt)
@@ -823,14 +827,12 @@ def _barrier_solve(V, b, c, o, p0, mu_end, budget, mu_start=0.05,
             d = c - p.sum(axis=0)
             g = V / s[:, None] + mu / p - mu / r[:, None] - mu / d[None, :]
 
-            dp = (_structured_step(V, p, s, r, d, mu, g)
-                  if try_structured else None)
-            if dp is None:
-                if dense is None:
-                    dense = _DenseHessian(V)
+            if dense is not None:
                 dp = dense.step(p, s, r, d, mu, g)
             else:
-                structured += 1
+                dp = _structured_step(V, p, s, r, d, mu, g)
+                if dp is None:
+                    break
             decrement = float(g.ravel() @ dp.ravel())
             iters += 1
 
@@ -864,14 +866,14 @@ def _barrier_solve(V, b, c, o, p0, mu_end, budget, mu_start=0.05,
 
     r = b - p.sum(axis=1)
     d = c - p.sum(axis=0)
-    return p, mu / d, mu / r, iters, structured
+    return p, mu / d, mu / r, iters
 
 
 # ---------------------------------------------------------------------------
 # Active-set polish
 # ---------------------------------------------------------------------------
 
-def _polish(V, b, c, o, p_in, support_tol, t0=None, q0=None, rounds=40):
+def _polish(V, b, c, o, p_in, support_tol, t0, q0, rounds=40):
     """Newton on the stationarity system of a guessed active set.
 
     Iteratively repairs the guess (dropping negative variables or prices,
@@ -891,7 +893,7 @@ def _polish(V, b, c, o, p_in, support_tol, t0=None, q0=None, rounds=40):
 
     best = None
     for _ in range(rounds):
-        out = _polish_newton(V, b, c, o, p, S, R, C, t0=t0, q0=q0)
+        out = _polish_newton(V, b, c, o, p, S, R, C, t0, q0)
         if out is None:
             break
         p, t, q = out
@@ -952,12 +954,10 @@ def _polish(V, b, c, o, p_in, support_tol, t0=None, q0=None, rounds=40):
                 changed = True
         if not changed:
             break
-    if best is None:
-        return None
-    return best[1]
+    return None if best is None else best[1]
 
 
-def _polish_newton(V, b, c, o, p_in, S, R, C, t0=None, q0=None, iters=40):
+def _polish_newton(V, b, c, o, p_in, S, R, C, t0, q0, iters=40):
     na, mk = V.shape
     S_list = sorted(S)
     R_list = sorted(R)
@@ -972,12 +972,10 @@ def _polish_newton(V, b, c, o, p_in, S, R, C, t0=None, q0=None, iters=40):
     p = p_in.copy()
     t = np.zeros(mk)
     q = np.zeros(na)
-    if t0 is not None:
-        for j in C_list:
-            t[j] = max(t0[j], 0.0)
-    if q0 is not None:
-        for i in R_list:
-            q[i] = max(q0[i], 0.0)
+    for j in C_list:
+        t[j] = max(t0[j], 0.0)
+    for i in R_list:
+        q[i] = max(q0[i], 0.0)
 
     def residuals():
         s = np.einsum("ij,ij->i", V, p) - o
@@ -1103,9 +1101,10 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
     ``warm_start`` (a full n_agents-by-n_items matrix, for instance the
     solution of a nearby problem) only speeds up the search.  Raises
     :class:`Infeasible` when an active agent cannot reach non-negative
-    surplus, :class:`NoConvergence` when the certificate tolerance
-    cannot be met inside the iteration budget, and :class:`TooLarge` when
-    a Newton step needs the explicit Hessian of more than 4096 pairs.
+    surplus, and :class:`NoConvergence` when the certificate tolerance
+    cannot be met inside the iteration budget.  ``metadata["polish"]`` is
+    the ``(mu_end, tau)`` rung and support threshold of the winning
+    candidate.
     """
     if tol <= 0:
         raise DimensionMismatch("tol must be positive")
@@ -1125,89 +1124,68 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
     if warm_start is not None and warm_start.shape == (inst.n_agents, inst.n_items):
         hint = np.asarray(warm_start, dtype=float)[np.ix_(active, keep)]
 
-    live_local, degenerate_local, lp_point = _screen_degenerate(
-        V, b, c, o, deg_tol, hint=hint)
+    live_local, degenerate_local, base, warm = _screen_degenerate(
+        V, b, c, o, deg_tol, hint)
     degenerate = frozenset(active[i] for i in degenerate_local)
 
     na_live = len(live_local)
     p_live = np.zeros((na_live, len(keep)))
     t_kept = np.zeros(len(keep))
     q_live = np.zeros(na_live)
-    iters_used = structured_steps = 0
+    iters_used = 0
+    winner = None
 
     if na_live > 0:
         Vl, bl, ol = V[live_local], b[live_local], o[live_local]
-        base_point = lp_point
-        mu0 = 0.05
-        if hint is not None:
-            h = np.minimum(np.maximum(hint[live_local], 0.0),
-                           np.broadcast_to(c, (na_live, len(keep))))
-            s_h = np.einsum("ij,ij->i", Vl, h) - ol
-            if (np.min(s_h) > 10 * deg_tol
-                    and np.all(h.sum(axis=1) <= bl + 1e-9)
-                    and np.all(h.sum(axis=0) <= c + 1e-9)):
-                base_point = h
-                mu0 = 5e-3
-        start = _interior_start(Vl, bl, c, ol, base_point)
-        if start is None:
+        p_path = _interior_start(Vl, bl, c, ol, base)
+        if p_path is None:
             raise Infeasible("no strictly interior point with positive surplus")
 
-        best = None
-        p_path, mu_reached = start, mu0
+        best_resid, best = math.inf, None
+        mu_reached = 5e-3 if warm else 0.05
         for mu_end, taus in ((1e-8, (3e-5, 1e-6)), (1e-10, (1e-6, 1e-4)),
                              (1e-12, (1e-7, 3e-5))):
             if iters_used >= max_iter:
                 break
-            p_bar, t_bar, q_bar, it, it_structured = _barrier_solve(
-                Vl, bl, c, ol, p_path, mu_end, max_iter - iters_used,
-                mu_start=mu_reached, trace=trace)
+            p_bar, t_bar, q_bar, it = _barrier_solve(
+                Vl, bl, c, ol, p_path, mu_reached, mu_end,
+                max_iter - iters_used, trace)
             iters_used += it
-            structured_steps += it_structured
             p_path, mu_reached = p_bar, mu_end
-            cands = [(p_bar, t_bar, q_bar)]
             for tau in taus:
-                polished = _polish(Vl, bl, c, ol, p_bar, tau,
-                                   t0=t_bar, q0=q_bar)
-                if polished is not None:
-                    cands.append(polished)
-                    if _quick_residual(Vl, bl, c, ol, *polished) <= 0.5 * tol:
-                        break
-            for cand in cands:
-                resid = _quick_residual(Vl, bl, c, ol, *cand)
-                if best is None or resid < best[0]:
-                    best = (resid, cand)
-            if best[0] <= 0.5 * tol:
+                polished = _polish(Vl, bl, c, ol, p_bar, tau, t_bar, q_bar)
+                if polished is None:
+                    continue
+                resid = _quick_residual(Vl, bl, c, ol, *polished)
+                if resid < best_resid:
+                    best_resid, best, winner = resid, polished, (mu_end, tau)
+                if resid <= 0.5 * tol:
+                    break
+            if best_resid <= 0.5 * tol:
                 break
-        best_resid, (p_live, t_kept, q_live) = best
         if best_resid > tol:
             # The best candidate is not certified and may not even be
             # feasible, so it is never assembled or validated.
             raise NoConvergence(iters_used, best_resid)
+        p_live, t_kept, q_live = best
 
     # Assemble the full assignment.
     n, m = inst.n_agents, inst.n_items
-    full_p = np.zeros((n, m))
-    for k, i_local in enumerate(live_local):
-        full_p[active[i_local], keep] = np.maximum(p_live[k], 0.0)
-    budgets_full = np.zeros(n)
-    for k, i in enumerate(active):
-        budgets_full[i] = problem.row_budget[k]
-
     live_global = [active[i] for i in live_local]
-    sub = full_p[np.ix_(live_global, keep)]
-    sub = _saturate_rows(V[live_local], b[live_local], c, sub)
-    full_p[np.ix_(live_global, keep)] = sub
+    full_p = np.zeros((n, m))
+    full_p[np.ix_(live_global, keep)] = _saturate_rows(
+        V[live_local], b[live_local], c, np.maximum(p_live, 0.0))
+    budgets_full = np.zeros(n)
+    budgets_full[active] = problem.row_budget
     full_p = _degenerate_fill(full_p, degenerate, budgets_full, c_full)
 
     t_full = np.zeros(m)
     t_full[keep] = np.maximum(t_kept, 0.0)
     q_full = np.zeros(n)
-    for k, i_local in enumerate(live_local):
-        q_full[active[i_local]] = max(q_live[k], 0.0)
+    q_full[live_global] = np.maximum(q_live, 0.0)
 
     offsets_full = np.zeros(n)
-    for k, i in enumerate(active):
-        offsets_full[i] = problem.offsets[k]
+    offsets_full[active] = problem.offsets
 
     # Dropped zero-supply columns: price them at the best unmet demand.
     dropped = [j for j in range(m) if j not in set(keep.tolist())]
@@ -1236,6 +1214,7 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
     if residual > tol:
         raise NoConvergence(iters_used, residual)
 
+    structured = na_live * len(keep) >= _STRUCTURED_MIN_PAIRS   # every step
     return NswSolution(
         problem=problem,
         assignment=assignment,
@@ -1246,32 +1225,10 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
         kkt_residual=residual,
         degenerate_agents=degenerate,
         metadata={"iterations": iters_used,
-                  "structured_steps": structured_steps,
-                  "dense_steps": iters_used - structured_steps,
+                  "structured_steps": iters_used if structured else 0,
+                  "dense_steps": 0 if structured else iters_used,
+                  "polish": winner,
                   "active_agents": tuple(active),
                   "offsets": offsets_full.tolist()},
     )
 
-
-def _quick_residual(V, b, c, o, p, t, q):
-    """Certificate residual on the reduced (live rows, kept cols) problem,
-    including primal feasibility (so infeasible candidates never win)."""
-    s = np.einsum("ij,ij->i", V, p) - o
-    if np.any(s <= 0):
-        return math.inf
-    vhat = V / s[:, None]
-    resid = max(float(np.max(np.maximum(0.0, -t), initial=0.0)),
-                float(np.max(np.maximum(0.0, -q), initial=0.0)))
-    resid = max(resid, float(np.max(np.maximum(0.0, -p), initial=0.0)))
-    resid = max(resid, float(np.max(np.maximum(0.0, p.sum(axis=1) - b),
-                                    initial=0.0)))
-    resid = max(resid, float(np.max(np.maximum(0.0, p.sum(axis=0) - c),
-                                    initial=0.0)))
-    resid = max(resid, float(np.max(np.abs(t * (c - p.sum(axis=0))), initial=0.0)))
-    resid = max(resid, float(np.max(np.abs(q * (b - p.sum(axis=1))), initial=0.0)))
-    gap = vhat - t[None, :] - q[:, None]
-    resid = max(resid, float(np.max(np.maximum(0.0, gap), initial=0.0)))
-    on = p > max(_SUPPORT_TOL * 1e-3, 1e-9)
-    if on.any():
-        resid = max(resid, float(np.max(np.abs(gap[on]))))
-    return resid

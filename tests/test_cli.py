@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from matchlab import analysis
 from matchlab.cli import main
 from matchlab.core import load_report, save_instance
 from matchlab.instances import worked_example
@@ -76,6 +77,24 @@ class TestMechCommand:
         assert "mean_utilities" in rep.metadata
         assert "stderr" in rep.metadata
         assert len(rep.metadata["mean_utilities"]) == 5
+
+    def test_rpi_reps_pass_tol_and_label_sources(self, tmp_path, monkeypatch):
+        tols = []
+        real_run = analysis.rpi_run
+
+        def rpi_run(*args, **kwargs):
+            tols.append(kwargs["tol"])
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "rpi_run", rpi_run)
+        out = tmp_path / "o"
+        code = main(["mech", "rpi", "--gen", "random:5", "--seed", "1",
+                     "--reps", "3", "--tol", "1e-9", "--out", str(out)])
+        assert code == 0
+        assert tols == [1e-9] * 3
+        meta = load_report(str(out / "mech_rpi.json")).metadata
+        assert meta["probs_source"] == "single draw at seed 1"
+        assert meta["utilities_source"] == "mean over 3 draws"
 
     def test_lottery_attached(self, table1_file, tmp_path):
         out = tmp_path / "o"

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from matchlab.core import (
     Infeasible,
     NoConvergence,
     NotOptimal,
-    TooLarge,
     validate_instance,
     uniform_disagreement,
     utilities,
@@ -171,6 +169,79 @@ class TestRecoverDuals:
         assert duals.t[0] + duals.q[0] == pytest.approx(1.0, abs=1e-9)
         assert kkt_check(inst, p, duals) <= 1e-12
 
+    def test_component_shift_matches_pairwise_scan(self):
+        # The vectorised off-support scan takes max/min over the same
+        # values as the pair-by-pair loop, so prices agree bit for bit.
+        shifted = 0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n, m = rng.integers(2, 7, size=2)
+            vhat = rng.uniform(0.0, 2.0, (n, m))
+            t0 = rng.uniform(-0.3, 1.0, m)
+            q0 = rng.uniform(-0.3, 1.0, n)
+            pairs = [(i, j) for i in range(n) for j in range(m)]
+            support = [pairs[k] for k in sorted(rng.choice(
+                len(pairs), size=rng.integers(1, len(pairs)), replace=False))]
+            rows = sorted(rng.choice(n, size=rng.integers(0, n + 1), replace=False))
+            cols = sorted(rng.choice(m, size=rng.integers(0, m + 1), replace=False))
+            t, q = t0.copy(), q0.copy()
+            nsw._shift_components(vhat, t, q, support, rows, cols)
+            t_ref, q_ref = t0.copy(), q0.copy()
+            _shift_components_loop(vhat, t_ref, q_ref, support, rows, cols)
+            assert np.array_equal(t, t_ref) and np.array_equal(q, q_ref)
+            shifted += not np.array_equal(t, t0)
+        assert shifted >= 20
+
+
+def _shift_components_loop(vhat, t, q, support, tight_rows, tight_cols):
+    """Reference for ``nsw._shift_components``: one loop over every pair."""
+    R, C = set(tight_rows), set(tight_cols)
+    parent = {**{("r", i): ("r", i) for i in R}, **{("c", j): ("c", j) for j in C}}
+
+    def find(node):
+        while parent[node] != node:
+            node = parent[node]
+        return node
+
+    frozen = set()
+    for (i, j) in support:
+        if i in R and j in C:
+            ra, rb = find(("r", i)), find(("c", j))
+            if ra != rb:
+                parent[ra] = rb
+        elif i in R:
+            frozen.add(find(("r", i)))
+        elif j in C:
+            frozen.add(find(("c", j)))
+    frozen = {find(node) for node in frozen}
+    groups = {}
+    for node in list(parent):
+        groups.setdefault(find(node), []).append(node)
+    sup_set = set(support)
+    for root, members in groups.items():
+        if root in frozen:
+            continue
+        comp_rows = {idx for kind, idx in members if kind == "r"}
+        comp_cols = {idx for kind, idx in members if kind == "c"}
+        lo = max([-math.inf] + [-t[j] for j in comp_cols])
+        hi = min([math.inf] + [q[i] for i in comp_rows])
+        for i in range(len(q)):
+            for j in range(len(t)):
+                if (i, j) in sup_set or (i in comp_rows) == (j in comp_cols):
+                    continue
+                gap = vhat[i, j] - t[j] - q[i]
+                if j in comp_cols:
+                    lo = max(lo, gap)
+                else:
+                    hi = min(hi, -gap)
+        if lo > hi:
+            continue
+        d = min(max(0.0, lo), hi)
+        for j in comp_cols:
+            t[j] += d
+        for i in comp_rows:
+            q[i] -= d
+
 
 class TestSolveContracts:
     def test_certificate_soundness_random(self, rng):
@@ -271,13 +342,36 @@ class TestSolveContracts:
 
     @pytest.mark.parametrize("bargaining", [False, True])
     def test_n64_certifies(self, bargaining):
-        inst = instances.gen_random(64, seed=0)
+        _assert_certifies_structured(64, 0, bargaining)
+
+    # Past 64 x 64 pairs a declined structured step used to fall back to
+    # an explicit Hessian too large to allocate.
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("bargaining", [False, True])
+    def test_n128_certifies(self, bargaining, seed):
+        _assert_certifies_structured(128, seed, bargaining)
+
+    # Each of these is certified only after the first polish of the first
+    # barrier rung, (mu_end, tau) = (1e-8, 3e-5), has failed; they keep
+    # the rest of the ladder from being trimmed unnoticed.
+    @pytest.mark.parametrize("n,seed,bargaining", [
+        (4, 4, False), (4, 4, True), (4, 62, True), (6, 98, True)])
+    def test_won_past_the_first_rung(self, n, seed, bargaining):
+        inst = instances.gen_random(n, seed=seed)
         sol = (benchmark(inst).solution if bargaining
                else solve(NswProblem.create(inst)))
         assert sol.kkt_residual <= DEFAULT_KKT_TOL
-        meta = sol.metadata
-        assert meta["structured_steps"] > 0
-        assert meta["structured_steps"] + meta["dense_steps"] == meta["iterations"]
+        assert sol.metadata["polish"] != (1e-8, 3e-5)
+
+
+def _assert_certifies_structured(n, seed, bargaining):
+    inst = instances.gen_random(n, seed=seed)
+    sol = (benchmark(inst).solution if bargaining
+           else solve(NswProblem.create(inst)))
+    assert sol.kkt_residual <= DEFAULT_KKT_TOL
+    meta = sol.metadata
+    assert meta["structured_steps"] == meta["iterations"] > 0
+    assert meta["dense_steps"] == 0
 
 
 def _late_path_state(seed, mu, second_items=False, n=8):
@@ -324,44 +418,57 @@ class TestNewtonStep:
             assert _relative_residual(H, g, x) <= 1e-10
             assert np.max(np.abs(x - x_dense)) <= 1e-8 * np.max(np.abs(x_dense))
 
-    @pytest.mark.parametrize("mu", [1e-2, 1e-6, 1e-10])
+    @pytest.mark.parametrize("mu", [1e-2, 1e-6, 1e-8, 1e-10, 1e-12])
     def test_two_item_supports(self, mu):
         # Two-item supports with tight rows and columns are the hard case.
-        # At mu = 1e-10 the Hessian holds entries near 1e10, so evaluating
-        # g - H x in doubles is itself off by more than 1e-10 |g|: the dense
-        # solve's true residual reaches 3e-7 on these states, and the
-        # structured step usually declines.  A step it does return must be
-        # backward stable.
-        for seed in range(10):
+        # At mu <= 1e-8 the Hessian holds entries near mu / p^2 >= 1e8, so
+        # g - H x in doubles is itself off by more than 1e-10 |g| (the
+        # dense solve's true residual reaches 3e-7 at mu = 1e-10): only
+        # the componentwise backward error can accept such a step.
+        for seed in range(20):
             V, p, s, r, d, g = _late_path_state(seed, mu, second_items=True)
             x = nsw._structured_step(V, p, s, r, d, mu, g)
+            assert x is not None
             H = nsw._DenseHessian(V).fill(p, s, r, d, mu)
             if mu >= 1e-6:
-                assert x is not None
                 assert _relative_residual(H, g, x) <= 1e-10
-            if x is not None:
-                xv = x.ravel()
-                backward = np.max(np.abs(g.ravel() - H @ xv)
-                                  / (np.abs(H) @ np.abs(xv) + np.abs(g.ravel())))
-                assert backward <= 1e-13
-                assert float(np.vdot(g, x)) > 0
+            xv = x.ravel()
+            backward = np.max(np.abs(g.ravel() - H @ xv)
+                              / (np.abs(H) @ np.abs(xv) + np.abs(g.ravel())))
+            assert backward <= 1e-13
+            assert float(np.vdot(g, x)) > 0
 
     def test_small_problems_take_dense_steps(self):
         sol = solve(NswProblem.create(instances.gen_random(12, seed=0)))
         assert sol.metadata["structured_steps"] == 0
         assert sol.metadata["dense_steps"] == sol.metadata["iterations"]
 
-    def test_dense_hessian_size_guard(self):
-        # 65 x 64 pairs would need a 69 Mi-entry (554 MB) Hessian.
-        tracemalloc.start()
+    def test_declined_steps_build_no_dense_hessian(self, monkeypatch):
+        # Every step below mu = 1e-7 is declined, where the old normwise
+        # guard declined steps; the path ends there and the certificate
+        # alone decides the outcome.  (Declining from the first step on
+        # ends in NoConvergence too, but polishing the start point costs
+        # about a minute.)
+        real_step, declined = nsw._structured_step, []
+
+        def late_decline(V, p, s, r, d, mu, g):
+            if mu < 1e-7:
+                declined.append(mu)
+                return None
+            return real_step(V, p, s, r, d, mu, g)
+
+        def no_dense(V):
+            raise AssertionError("dense Hessian built above the crossover")
+
+        monkeypatch.setattr(nsw, "_structured_step", late_decline)
+        monkeypatch.setattr(nsw, "_DenseHessian", no_dense)
         try:
-            with pytest.raises(TooLarge):
-                nsw._DenseHessian(np.ones((65, 64)))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-        nsw._DenseHessian(np.ones((64, 64)))    # 4096 pairs: allowed
+            sol = solve(NswProblem.create(instances.gen_random(13, seed=1)))
+        except NoConvergence as err:
+            assert err.best_residual > DEFAULT_KKT_TOL
+        else:
+            assert sol.kkt_residual <= DEFAULT_KKT_TOL
+        assert declined
 
 
 class TestSolveTrace:
