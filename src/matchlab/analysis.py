@@ -31,7 +31,7 @@ from .core import (
 )
 from .instances import parse_generator_spec, rng_from_seed
 from .mechanisms import MECHANISMS, rpi_outer_sample, rpi_run, run_mechanism
-from .nsw import NswProblem, NswSolution, solve
+from .nsw import NswProblem, NswSolution, solve, solve_many
 
 __all__ = [
     "BenchmarkResult",
@@ -144,15 +144,26 @@ def rho_exact(inst: Instance, tol: float = 1e-7,
         raise TooLargeForExact(f"2^{n} subsets is past the enumeration limit")
     o_full = uniform_disagreement(inst) if bargaining_offsets else None
 
-    def solve_subset(agents: tuple[int, ...], warm=None) -> NswSolution:
+    def problem(agents: tuple[int, ...]) -> NswProblem:
         off = (np.array([o_full[a] for a in agents])
                if o_full is not None else None)
-        return solve(NswProblem.create(inst, agents, off), tol=tol,
-                     warm_start=warm)
+        return NswProblem.create(inst, agents, off)
 
     full_agents = tuple(range(n))
-    full = solve_subset(full_agents)
+    full = solve(problem(full_agents), tol=tol)
     warm = np.asarray(full.assignment.probs)
+
+    # Each subset size is one solve_many call (its subsets share a shape);
+    # only utilities and degenerate sets are kept.
+    found: dict[int, tuple[np.ndarray, frozenset[int]]] = {
+        2 ** n - 1: (full.utilities, full.degenerate_agents)}
+    for size in range(1, n):
+        masks = [mask for mask in range(1, 2 ** n - 1) if mask.bit_count() == size]
+        subsets = [tuple(i for i in range(n) if mask >> i & 1) for mask in masks]
+        solutions = solve_many([problem(sub) for sub in subsets], tol=tol,
+                               warm_start=warm)
+        for mask, sub in zip(masks, solutions):
+            found[mask] = (sub.utilities, sub.degenerate_agents)
 
     half_size = -(-n // 2)
     best = (1.0, full_agents, -1, 1.0, 1.0)
@@ -160,15 +171,15 @@ def rho_exact(inst: Instance, tol: float = 1e-7,
     skipped: list[tuple[tuple[int, ...], int]] = []
     for mask in range(1, 2 ** n):
         subset = tuple(i for i in range(n) if mask >> i & 1)
-        sub = full if subset == full_agents else solve_subset(subset, warm)
+        sub_utilities, sub_degenerate = found.pop(mask)
         for i in subset:
-            if i in full.degenerate_agents or i in sub.degenerate_agents:
+            if i in full.degenerate_agents or i in sub_degenerate:
                 skipped.append((subset, i))
                 continue
-            ratio = full.utilities[i] / sub.utilities[i]
+            ratio = full.utilities[i] / sub_utilities[i]
             if ratio > best[0]:
                 best = (float(ratio), subset, i,
-                        float(full.utilities[i]), float(sub.utilities[i]))
+                        float(full.utilities[i]), float(sub_utilities[i]))
             if len(subset) == half_size and ratio > best_half[0]:
                 best_half = (float(ratio), subset)
     return RhoReport(

@@ -82,23 +82,38 @@ def _perfect_matching(mask: np.ndarray) -> list[int] | None:
     """Perfect matching on a boolean bipartite adjacency, or None.
 
     Augmenting-path search scanning rows and columns in index order, so the
-    result is deterministic with smallest-index tie-breaking.
+    result is deterministic with smallest-index tie-breaking.  The
+    depth-first search keeps its path on explicit stacks: an augmenting
+    path can be n rows long.
     """
     n = mask.shape[0]
+    adjacent = mask.tolist()
     match_col = [-1] * n     # col -> row
 
-    def try_row(i, seen):
-        for j in range(n):
-            if mask[i, j] and not seen[j]:
-                seen[j] = True
-                if match_col[j] < 0 or try_row(match_col[j], seen):
-                    match_col[j] = i
-                    return True
-        return False
-
-    for i in range(n):
-        if not try_row(i, [False] * n):
+    for root in range(n):
+        seen = [False] * n
+        rows, cursor, cols = [root], [0], []   # cols[k] links rows[k] to rows[k+1]
+        while rows:
+            j, row = cursor[-1], adjacent[rows[-1]]
+            while j < n and (seen[j] or not row[j]):
+                j += 1
+            if j == n:                       # this row has no augmenting path
+                rows.pop()
+                cursor.pop()
+                if cols:
+                    cols.pop()
+                continue
+            cursor[-1] = j + 1
+            seen[j] = True
+            cols.append(j)
+            if match_col[j] < 0:
+                break
+            rows.append(match_col[j])
+            cursor.append(0)
+        if not rows:
             return None
+        for i, j in zip(rows, cols):         # flip the path
+            match_col[j] = i
     out = [-1] * n
     for j, i in enumerate(match_col):
         out[i] = j
@@ -163,15 +178,15 @@ def decompose(p: FractionalAssignment | np.ndarray, tol: float = 1e-9) -> Lotter
         matching = _bottleneck_matching(remaining)
         if matching is None:
             break
-        weight = float(min(remaining[i, matching[i]] for i in range(size)))
+        cells = (np.arange(size), np.array(matching))
+        weight = float(remaining[cells].min())
         if weight <= 0:
             break
         weight = min(weight, 1.0 - extracted)
         real = tuple(matching[i] if matching[i] < real_m else -1
                      for i in range(real_n))
         terms.append((weight, real))
-        for i in range(size):
-            remaining[i, matching[i]] -= weight
+        remaining[cells] -= weight
         remaining[remaining < _ZERO_CLIP] = 0.0
         extracted += weight
     if not terms:

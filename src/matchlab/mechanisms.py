@@ -38,7 +38,7 @@ from .core import (
     validate_instance,
 )
 from .instances import rng_from_seed
-from .nsw import NswProblem, NswSolution, solve
+from .nsw import NswProblem, NswSolution, solve, solve_many
 
 __all__ = [
     "PaOutcome",
@@ -105,14 +105,16 @@ def pa_run(inst: Instance, offsets: np.ndarray | None = None,
 
     fractions = np.ones(len(active))
     loo_utils: dict[int, np.ndarray] = {}
-    warm = np.asarray(base.assignment.probs)
-    for agent in active:
-        if agent in base.degenerate_agents:
-            continue
+    left_out = [agent for agent in active if agent not in base.degenerate_agents]
+    problems = []
+    for agent in left_out:
         rest = tuple(a for a in active if a != agent)
-        rest_off = np.array([off[idx[a]] for a in rest])
-        loo = solve(NswProblem.create(inst, rest, rest_off), tol=tol,
-                    warm_start=warm)
+        problems.append(NswProblem.create(inst, rest, np.array([off[idx[a]] for a in rest])))
+    # The leave-one-out problems share a shape, so their barriers run in lockstep.
+    solutions = solve_many(problems, tol=tol,
+                           warm_start=np.asarray(base.assignment.probs))
+    for agent, problem, loo in zip(left_out, problems, solutions):
+        rest = problem.active_agents
         loo_utils[agent] = loo.utilities
         f = 1.0
         for other in rest:

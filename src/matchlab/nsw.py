@@ -24,10 +24,13 @@ reported honestly.  Internally the solver follows a primal log-barrier
 path to identify the optimal support: damped Newton steps, solved with the
 explicit Hessian below 150 (agent, item) pairs and by block elimination
 from there on, where a step whose componentwise backward error exceeds
-1e-13 ends the path instead.  It then polishes primal variables and prices
-together on that support by Newton on the square stationarity system, with
-an active-set repair loop, over a short ladder of final barrier weights and
-support thresholds, until a candidate's certificate is well within tolerance.
+1e-13 ends the path instead.  Problems of one shape (a mechanism's
+leave-one-out or subset solves, through :func:`solve_many`) follow the
+first rung of that path in lockstep, K Hessians solved at once.  It then
+polishes primal variables and prices together on that support by Newton on
+the square stationarity system, with an active-set repair loop, over a
+short ladder of final barrier weights and support thresholds, until a
+candidate's certificate is well within tolerance.
 
 Agents whose maximum achievable surplus is zero (for instance constant
 value rows under an average-value offset) cannot appear in the log
@@ -51,6 +54,7 @@ from .core import (
     FractionalAssignment,
     Infeasible,
     Instance,
+    MatchingError,
     NoConvergence,
     NotOptimal,
     utilities as core_utilities,
@@ -63,6 +67,7 @@ __all__ = [
     "DEFAULT_KKT_TOL",
     "ITERATION_CAP",
     "solve",
+    "solve_many",
     "kkt_check",
     "recover_duals",
     "renormalize",
@@ -82,6 +87,11 @@ _STRUCTURED_MIN_PAIRS = 150
 # this small after at most this many refinement passes.
 _STEP_BACKWARD_TOL = 1e-13
 _REFINE_PASSES = 2
+# One lockstep barrier call holds at most this many bytes of dense Hessians
+# (8 (na mk)^2 per problem); a larger group of one shape is split.
+_LOCKSTEP_BYTES = 2 ** 22
+# Barrier rungs: each final mu with the support thresholds its polish tries.
+_RUNGS = ((1e-8, (3e-5, 1e-6)), (1e-10, (1e-6, 1e-4)), (1e-12, (1e-7, 3e-5)))
 
 
 @dataclass(frozen=True)
@@ -661,44 +671,46 @@ def _interior_start(V, b, c, o, base):
     return None
 
 
-class _DenseHessian:
-    """The barrier's negative Hessian as an explicit (na*mk)^2 matrix.
+def _dense_hessians(V, p, s, r, d, mu):
+    """The barrier's negative Hessians of K problems, explicitly.
 
-    Used only below ``_STRUCTURED_MIN_PAIRS`` pairs; the buffer is allocated
-    once and reused across Newton steps.
+    Arguments carry a leading batch axis (``p`` is (K, na, mk)); returns
+    the (K, na*mk, na*mk) matrices H = diag(mu/p^2) + W W^T of
+    :func:`_structured_step`, filled without a loop over items.
     """
+    K, na, mk = p.shape
+    ia, jm = np.arange(na), np.arange(mk)
+    dg = np.arange(na * mk)
+    H = np.zeros((K, na, mk, na, mk))
+    # Agent blocks V_ij V_il / s_i^2 + mu / r_i^2 (the index arrays move
+    # the agent axis to the front).
+    H[:, ia, :, ia, :] = (V[:, :, :, None] * V[:, :, None, :]
+                          / (s ** 2)[:, :, None, None]
+                          + (mu / r ** 2)[:, :, None, None]).transpose(1, 0, 2, 3)
+    Hf = H.reshape(K, na * mk, na * mk)
+    Hf[:, dg, dg] += (mu / p ** 2).reshape(K, na * mk)
+    H[:, :, jm, :, jm] += (mu / d ** 2).T[:, :, None, None]   # item coupling
+    return Hf
 
-    def __init__(self, V):
-        na, mk = V.shape
-        self.vout = np.einsum("ik,il->ikl", V, V)     # constant row blocks
-        self.M = np.empty((na, mk, na, mk))
-        self.rows_i = np.arange(na)
-        self.diag = (np.arange(na * mk), np.arange(na * mk))
 
-    def fill(self, p, s, r, d, mu):
-        """The Hessian at p as an (na*mk, na*mk) view of the buffer."""
-        na, mk = p.shape
-        M, rows_i, diag = self.M, self.rows_i, self.diag
-        M[:] = 0.0
-        M[rows_i, :, rows_i, :] = (self.vout / (s ** 2)[:, None, None]
-                                   + (mu / r ** 2)[:, None, None])
-        Mf = M.reshape(na * mk, na * mk)
-        Mf[diag] += mu / p.ravel() ** 2
-        dd_coup = mu / d ** 2
-        for j in range(mk):
-            M[:, j, :, j] += dd_coup[j]
-        return Mf
-
-    def step(self, p, s, r, d, mu, g):
-        """Solve H x = g."""
-        Mf, diag = self.fill(p, s, r, d, mu), self.diag
-        gv = g.ravel()
-        try:
-            step = np.linalg.solve(Mf, gv)
-        except np.linalg.LinAlgError:
-            Mf[diag] += 1e-12 * np.max(np.abs(Mf))
-            step = np.linalg.solve(Mf, gv)
-        return step.reshape(p.shape)
+def _dense_steps(V, p, s, r, d, mu, g):
+    """Solve H x = g for every problem of the batch with one stacked solve."""
+    K, na, mk = p.shape
+    H = _dense_hessians(V, p, s, r, d, mu)
+    rhs = g.reshape(K, na * mk, 1)
+    try:
+        x = np.linalg.solve(H, rhs)
+    except np.linalg.LinAlgError:
+        # A numerically singular H: regularize each matrix as the solve of
+        # a lone problem would.
+        x = np.empty_like(rhs)
+        for k in range(K):
+            try:
+                x[k] = np.linalg.solve(H[k], rhs[k])
+            except np.linalg.LinAlgError:
+                H[k][np.diag_indices(na * mk)] += 1e-12 * np.max(np.abs(H[k]))
+                x[k] = np.linalg.solve(H[k], rhs[k])
+    return x.reshape(p.shape)
 
 
 def _structured_step(V, p, s, r, d, mu, g):
@@ -797,76 +809,106 @@ def _structured_step(V, p, s, r, d, mu, g):
 def _barrier_solve(V, b, c, o, p0, mu_start, mu_end, budget, trace):
     """Follow the log-barrier central path from ``mu_start`` to ``mu_end``.
 
-    Returns (p, t, q, iterations).  Problems with at least
-    ``_STRUCTURED_MIN_PAIRS`` pairs take structured Newton steps, and a
-    declined step ends the centering at the current mu, as a step with no
-    feasible length does; smaller problems take dense steps.
+    Every argument but the scalars carries a leading batch axis: K problems
+    of one shape follow the same mu schedule in lockstep, and a problem
+    that has finished centering at the current mu is masked (step length
+    0) until mu moves on.  Returns (p, t, q, iterations), each with the
+    batch axis.  Problems with at least ``_STRUCTURED_MIN_PAIRS`` pairs
+    take structured Newton steps, and a declined step ends that problem's
+    centering at the current mu, as a step with no feasible length does;
+    smaller problems take dense steps, all K in one stacked solve.
+    ``trace``, when given, gets one row per Newton step of a lone problem.
     """
-    na, mk = V.shape
+    K, na, mk = V.shape
     p = p0.copy()
-    iters = 0
+    iters = np.zeros(K, dtype=int)
     mu = mu_start
-    dense = None if na * mk >= _STRUCTURED_MIN_PAIRS else _DenseHessian(V)
+    mu_last = np.full(K, mu_start)     # the mu at which each problem stopped
+    running = np.ones(K, dtype=bool)
+    dense = na * mk < _STRUCTURED_MIN_PAIRS
+
+    def surplus(pt):
+        return np.einsum("kij,kij->ki", V, pt) - o
 
     def phi(pt, mu):
-        st = np.einsum("ij,ij->i", V, pt)
-        st -= o
-        rt = b - pt.sum(axis=1)
-        dt = c - pt.sum(axis=0)
-        if min(st.min(), pt.min(), rt.min(), dt.min()) <= 0:
-            return -math.inf
-        return (np.log(st).sum()
-                + mu * (np.log(pt).sum() + np.log(rt).sum() + np.log(dt).sum()))
+        # -inf or nan outside the domain (a log of a value <= 0), and no
+        # comparison accepts either.
+        return (np.log(surplus(pt)).sum(axis=1)
+                + mu * (np.log(pt).sum(axis=(1, 2)) + np.log(b - pt.sum(axis=2)).sum(axis=1)
+                        + np.log(c - pt.sum(axis=1)).sum(axis=1)))
 
-    while True:
-        for _ in range(60):
-            if iters >= budget:
-                break
-            s = np.einsum("ij,ij->i", V, p) - o
-            r = b - p.sum(axis=1)
-            d = c - p.sum(axis=0)
-            g = V / s[:, None] + mu / p - mu / r[:, None] - mu / d[None, :]
-
-            if dense is not None:
-                dp = dense.step(p, s, r, d, mu, g)
-            else:
-                dp = _structured_step(V, p, s, r, d, mu, g)
-                if dp is None:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            centering = running & (iters < budget)
+            phi_p = np.full(K, np.nan)     # phi(p, mu) where known
+            for _ in range(60):
+                centering &= iters < budget
+                if not centering.any():
                     break
-            decrement = float(g.ravel() @ dp.ravel())
-            iters += 1
+                s = surplus(p)
+                r = b - p.sum(axis=2)
+                d = c - p.sum(axis=1)
+                g = (V / s[:, :, None] + mu / p - mu / r[:, :, None]
+                     - mu / d[:, None, :])
 
-            # Largest feasible step, then Armijo backtracking.
-            alpha = 1.0
-            ds = np.einsum("ij,ij->i", V, dp)
-            dr = -dp.sum(axis=1)
-            dd = -dp.sum(axis=0)
-            for vals, dvals in ((p.ravel(), dp.ravel()), (s, ds), (r, dr), (d, dd)):
-                neg = dvals < 0
-                if neg.any():
-                    alpha = min(alpha, 0.99 * float(np.min(-vals[neg] / dvals[neg])))
-            if alpha <= 0:
-                break
-            base = phi(p, mu)
-            while alpha > 1e-14:
-                if phi(p + alpha * dp, mu) >= base + 0.25 * alpha * decrement:
-                    break
-                alpha *= 0.5
-            p = p + alpha * dp
-            if trace is not None:
-                s_now = np.einsum("ij,ij->i", V, p) - o
-                trace.append((iters, float(np.log(s_now).sum()),
-                              float(decrement)))
-            loose = 1.0 if mu > mu_end else 0.3
-            if decrement < max(loose * mu, 1e-16):
-                break
-        if mu <= mu_end or iters >= budget:
-            break
-        mu = max(mu * 0.02, mu_end)
+                if dense:
+                    dp = _dense_steps(V, p, s, r, d, mu, g)
+                else:
+                    dp = np.zeros_like(p)
+                    declined = False
+                    for k in np.flatnonzero(centering):
+                        step = _structured_step(V[k], p[k], s[k], r[k], d[k], mu, g[k])
+                        if step is None:
+                            centering[k], declined = False, True
+                        else:
+                            dp[k] = step
+                    if declined and not centering.any():
+                        break
+                decrement = (g.reshape(K, 1, -1) @ dp.reshape(K, -1, 1)).reshape(K)
+                iters += centering
 
-    r = b - p.sum(axis=1)
-    d = c - p.sum(axis=0)
-    return p, mu / d, mu / r, iters
+                # Largest feasible step: the min of -vals / dvals over dvals < 0
+                # (vals > 0, and vals / -0.0 = -inf drops the other entries).
+                vals = np.concatenate([p.reshape(K, -1), s, r, d], axis=1)
+                dvals = np.concatenate([dp.reshape(K, -1), np.einsum("kij,kij->ki", V, dp),
+                                        -dp.sum(axis=2), -dp.sum(axis=1)], axis=1)
+                ratio = vals / np.minimum(dvals, -0.0)
+                alpha = np.minimum(1.0, 0.99 * -ratio.max(axis=1))
+                centering &= alpha > 0
+                alpha[~centering] = 0.0
+
+                # Armijo backtracking from phi(p), known unless mu just moved
+                # or the last search ran out.
+                if np.isnan(phi_p[centering]).any():
+                    phi_p = phi(p, mu)
+                trial = phi_p
+                searching = centering & (alpha > 1e-14)
+                while searching.any():
+                    trial = phi(p + alpha[:, None, None] * dp, mu)
+                    searching &= ~(trial >= phi_p + 0.25 * alpha * decrement)
+                    if not searching.any():
+                        break
+                    alpha[searching] *= 0.5
+                    searching &= alpha > 1e-14
+                p = p + alpha[:, None, None] * dp
+                # An accepted search kept its alpha, so the last trial is phi
+                # at the new p; a search that ran out left alpha <= 1e-14,
+                # and a masked problem (alpha 0) stays masked at this mu.
+                phi_p = np.where(alpha > 1e-14, trial, np.nan)
+                if trace is not None and centering[0]:
+                    trace.append((int(iters[0]), float(np.log(surplus(p)[0]).sum()),
+                                  float(decrement[0])))
+                loose = 1.0 if mu > mu_end else 0.3
+                centering &= ~(decrement < max(loose * mu, 1e-16))
+            mu_last[running] = mu
+            running &= iters < budget
+            if mu <= mu_end or not running.any():
+                break
+            mu = max(mu * 0.02, mu_end)
+
+    r = b - p.sum(axis=2)
+    d = c - p.sum(axis=1)
+    return p, mu_last[:, None] / d, mu_last[:, None] / r, iters
 
 
 # ---------------------------------------------------------------------------
@@ -885,10 +927,9 @@ def _polish(V, b, c, o, p_in, support_tol, t0, q0, rounds=40):
     """
     na, mk = V.shape
     scale = max(1.0, float(np.max(V)) if V.size else 1.0)
-    S = {(i, j) for i in range(na) for j in range(mk)
-         if p_in[i, j] > support_tol}
-    R = {i for i in range(na) if b[i] - p_in[i].sum() < support_tol}
-    C = {j for j in range(mk) if c[j] - p_in[:, j].sum() < support_tol}
+    S = set(zip(*(idx.tolist() for idx in np.nonzero(p_in > support_tol))))
+    R = set(np.flatnonzero(b - p_in.sum(axis=1) < support_tol).tolist())
+    C = set(np.flatnonzero(c - _column_sums(p_in) < support_tol).tolist())
     p = np.where(p_in > support_tol, p_in, 0.0)
 
     best = None
@@ -938,17 +979,7 @@ def _polish(V, b, c, o, p_in, support_tol, t0, q0, rounds=40):
                     C.add(j)
                     changed = True
         if not changed:
-            s = np.einsum("ij,ij->i", V, p) - o
-            gaps = []
-            for i in range(na):
-                for j in range(mk):
-                    if (i, j) in S:
-                        continue
-                    gap = (V[i, j] / s[i] - (t[j] if j in C else 0.0)
-                           - (q[i] if i in R else 0.0))
-                    if gap > 1e-10 * scale:
-                        gaps.append((gap, (i, j)))
-            for _, pair in sorted(gaps, reverse=True)[:3]:
+            for pair in _violated_pairs(V, o, p, t, q, S, R, C, 1e-10 * scale):
                 S.add(pair)
                 p[pair] = 0.0
                 changed = True
@@ -957,72 +988,106 @@ def _polish(V, b, c, o, p_in, support_tol, t0, q0, rounds=40):
     return None if best is None else best[1]
 
 
+def _violated_pairs(V, o, p, t, q, S, R, C, threshold):
+    """Up to three off-support pairs whose price gap V_ij / s_i - t_j - q_i
+    (prices counted on C and R only) exceeds ``threshold``: the largest
+    gaps first, ties to the larger pair."""
+    mk = V.shape[1]
+    s = np.einsum("ij,ij->i", V, p) - o
+    gap = (V / s[:, None] - _on(t, C)[None, :]) - _on(q, R)[:, None]
+    if S:
+        gap[tuple(np.array(sorted(S)).T)] = -math.inf
+    gi, gj = np.nonzero(gap > threshold)
+    order = np.lexsort((gi * mk + gj, gap[gi, gj]))[::-1][:3]
+    return list(zip(gi[order].tolist(), gj[order].tolist()))
+
+
+def _on(x, index_set):
+    """``x`` on ``index_set`` and 0.0 elsewhere."""
+    out = np.zeros_like(x)
+    keep = list(index_set)
+    out[keep] = x[keep]
+    return out
+
+
+def _polish_residual(V, b, c, o, p, t, q, Si, Sj, rows, cols):
+    """Residual F of the polish's square system and the surpluses s, or
+    (None, s) when a surplus is not positive.
+
+    F stacks the support equalities V_ij / s_i - t_j - q_i (prices counted
+    only on the tight ``cols`` and ``rows``), the tight row sums minus
+    their budgets and the tight column sums minus their supplies.  The
+    support is the pairs (Si[k], Sj[k]) in sorted order.
+    """
+    s = np.einsum("ij,ij->i", V, p) - o
+    if np.any(s <= 0):
+        return None, s
+    F = np.concatenate([(V[Si, Sj] / s[Si] - _on(t, cols)[Sj]) - _on(q, rows)[Si],
+                        p[rows].sum(axis=1) - b[rows],
+                        _column_sums(p)[cols] - c[cols]])
+    return F, s
+
+
+def _column_sums(p):
+    """Column sums added in the same order as ``p[:, j].sum()``, which
+    ``p.sum(axis=0)`` does not keep."""
+    return np.ascontiguousarray(p.T).sum(axis=1)
+
+
+def _polish_jacobian(V, s, Si, Sj, rows, cols):
+    """Jacobian of :func:`_polish_residual` in (p on the support, t on
+    ``cols``, q on ``rows``)."""
+    na, mk = V.shape
+    nS, nR, nC = len(Si), len(rows), len(cols)
+    r_at = np.full(na, -1)
+    r_at[rows] = np.arange(nR)
+    c_at = np.full(mk, -1)
+    c_at[cols] = np.arange(nC)
+    J = np.zeros((nS + nR + nC, nS + nC + nR))
+    v = V[Si, Sj]
+    # s_i ** 2 by the scalar operator (C pow): the array square x * x
+    # differs from it in the last bit for about one x in a thousand, and
+    # the polish path can turn on that bit.
+    s2 = np.array([x ** 2 for x in s.tolist()])
+    same_agent = Si[:, None] == Si[None, :]
+    J[:nS, :nS] += np.where(same_agent, -v[:, None] * v[None, :] / s2[Si][:, None], 0.0)
+    k = np.arange(nS)
+    on_c, on_r = c_at[Sj] >= 0, r_at[Si] >= 0
+    J[k[on_c], nS + c_at[Sj[on_c]]] = -1.0
+    J[k[on_r], nS + nC + r_at[Si[on_r]]] = -1.0
+    J[nS + r_at[Si[on_r]], k[on_r]] = 1.0
+    J[nS + nR + c_at[Sj[on_c]], k[on_c]] = 1.0
+    return J
+
+
 def _polish_newton(V, b, c, o, p_in, S, R, C, t0, q0, iters=40):
     na, mk = V.shape
-    S_list = sorted(S)
-    R_list = sorted(R)
-    C_list = sorted(C)
-    s_pos = {ij: k for k, ij in enumerate(S_list)}
-    c_pos = {j: len(S_list) + k for k, j in enumerate(C_list)}
-    r_pos = {i: len(S_list) + len(C_list) + k for k, i in enumerate(R_list)}
-    nvar = len(S_list) + len(C_list) + len(R_list)
-    if nvar == 0:
+    pairs = np.array(sorted(S), dtype=int).reshape(-1, 2)
+    Si, Sj = pairs[:, 0], pairs[:, 1]
+    rows = np.array(sorted(R), dtype=int)
+    cols = np.array(sorted(C), dtype=int)
+    nS, nC = len(Si), len(cols)
+    if nS + len(rows) + nC == 0:
         return np.zeros_like(p_in), np.zeros(mk), np.zeros(na)
 
     p = p_in.copy()
     t = np.zeros(mk)
     q = np.zeros(na)
-    for j in C_list:
-        t[j] = max(t0[j], 0.0)
-    for i in R_list:
-        q[i] = max(q0[i], 0.0)
-
-    def residuals():
-        s = np.einsum("ij,ij->i", V, p) - o
-        if np.any(s <= 0):
-            return None, None
-        F = np.empty(len(S_list) + len(R_list) + len(C_list))
-        for k, (i, j) in enumerate(S_list):
-            F[k] = V[i, j] / s[i] - (t[j] if j in C else 0.0) - (q[i] if i in R else 0.0)
-        base = len(S_list)
-        for k, i in enumerate(R_list):
-            F[base + k] = p[i].sum() - b[i]
-        base += len(R_list)
-        for k, j in enumerate(C_list):
-            F[base + k] = p[:, j].sum() - c[j]
-        return F, s
+    t[cols] = np.maximum(t0[cols], 0.0)
+    q[rows] = np.maximum(q0[rows], 0.0)
 
     for _ in range(iters):
-        F, s = residuals()
+        F, s = _polish_residual(V, b, c, o, p, t, q, Si, Sj, rows, cols)
         if F is None:
             return None
         if np.max(np.abs(F)) < 1e-13 * max(1.0, float(np.max(np.abs(V / s[:, None])))):
             return p, t, q
-        J = np.zeros((len(F), nvar))
-        for k, (i, j) in enumerate(S_list):
-            for (i2, l) in ((i, l) for l in range(mk) if (i, l) in S):
-                J[k, s_pos[(i, l)]] += -V[i, j] * V[i, l] / s[i] ** 2
-            if j in C:
-                J[k, c_pos[j]] = -1.0
-            if i in R:
-                J[k, r_pos[i]] = -1.0
-        base = len(S_list)
-        for k, i in enumerate(R_list):
-            for l in range(mk):
-                if (i, l) in S:
-                    J[base + k, s_pos[(i, l)]] = 1.0
-        base += len(R_list)
-        for k, j in enumerate(C_list):
-            for i2 in range(na):
-                if (i2, j) in S:
-                    J[base + k, s_pos[(i2, j)]] = 1.0
-
+        J = _polish_jacobian(V, s, Si, Sj, rows, cols)
         step, *_ = np.linalg.lstsq(J, -F, rcond=None)
 
         # Damp to keep every surplus positive.
         dp = np.zeros_like(p)
-        for ij, k in s_pos.items():
-            dp[ij] = step[k]
+        dp[Si, Sj] = step[:nS]
         ds = np.einsum("ij,ij->i", V, dp)
         alpha = 1.0
         neg = ds < 0
@@ -1031,12 +1096,10 @@ def _polish_newton(V, b, c, o, p_in, S, R, C, t0, q0, iters=40):
         if alpha <= 0:
             return None
         p = p + alpha * dp
-        for j, k in c_pos.items():
-            t[j] += alpha * step[k]
-        for i, k in r_pos.items():
-            q[i] += alpha * step[k]
+        t[cols] += alpha * step[nS:nS + nC]
+        q[rows] += alpha * step[nS + nC:]
     # Not fully converged: hand the best iterate to the repair loop anyway.
-    if residuals()[0] is None:
+    if _polish_residual(V, b, c, o, p, t, q, Si, Sj, rows, cols)[0] is None:
         return None
     return p, t, q
 
@@ -1090,24 +1153,24 @@ def _degenerate_fill(full_p, degenerate, budgets, supplies):
 # Main entry point
 # ---------------------------------------------------------------------------
 
-def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
-          max_iter: int = ITERATION_CAP,
-          warm_start: np.ndarray | None = None,
-          trace: list | None = None) -> NswSolution:
-    """Solve the welfare program and certify the result.
+@dataclass
+class _Start:
+    """A problem reduced to its active rows and kept (positive-supply)
+    columns, screened, with the interior start of its live rows."""
 
-    The returned solution satisfies ``kkt_residual <= tol``; by concavity
-    plus the certificate its objective is within ``tol`` of optimal.
-    ``warm_start`` (a full n_agents-by-n_items matrix, for instance the
-    solution of a nearby problem) only speeds up the search.  Raises
-    :class:`Infeasible` when an active agent cannot reach non-negative
-    surplus, and :class:`NoConvergence` when the certificate tolerance
-    cannot be met inside the iteration budget.  ``metadata["polish"]`` is
-    the ``(mu_end, tau)`` rung and support threshold of the winning
-    candidate.
-    """
-    if tol <= 0:
-        raise DimensionMismatch("tol must be positive")
+    V: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    o: np.ndarray
+    keep: np.ndarray
+    live: list[int]
+    degenerate: set[int]
+    p0: np.ndarray | None      # None when no row is live
+    mu0: float                 # the barrier's first mu
+
+
+def _start(problem: NswProblem, warm_start: np.ndarray | None) -> _Start:
+    """The stages before the barrier: degeneracy screen and interior start."""
     inst = problem.instance
     active = list(problem.active_agents)
     V_full = np.asarray(inst.values)
@@ -1124,9 +1187,99 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
     if warm_start is not None and warm_start.shape == (inst.n_agents, inst.n_items):
         hint = np.asarray(warm_start, dtype=float)[np.ix_(active, keep)]
 
-    live_local, degenerate_local, base, warm = _screen_degenerate(
-        V, b, c, o, deg_tol, hint)
-    degenerate = frozenset(active[i] for i in degenerate_local)
+    live, degenerate, base, warm = _screen_degenerate(V, b, c, o, deg_tol, hint)
+    p0 = None
+    if live:
+        p0 = _interior_start(V[live], b[live], c, o[live], base)
+        if p0 is None:
+            raise Infeasible("no strictly interior point with positive surplus")
+    return _Start(V=V, b=b, c=c, o=o, keep=keep, live=live,
+                  degenerate=degenerate, p0=p0, mu0=5e-3 if warm else 0.05)
+
+
+def _first_rungs(starts: list[_Start], max_iter: int, trace=None):
+    """The first barrier rung of problems with one live shape and one
+    ``mu0``, in lockstep; one (p, t, q, iterations) per problem."""
+    V, b, c, o, p0 = (np.stack(x) for x in zip(*[
+        (st.V[st.live], st.b[st.live], st.c, st.o[st.live], st.p0) for st in starts]))
+    p, t, q, iters = _barrier_solve(V, b, c, o, p0, starts[0].mu0, _RUNGS[0][0],
+                                    max_iter, trace)
+    return [(p[k], t[k], q[k], int(iters[k])) for k in range(len(starts))]
+
+
+def solve_many(problems: Sequence[NswProblem], tol: float = DEFAULT_KKT_TOL,
+               max_iter: int = ITERATION_CAP,
+               warm_start: np.ndarray | None = None) -> list[NswSolution]:
+    """``[solve(problem, tol, max_iter, warm_start) for problem in problems]``, faster.
+
+    Each problem is screened and started on its own; then problems of one
+    live shape and one warm flag run their first barrier rung in one
+    lockstep call (several when their dense Hessians would pass
+    ``_LOCKSTEP_BYTES``), and :func:`solve` finishes each from there.
+    Results are those of the sequential loop, which also decides which
+    exception is raised: the first failing problem's.
+    ``metadata["barrier_batch"]`` counts the problems of each first-rung
+    call.
+    """
+    starts: list[_Start | MatchingError] = []
+    for problem in problems:
+        try:
+            starts.append(_start(problem, warm_start))
+        except MatchingError as err:     # raised in turn, by solve
+            starts.append(err)
+    groups: dict[tuple, list[int]] = {}
+    for k, st in enumerate(starts):
+        if isinstance(st, _Start) and st.p0 is not None:
+            groups.setdefault((st.p0.shape, st.mu0), []).append(k)
+    prepared = [(st, None, 1) for st in starts]
+    for (shape, _), group in groups.items():
+        per_call = max(1, _LOCKSTEP_BYTES // (8 * (shape[0] * shape[1]) ** 2))
+        for at in range(0, len(group), per_call):
+            ks = group[at:at + per_call]
+            for k, rung in zip(ks, _first_rungs([starts[k] for k in ks], max_iter)):
+                prepared[k] = (starts[k], rung, len(ks))
+    # ``solve`` is looked up at call time, so a wrapper around nsw.solve
+    # sees every problem finished.
+    return [solve(problem, tol=tol, max_iter=max_iter, _prepared=prep)
+            for problem, prep in zip(problems, prepared)]
+
+
+def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
+          max_iter: int = ITERATION_CAP,
+          warm_start: np.ndarray | None = None,
+          trace: list | None = None, *, _prepared=None) -> NswSolution:
+    """Solve the welfare program and certify the result.
+
+    The returned solution satisfies ``kkt_residual <= tol``; by concavity
+    plus the certificate its objective is within ``tol`` of optimal.
+    ``warm_start`` (a full n_agents-by-n_items matrix, for instance the
+    solution of a nearby problem) only speeds up the search.  Raises
+    :class:`Infeasible` when an active agent cannot reach non-negative
+    surplus, and :class:`NoConvergence` when the certificate tolerance
+    cannot be met inside the iteration budget.  ``metadata["polish"]`` is
+    the ``(mu_end, tau)`` rung and support threshold of the winning
+    candidate, and ``metadata["barrier_batch"]`` the number of problems
+    whose first barrier rung ran in one lockstep call (1 here; see
+    :func:`solve_many`).
+    """
+    if tol <= 0:
+        raise DimensionMismatch("tol must be positive")
+    if _prepared is None:               # a lone problem: a batch of one
+        start = _start(problem, warm_start)
+        first = (None if start.p0 is None
+                 else _first_rungs([start], max_iter, trace)[0])
+        batch = 1
+    else:                               # from solve_many
+        start, first, batch = _prepared
+        if isinstance(start, MatchingError):
+            raise start
+    inst = problem.instance
+    active = list(problem.active_agents)
+    V_full = np.asarray(inst.values)
+    V, b, c, o, keep = start.V, start.b, start.c, start.o, start.keep
+    live_local = start.live
+    degenerate = frozenset(active[i] for i in start.degenerate)
+    c_full = np.asarray(inst.supplies, dtype=float)
 
     na_live = len(live_local)
     p_live = np.zeros((na_live, len(keep)))
@@ -1137,19 +1290,18 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
 
     if na_live > 0:
         Vl, bl, ol = V[live_local], b[live_local], o[live_local]
-        p_path = _interior_start(Vl, bl, c, ol, base)
-        if p_path is None:
-            raise Infeasible("no strictly interior point with positive surplus")
-
         best_resid, best = math.inf, None
-        mu_reached = 5e-3 if warm else 0.05
-        for mu_end, taus in ((1e-8, (3e-5, 1e-6)), (1e-10, (1e-6, 1e-4)),
-                             (1e-12, (1e-7, 3e-5))):
+        mu_reached = start.mu0
+        for rung, (mu_end, taus) in enumerate(_RUNGS):
             if iters_used >= max_iter:
                 break
-            p_bar, t_bar, q_bar, it = _barrier_solve(
-                Vl, bl, c, ol, p_path, mu_reached, mu_end,
-                max_iter - iters_used, trace)
+            if rung == 0:
+                p_bar, t_bar, q_bar, it = first
+            else:                       # the few problems that get here go alone
+                p_bar, t_bar, q_bar, its = (x[0] for x in _barrier_solve(
+                    Vl[None], bl[None], c[None], ol[None], p_path[None],
+                    mu_reached, mu_end, max_iter - iters_used, trace))
+                it = int(its)
             iters_used += it
             p_path, mu_reached = p_bar, mu_end
             for tau in taus:
@@ -1228,6 +1380,7 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
                   "structured_steps": iters_used if structured else 0,
                   "dense_steps": 0 if structured else iters_used,
                   "polish": winner,
+                  "barrier_batch": batch,
                   "active_agents": tuple(active),
                   "offsets": offsets_full.tolist()},
     )

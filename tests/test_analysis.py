@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from matchlab.core import validate_instance
+from matchlab.core import uniform_disagreement, validate_instance
 from matchlab.analysis import (
     approx_ratio,
     benchmark,
@@ -17,8 +17,9 @@ from matchlab.analysis import (
     rho_star_upper_bound,
     truthfulness_audit,
 )
-from matchlab.instances import gen_random, gen_rsd_worst
+from matchlab.instances import gen_random, gen_rsd_worst, parse_generator_spec
 from matchlab.mechanisms import ps_run, rsd_run
+from matchlab.nsw import NswProblem, solve
 
 
 class TestBenchmark:
@@ -105,6 +106,52 @@ class TestRhoExact:
         inst = gen_random(4, seed=44)
         rep = rho_exact(inst)
         assert rep.rho_half <= rep.rho + 1e-12
+
+
+def _rho_exact_sequential(inst, bargaining_offsets=False):
+    """Reference for ``rho_exact``: one ``solve`` per subset, in mask order."""
+    n = inst.n_agents
+    o_full = uniform_disagreement(inst) if bargaining_offsets else None
+
+    def solve_subset(agents, warm=None):
+        off = np.array([o_full[a] for a in agents]) if o_full is not None else None
+        return solve(NswProblem.create(inst, agents, off), warm_start=warm)
+
+    full_agents = tuple(range(n))
+    full = solve_subset(full_agents)
+    warm = np.asarray(full.assignment.probs)
+    half_size = -(-n // 2)
+    best, best_half, skipped = (1.0, full_agents, -1, 1.0, 1.0), (1.0, full_agents), []
+    for mask in range(1, 2 ** n):
+        subset = tuple(i for i in range(n) if mask >> i & 1)
+        sub = full if subset == full_agents else solve_subset(subset, warm)
+        for i in subset:
+            if i in full.degenerate_agents or i in sub.degenerate_agents:
+                skipped.append((subset, i))
+                continue
+            ratio = full.utilities[i] / sub.utilities[i]
+            if ratio > best[0]:
+                best = (float(ratio), subset, i,
+                        float(full.utilities[i]), float(sub.utilities[i]))
+            if len(subset) == half_size and ratio > best_half[0]:
+                best_half = (float(ratio), subset)
+    return best, best_half, skipped
+
+
+class TestRhoBatched:
+    @pytest.mark.parametrize("spec,seed,bargaining", [
+        ("random:5", 0, False), ("random:5,sparse,0.5", 1, False),
+        ("random:5", 2, True), ("random:6,grid", 3, True)])
+    def test_matches_one_solve_per_subset(self, spec, seed, bargaining):
+        # Subsets of one size are solved together, but the scan, its
+        # witnesses, ties and skipped pairs are those of one solve per mask.
+        inst = parse_generator_spec(spec, seed=seed)
+        rep = rho_exact(inst, bargaining_offsets=bargaining)
+        best, best_half, skipped = _rho_exact_sequential(inst, bargaining)
+        assert (rep.rho, rep.witness_subset, rep.witness_agent,
+                rep.utility_before, rep.utility_after) == best
+        assert (rep.rho_half, rep.witness_half) == best_half
+        assert rep.skipped == skipped
 
 
 class TestRhoScan:

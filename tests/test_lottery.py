@@ -1,8 +1,33 @@
 import numpy as np
 import pytest
 
+from matchlab import lottery
 from matchlab.core import FractionalAssignment, NotDecomposable, utilities, validate_instance
 from matchlab.lottery import decompose, random_doubly_stochastic, sample, sinkhorn
+
+
+def _perfect_matching_recursive(mask):
+    """Reference for ``lottery._perfect_matching``: the recursive
+    augmenting-path search it replaces (one Python frame per path step)."""
+    n = mask.shape[0]
+    match_col = [-1] * n
+
+    def try_row(i, seen):
+        for j in range(n):
+            if mask[i, j] and not seen[j]:
+                seen[j] = True
+                if match_col[j] < 0 or try_row(match_col[j], seen):
+                    match_col[j] = i
+                    return True
+        return False
+
+    for i in range(n):
+        if not try_row(i, [False] * n):
+            return None
+    out = [-1] * n
+    for j, i in enumerate(match_col):
+        out[i] = j
+    return out
 
 
 class TestDecompose:
@@ -67,6 +92,39 @@ class TestDecompose:
                 if j >= 0:
                     via_lottery[i] += w * float(table1.values[i, j])
         assert np.allclose(via_lottery, direct, atol=1e-9)
+
+    def test_long_augmenting_path(self):
+        # Row n-1 reaches its only free column through an augmenting path
+        # n rows long; the recursive search raised RecursionError here.
+        n = 1100
+        eye = np.eye(n)
+        p = 0.5 * (eye + np.roll(eye, -1, axis=0))
+        lot = decompose(p)
+        assert len(lot.terms) == 2
+        assert np.abs(lot.reconstruct() - p).max() <= 1e-12
+
+    def test_matching_matches_recursive_search(self):
+        rng = np.random.default_rng(7)
+        found = 0
+        for _ in range(500):
+            n = int(rng.integers(1, 25))
+            mask = rng.uniform(size=(n, n)) < rng.uniform(0.05, 0.6)
+            if rng.uniform() < 0.5:
+                mask |= np.eye(n, dtype=bool)[rng.permutation(n)]
+            got = lottery._perfect_matching(mask)
+            assert got == _perfect_matching_recursive(mask)
+            found += got is not None
+        assert found > 100
+
+    def test_lotteries_match_recursive_search(self, monkeypatch):
+        matrices = [random_doubly_stochastic(n, seed) for seed, n in
+                    enumerate((2, 5, 9, 16, 23, 31, 40))]
+        matrices.append(0.7 * random_doubly_stochastic(6, 99))   # padded
+        lotteries = [decompose(p) for p in matrices]
+        monkeypatch.setattr(lottery, "_perfect_matching", _perfect_matching_recursive)
+        for p, lot in zip(matrices, lotteries):
+            ref = decompose(p)
+            assert lot.terms == ref.terms and lot.residual == ref.residual
 
 
 class TestSample:

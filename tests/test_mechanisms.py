@@ -67,6 +67,26 @@ class TestPartialAllocation:
                 u_lie = float(values[agent] @ out.assignment.probs[agent])
                 assert u_lie <= u_true + 1e-5
 
+    def test_leave_one_out_barriers_run_in_one_batch(self, monkeypatch):
+        # The n leave-one-out solves share a shape: their first barrier rung
+        # is one lockstep call of n problems, and each solution still comes
+        # back through nsw.solve.
+        from matchlab import nsw
+        loo = []
+        real = nsw.solve
+
+        def recording(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            loo.append(sol)
+            return sol
+
+        monkeypatch.setattr(nsw, "solve", recording)
+        n = 8
+        out = pa_run(gen_random(n, seed=0))
+        assert len(loo) == len(out.leave_one_out_utilities) == n
+        assert [sol.metadata["barrier_batch"] for sol in loo] == [n] * n
+        assert out.base.metadata["barrier_batch"] == 1
+
     def test_all_degenerate_uniform(self):
         inst = validate_instance([[1.0, 1.0], [1.0, 1.0]])
         from matchlab.core import uniform_disagreement

@@ -405,6 +405,11 @@ def _relative_residual(H, g, x):
     return np.max(np.abs(g.ravel() - H @ x.ravel())) / np.max(np.abs(g))
 
 
+def _dense_hessian(V, p, s, r, d, mu):
+    """The explicit Hessian of one problem, as the barrier builds it."""
+    return nsw._dense_hessians(V[None], p[None], s[None], r[None], d[None], mu)[0]
+
+
 class TestNewtonStep:
     @pytest.mark.parametrize("mu", [1e-2, 1e-6, 1e-10])
     def test_structured_matches_dense(self, mu):
@@ -412,11 +417,31 @@ class TestNewtonStep:
             V, p, s, r, d, g = _late_path_state(seed, mu)
             x = nsw._structured_step(V, p, s, r, d, mu, g)
             assert x is not None
-            dense = nsw._DenseHessian(V)
-            x_dense = dense.step(p, s, r, d, mu, g)
-            H = dense.fill(p, s, r, d, mu)
+            x_dense = nsw._dense_steps(V[None], p[None], s[None], r[None],
+                                       d[None], mu, g[None])[0]
+            H = _dense_hessian(V, p, s, r, d, mu)
             assert _relative_residual(H, g, x) <= 1e-10
             assert np.max(np.abs(x - x_dense)) <= 1e-8 * np.max(np.abs(x_dense))
+
+    def test_dense_hessians_are_diag_plus_w_wt(self):
+        # The batched fill against H = diag(mu/p^2) + W W^T with W written
+        # out column by column, and each problem of a batch against the
+        # same problem filled alone.
+        mu = 1e-4
+        states = [_late_path_state(seed, mu, n=5) for seed in range(4)]
+        V, p, s, r, d, g = (np.stack(x) for x in zip(*states))
+        H = nsw._dense_hessians(V, p, s, r, d, mu)
+        na, mk = V.shape[1:]
+        for k in range(len(states)):
+            W = np.zeros((na * mk, 2 * na + mk))
+            for i in range(na):
+                for j in range(mk):
+                    W[i * mk + j, i] = V[k, i, j] / s[k, i]
+                    W[i * mk + j, na + i] = math.sqrt(mu) / r[k, i]
+                    W[i * mk + j, 2 * na + j] = math.sqrt(mu) / d[k, j]
+            ref = np.diag(mu / p[k].ravel() ** 2) + W @ W.T
+            assert np.allclose(H[k], ref, rtol=1e-12, atol=0.0)
+            assert np.array_equal(H[k], _dense_hessian(V[k], p[k], s[k], r[k], d[k], mu))
 
     @pytest.mark.parametrize("mu", [1e-2, 1e-6, 1e-8, 1e-10, 1e-12])
     def test_two_item_supports(self, mu):
@@ -429,7 +454,7 @@ class TestNewtonStep:
             V, p, s, r, d, g = _late_path_state(seed, mu, second_items=True)
             x = nsw._structured_step(V, p, s, r, d, mu, g)
             assert x is not None
-            H = nsw._DenseHessian(V).fill(p, s, r, d, mu)
+            H = _dense_hessian(V, p, s, r, d, mu)
             if mu >= 1e-6:
                 assert _relative_residual(H, g, x) <= 1e-10
             xv = x.ravel()
@@ -457,11 +482,11 @@ class TestNewtonStep:
                 return None
             return real_step(V, p, s, r, d, mu, g)
 
-        def no_dense(V):
+        def no_dense(*args):
             raise AssertionError("dense Hessian built above the crossover")
 
         monkeypatch.setattr(nsw, "_structured_step", late_decline)
-        monkeypatch.setattr(nsw, "_DenseHessian", no_dense)
+        monkeypatch.setattr(nsw, "_dense_hessians", no_dense)
         try:
             sol = solve(NswProblem.create(instances.gen_random(13, seed=1)))
         except NoConvergence as err:
@@ -477,3 +502,217 @@ class TestSolveTrace:
         solve(NswProblem.create(table1), trace=trace)
         assert len(trace) > 0
         assert all(len(row) == 3 for row in trace)
+
+
+def _polish_system_loop(V, b, c, o, p, t, q, S, R, C):
+    """Reference for the polish's residual F and Jacobian J: the pair loops
+    that ``nsw._polish_residual`` and ``nsw._polish_jacobian`` replace."""
+    na, mk = V.shape
+    S_list, R_list, C_list = sorted(S), sorted(R), sorted(C)
+    s_pos = {ij: k for k, ij in enumerate(S_list)}
+    c_pos = {j: len(S_list) + k for k, j in enumerate(C_list)}
+    r_pos = {i: len(S_list) + len(C_list) + k for k, i in enumerate(R_list)}
+    s = np.einsum("ij,ij->i", V, p) - o
+    F = np.empty(len(S_list) + len(R_list) + len(C_list))
+    for k, (i, j) in enumerate(S_list):
+        F[k] = V[i, j] / s[i] - (t[j] if j in C else 0.0) - (q[i] if i in R else 0.0)
+    base = len(S_list)
+    for k, i in enumerate(R_list):
+        F[base + k] = p[i].sum() - b[i]
+    base += len(R_list)
+    for k, j in enumerate(C_list):
+        F[base + k] = p[:, j].sum() - c[j]
+    J = np.zeros((len(F), len(S_list) + len(C_list) + len(R_list)))
+    for k, (i, j) in enumerate(S_list):
+        for (i2, l) in ((i, l) for l in range(mk) if (i, l) in S):
+            J[k, s_pos[(i, l)]] += -V[i, j] * V[i, l] / s[i] ** 2
+        if j in C:
+            J[k, c_pos[j]] = -1.0
+        if i in R:
+            J[k, r_pos[i]] = -1.0
+    base = len(S_list)
+    for k, i in enumerate(R_list):
+        for l in range(mk):
+            if (i, l) in S:
+                J[base + k, s_pos[(i, l)]] = 1.0
+    base += len(R_list)
+    for k, j in enumerate(C_list):
+        for i2 in range(na):
+            if (i2, j) in S:
+                J[base + k, s_pos[(i2, j)]] = 1.0
+    return F, J
+
+
+def _violated_pairs_loop(V, o, p, t, q, S, R, C, threshold):
+    """Reference for ``nsw._violated_pairs``: the pair-by-pair gap scan."""
+    na, mk = V.shape
+    s = np.einsum("ij,ij->i", V, p) - o
+    gaps = []
+    for i in range(na):
+        for j in range(mk):
+            if (i, j) in S:
+                continue
+            gap = V[i, j] / s[i] - (t[j] if j in C else 0.0) - (q[i] if i in R else 0.0)
+            if gap > threshold:
+                gaps.append((gap, (i, j)))
+    return [pair for _, pair in sorted(gaps, reverse=True)[:3]]
+
+
+def _random_polish_state(seed):
+    """A random support guess with positive surpluses, as the polish sees it."""
+    rng = np.random.default_rng(seed)
+    na, mk = (int(x) for x in rng.integers(1, 14, size=2))
+    V = rng.uniform(0.0, 2.0, (na, mk)) * (rng.uniform(size=(na, mk)) > 0.3)
+    V[:, 0] += 0.1                                   # every surplus positive
+    if seed % 5 == 0:
+        V = np.round(V, 1)                           # tied gaps
+    S = {(i, j) for i in range(na) for j in range(mk) if rng.uniform() < 0.4}
+    p = np.zeros((na, mk))
+    for i, j in S:
+        p[i, j] = rng.uniform(0.0, 1.0) * 10.0 ** -rng.integers(0, 12)
+    p[:, 0] += 0.5 / na
+    o = rng.uniform(0.0, 1e-3, na)
+    R = {i for i in range(na) if rng.uniform() < 0.5}
+    C = {j for j in range(mk) if rng.uniform() < 0.5}
+    t = rng.uniform(-0.2, 1.0, mk)
+    q = rng.uniform(-0.2, 1.0, na)
+    b = rng.uniform(0.5, 1.0, na)
+    c = rng.uniform(0.5, 1.0, mk)
+    return V, b, c, o, p, t, q, S, R, C
+
+
+class TestPolishSystem:
+    def test_residual_and_jacobian_match_pair_loops(self):
+        # Same float operations in the same order: bit-identical, signed
+        # zeros included.
+        for seed in range(300):
+            V, b, c, o, p, t, q, S, R, C = _random_polish_state(seed)
+            pairs = np.array(sorted(S), dtype=int).reshape(-1, 2)
+            rows, cols = np.array(sorted(R), dtype=int), np.array(sorted(C), dtype=int)
+            F, s = nsw._polish_residual(V, b, c, o, p, t, q, pairs[:, 0], pairs[:, 1],
+                                        rows, cols)
+            J = nsw._polish_jacobian(V, s, pairs[:, 0], pairs[:, 1], rows, cols)
+            F_ref, J_ref = _polish_system_loop(V, b, c, o, p, t, q, S, R, C)
+            assert F.tobytes() == F_ref.tobytes()
+            assert J.shape == J_ref.shape and J.tobytes() == J_ref.tobytes()
+
+    def test_violated_pairs_match_pair_loop(self):
+        found = 0
+        for seed in range(300):
+            V, b, c, o, p, t, q, S, R, C = _random_polish_state(seed)
+            for threshold in (1e-10, 0.5):
+                got = nsw._violated_pairs(V, o, p, t, q, S, R, C, threshold)
+                assert got == _violated_pairs_loop(V, o, p, t, q, S, R, C, threshold)
+                found += len(got)
+        assert found > 300
+
+
+def _loo_problems(inst, offsets=None, supplies=None):
+    """The leave-one-out problems of a PA run on ``inst``."""
+    if supplies is not None:
+        inst = validate_instance({"values": np.asarray(inst.values), "supplies": supplies})
+    n = inst.n_agents
+    off = np.zeros(n) if offsets is None else np.asarray(offsets, dtype=float)
+    return inst, [NswProblem.create(inst, rest, off[list(rest)])
+                  for agent in range(n)
+                  for rest in [tuple(a for a in range(n) if a != agent)]]
+
+
+class TestSolveMany:
+    @pytest.mark.parametrize("case", [
+        "plain", "n_below_m", "fractional_supplies", "offsets",
+        "degenerate_split", "structured"])
+    def test_matches_sequential_solves(self, case):
+        if case == "plain":
+            inst, problems = _loo_problems(instances.gen_random(6, seed=3))
+        elif case == "n_below_m":
+            values = np.random.default_rng(1).uniform(size=(4, 7))
+            inst, problems = _loo_problems(validate_instance(values))
+        elif case == "fractional_supplies":
+            inst, problems = _loo_problems(instances.gen_random(6, seed=4),
+                                           supplies=[1.0, 0.3, 0.7, 0.55, 1.0, 0.2])
+        elif case == "offsets":
+            inst = instances.gen_random(7, "sparse", seed=5)
+            inst, problems = _loo_problems(inst, offsets=uniform_disagreement(inst))
+        elif case == "degenerate_split":
+            # Agent 0's row is constant, so under average-value offsets it
+            # is degenerate: the problems that keep it have one live row
+            # less than the one that leaves it out.
+            values = np.random.default_rng(2).uniform(size=(5, 5))
+            values[0] = 0.5
+            inst = validate_instance(values)
+            inst, problems = _loo_problems(inst, offsets=uniform_disagreement(inst))
+        else:                                 # 13 x 14 pairs and up
+            inst, problems = _loo_problems(instances.gen_random(14, seed=0))
+        warm = np.asarray(solve(NswProblem.create(inst)).assignment.probs)
+        many = nsw.solve_many(problems, warm_start=warm)
+        shapes = []
+        for problem, sol in zip(problems, many):
+            alone = solve(problem, warm_start=warm)
+            assert sol.metadata["iterations"] == alone.metadata["iterations"]
+            assert sol.metadata["polish"] == alone.metadata["polish"]
+            assert np.allclose(sol.utilities, alone.utilities, rtol=0.0, atol=1e-9)
+            assert sol.kkt_residual <= DEFAULT_KKT_TOL
+            assert alone.metadata["barrier_batch"] == 1
+            shapes.append(len(problem.active_agents) - len(sol.degenerate_agents))
+        for sol, live in zip(many, shapes):
+            assert sol.metadata["barrier_batch"] == shapes.count(live)
+        if case == "degenerate_split":
+            assert len(set(shapes)) == 2
+        if case == "structured":
+            assert all(sol.metadata["structured_steps"] > 0 for sol in many)
+
+    def test_groups_split_by_hessian_bytes(self, monkeypatch):
+        # Six problems of 5 x 6 pairs with room for the Hessians of two
+        # per call: three calls of two, and the same results.
+        _, problems = _loo_problems(instances.gen_random(6, seed=3))
+        monkeypatch.setattr(nsw, "_LOCKSTEP_BYTES", 2 * 8 * 30 ** 2)
+        many = nsw.solve_many(problems)
+        assert [sol.metadata["barrier_batch"] for sol in many] == [2] * 6
+        for problem, sol in zip(problems, many):
+            alone = solve(problem)
+            assert sol.metadata["iterations"] == alone.metadata["iterations"]
+            assert np.array_equal(sol.utilities, alone.utilities)
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_raises_what_the_sequential_loop_raises_first(self, order):
+        # With max_iter=1 the live problem fails in its last stage
+        # (NoConvergence) and the infeasible one in its first (Infeasible);
+        # the earlier of the two in the list decides, as in a loop.
+        live = NswProblem.create(instances.gen_random(4, seed=0))
+        inst = validate_instance([[1.0, 0.0], [1.0, 0.0]])
+        infeasible = NswProblem.create(inst, offsets=np.array([0.9, 0.9]))
+        problems = [(live, infeasible)[k] for k in order]
+        expected = (NoConvergence, Infeasible)[order[0]]
+        with pytest.raises(expected):
+            for problem in problems:
+                solve(problem, max_iter=1)
+        with pytest.raises(expected):
+            nsw.solve_many(problems, max_iter=1)
+
+    def test_no_live_rows_and_empty_input(self):
+        inst = validate_instance([[3.0, 1.0], [3.0, 1.0]])
+        flat = NswProblem.create(inst, offsets=uniform_disagreement(inst))
+        lone = NswProblem.create(inst, active_agents=(0,))
+        many = nsw.solve_many([flat, lone, flat])
+        assert many[0].degenerate_agents == frozenset({0, 1})
+        assert np.allclose(many[0].assignment.probs, 0.5)
+        assert np.allclose(many[1].utilities, solve(lone).utilities, atol=1e-9)
+        assert [sol.metadata["barrier_batch"] for sol in many] == [1, 1, 1]
+        assert nsw.solve_many([]) == []
+
+    def test_finished_through_module_solve(self, monkeypatch):
+        # Each result is returned by nsw.solve as the module attribute, so a
+        # wrapper installed there (as the benchmark's tracer is) sees it.
+        seen = []
+        real = nsw.solve
+
+        def recording(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            seen.append(sol)
+            return sol
+
+        monkeypatch.setattr(nsw, "solve", recording)
+        _, problems = _loo_problems(instances.gen_random(5, seed=1))
+        many = nsw.solve_many(problems)
+        assert [id(s) for s in seen] == [id(s) for s in many]
