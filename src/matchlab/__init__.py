@@ -25,7 +25,6 @@ from .core import (  # noqa: F401
     NotOptimal,
     ParseError,
     SupplyUnderflow,
-    TooLarge,
     TooLargeForExact,
     instance_hash,
     load_instance,

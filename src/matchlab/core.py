@@ -39,7 +39,6 @@ __all__ = [
     "NotDecomposable",
     "TooLargeForExact",
     "SupplyUnderflow",
-    "TooLarge",
     "Instance",
     "FractionalAssignment",
     "MechanismReport",
@@ -133,14 +132,6 @@ class TooLargeForExact(MatchingError):
 
 class SupplyUnderflow(MatchingError):
     """An item supply went negative during a recursive mechanism run."""
-
-
-class TooLarge(MatchingError):
-    """A generated market is too large to materialize."""
-
-    def __init__(self, message: str, total_size: int):
-        super().__init__(f"{message} (total size {total_size})")
-        self.total_size = total_size
 
 
 # ---------------------------------------------------------------------------

@@ -122,10 +122,8 @@ def _perfect_matching(mask: np.ndarray) -> list[int] | None:
 
 def _bottleneck_matching(w: np.ndarray) -> list[int] | None:
     """Perfect matching maximizing its minimum entry (binary search on the
-    support weights)."""
+    support weights), or None when even the whole support has none."""
     positive = np.unique(w[w > 0])
-    if positive.size == 0:
-        return None
     lo, hi = 0, len(positive) - 1
     best = None
     while lo <= hi:
@@ -136,10 +134,6 @@ def _bottleneck_matching(w: np.ndarray) -> list[int] | None:
             lo = mid + 1
         else:
             hi = mid - 1
-        if lo > hi:
-            break
-    if best is None:
-        best = _perfect_matching(w > 0)
     return best
 
 

@@ -25,9 +25,7 @@ market size grows as the product of the ``s_a(r)``.
 
 Aggregated (class-level) form is canonical: optima are symmetric across
 copies and across units inside a class, so certification on one
-aggregated table per level covers the whole market.  Unit-level expansion
-is supported but guarded, because even ``s = 1`` expands to several
-hundred thousand agents.
+aggregated table per level covers the whole market.
 """
 
 from __future__ import annotations
@@ -38,9 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-import numpy as np
-
-from .core import DimensionMismatch, Instance, NegativeValue, TooLarge, validate_instance
+from .core import DimensionMismatch, NegativeValue
 
 __all__ = [
     "LevelParams",
@@ -519,15 +515,6 @@ class LowerBoundMarket:
     def certificates(self) -> list[CertificateReport]:
         return [certify_table(tbl) for tbl in self.level_tables.values()]
 
-    def to_instance(self, max_agents: int = 20000) -> Instance:
-        """Expand classes to unit agents/items; guarded by ``max_agents``."""
-        total = self.total_agents()
-        if total > max_agents:
-            raise TooLarge(
-                f"expansion needs {total} unit agents (cap {max_agents})",
-                total)
-        return _expand_market(self)
-
     def write_bundle(self, out_dir: str) -> dict[str, str]:
         """Write instance/assignments/removal/params JSON files."""
         os.makedirs(out_dir, exist_ok=True)
@@ -604,88 +591,3 @@ def gen_lowerbound(s: int) -> LowerBoundMarket:
     loser = {"level": s, "class": "e", "size": 1}
     return LowerBoundMarket(params=params, level_tables=tables,
                             removal=removal, loser=loser)
-
-
-def _expand_market(market: LowerBoundMarket) -> Instance:
-    """Unit-level expansion (agents and items become individual rows and
-    columns; copies are disjoint except boundary identifications).
-
-    Sizes and value entries come from the initial level tables, so the
-    expansion works for any market shaped like this family: a level-r copy
-    owns its items except A (whose units are the children's boundary items,
-    H at level 0 and E above); the h bidders of level 0 double as the a
-    bidders of level 1, while deeper levels own fresh a bidders.
-    """
-    params = market.params
-    s = params.s
-    tables = {lv: market.level_tables[(lv, "initial")]
-              for lv in range(0, s + 1)}
-
-    item_ids: dict[tuple[int, int, str, int], int] = {}
-
-    def add_item(level: int, copy: int, cls: str, unit: int) -> int:
-        key = (level, copy, cls, unit)
-        if key not in item_ids:
-            item_ids[key] = len(item_ids)
-        return item_ids[key]
-
-    for copy in range(params.k[0]):
-        for cls, size in tables[0].items.items():
-            for u in range(int(size)):
-                add_item(0, copy, cls, u)
-    for r in range(1, s + 1):
-        for copy in range(params.k[r]):
-            for cls, size in tables[r].items.items():
-                if cls == "A":
-                    continue
-                for u in range(int(size)):
-                    add_item(r, copy, cls, u)
-
-    def item_of(level: int, copy: int, cls: str, unit: int) -> int:
-        if cls == "A" and level >= 1:
-            child_level = level - 1
-            child_copy = copy * int(tables[level].items["A"]) + unit
-            boundary = "H" if child_level == 0 else "E"
-            return item_ids[(child_level, child_copy, boundary, 0)]
-        return item_ids[(level, copy, cls, unit)]
-
-    agents: list[tuple[int, int, str, int]] = []
-    for copy in range(params.k[0]):
-        for cls, size in tables[0].bidders.items():
-            for u in range(int(size)):
-                agents.append((0, copy, cls, u))
-    for r in range(1, s + 1):
-        for copy in range(params.k[r]):
-            for cls, size in tables[r].bidders.items():
-                if cls == "a" and r == 1:
-                    continue          # provided by the children's h bidders
-                for u in range(int(size)):
-                    agents.append((r, copy, cls, u))
-
-    n = len(agents)
-    m = len(item_ids)
-    values = np.zeros((n, m))
-
-    def fill_row(row: int, level: int, copy: int, cls: str) -> None:
-        tbl = tables[level]
-        for (bi, j_cls), val in tbl.values.items():
-            if bi != cls:
-                continue
-            for u in range(int(tbl.items[j_cls])):
-                values[row, item_of(level, copy, j_cls, u)] = float(val)
-
-    for row, (level, copy, cls, unit) in enumerate(agents):
-        fill_row(row, level, copy, cls)
-        if level == 0 and cls == "h" and s >= 1:
-            parent = copy // int(tables[1].items["A"])
-            fill_row(row, 1, parent, "a")
-
-    labels = [f"L{lv}.{cp}.{cls}{u}" for (lv, cp, cls, u) in agents]
-    item_labels = [None] * m
-    for (lv, cp, cls, u), j in item_ids.items():
-        item_labels[j] = f"L{lv}.{cp}.{cls}{u}"
-    return validate_instance({
-        "values": values,
-        "agent_labels": labels,
-        "item_labels": item_labels,
-    })

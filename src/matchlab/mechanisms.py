@@ -127,8 +127,8 @@ def pa_run(inst: Instance, offsets: np.ndarray | None = None,
             f *= base.surplus[other] / loo.surplus[other]
         fractions[idx[agent]] = f
 
-    probs = base.assignment.probs * fractions[:, None] if active == tuple(
-        range(inst.n_agents)) else _scale_rows(base.assignment.probs, active, fractions)
+    probs = np.array(base.assignment.probs, dtype=float)
+    probs[list(active)] *= fractions[:, None]
     scaled = FractionalAssignment.from_probs(
         probs, row_budget=base.assignment.row_budget,
         tolerance=base.assignment.tolerance)
@@ -139,14 +139,6 @@ def pa_run(inst: Instance, offsets: np.ndarray | None = None,
         base=base,
         metadata=meta,
     )
-
-
-def _scale_rows(probs: np.ndarray, active: tuple[int, ...],
-                fractions: np.ndarray) -> np.ndarray:
-    out = np.array(probs, dtype=float)
-    for k, agent in enumerate(active):
-        out[agent] *= fractions[k]
-    return out
 
 
 # ---------------------------------------------------------------------------

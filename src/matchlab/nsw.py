@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs
 from scipy.optimize import linear_sum_assignment, linprog
 
@@ -139,7 +140,7 @@ class NswProblem:
                 raise DimensionMismatch("offsets must be finite and >= 0")
         budget = np.broadcast_to(
             np.asarray(row_budget, dtype=float), (na,)).copy()
-        if np.any(budget <= 0) or np.any(budget > 1 + 1e-12):
+        if not np.all((budget > 0) & (budget <= 1 + 1e-12)):     # NaN fails both
             raise DimensionMismatch("row budgets must lie in (0, 1]")
         return cls(instance=instance, active_agents=active,
                    offsets=off, row_budget=np.minimum(budget, 1.0))
@@ -290,30 +291,28 @@ def recover_duals(inst: Instance, assignment: FractionalAssignment,
                   if assignment.row_budget[i] - p[i].sum() <= slack_tol]
     tight_cols = [j for j in range(m)
                   if inst.supplies[j] - p[:, j].sum() <= slack_tol]
-    support = [(i, j) for i in checked for j in range(m)
-               if p[i, j] > support_tol]
+    pairs = np.column_stack([np.repeat(np.array(checked, dtype=int), m),
+                             np.tile(np.arange(m), len(checked))])
+    pi, pj = pairs.T
+    on_support = p[pi, pj] > support_tol
 
-    duals = _duals_from_support(vhat, n, m, support, tight_rows, tight_cols)
+    duals = _duals_from_support(vhat, n, m, pairs[on_support], tight_rows, tight_cols)
+    if kkt_check(inst, assignment, duals, offsets, skip_agents=skip) <= tol:
+        return duals
+
+    duals = _duals_by_lp(vhat, n, m, pairs, on_support, tight_rows, tight_cols)
     if duals is not None:
         resid = kkt_check(inst, assignment, duals, offsets, skip_agents=skip)
         if resid <= tol:
             return duals
 
-    duals = _duals_by_lp(vhat, n, m, checked, support, tight_rows, tight_cols)
-    if duals is not None:
-        resid = kkt_check(inst, assignment, duals, offsets, skip_agents=skip)
-        if resid <= tol:
-            return duals
-
-    # No certificate: report the worst support/feasibility violation.
+    # No certificate: report the worst support/feasibility violation, the
+    # first pair in row-major order, and (0, 0) when no pair violates.
     best = duals if duals is not None else Duals(np.zeros(m), np.zeros(n))
-    worst_pair, worst = (0, 0), 0.0
-    for i in checked:
-        for j in range(m):
-            gap = vhat[i, j] - best.t[j] - best.q[i]
-            viol = abs(gap) if p[i, j] > support_tol else max(0.0, gap)
-            if viol > worst:
-                worst, worst_pair = viol, (i, j)
+    gap = vhat[pi, pj] - best.t[pj] - best.q[pi]
+    viol = np.where(on_support, np.abs(gap), np.maximum(0.0, gap))
+    worst = float(np.max(viol, initial=0.0))
+    worst_pair = tuple(pairs[np.argmax(viol)].tolist()) if worst > 0 else (0, 0)
     raise NotOptimal(worst_pair, worst)
 
 
@@ -385,79 +384,60 @@ def _shift_components(vhat, t, q, support, tight_rows, tight_cols):
             q[rows] -= d
 
 
+def _pair_incidence(n, m, pairs):
+    """The (n + m) x len(pairs) incidence of (agent, item) pairs: column k
+    holds a 1 in agent row i and in item row n + j for pairs[k] = (i, j)."""
+    i, j = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+    k = np.arange(i.size)
+    return sparse.coo_matrix((np.ones(2 * i.size), (np.r_[i, n + j], np.r_[k, k])),
+                             shape=(n + m, i.size))
+
+
+def _price_system(n, m, pairs, tight_rows, tight_cols):
+    """One row per pair over the unknown prices: t on ``tight_cols``, then
+    q on ``tight_rows``."""
+    unknown = np.r_[n + np.asarray(tight_cols, dtype=int), np.asarray(tight_rows, dtype=int)]
+    return _pair_incidence(n, m, pairs).tocsr()[unknown].T
+
+
 def _duals_from_support(vhat, n, m, support, tight_rows, tight_cols):
     """Least-squares prices from the support equalities, plus per-component
-    shifts to repair sign constraints.  Returns None if the system is empty."""
-    t_idx = {j: k for k, j in enumerate(tight_cols)}
-    q_idx = {i: len(tight_cols) + k for k, i in enumerate(tight_rows)}
-    nvar = len(tight_cols) + len(tight_rows)
-    rows, rhs = [], []
-    for (i, j) in support:
-        row = np.zeros(nvar)
-        if j in t_idx:
-            row[t_idx[j]] = 1.0
-        if i in q_idx:
-            row[q_idx[i]] = 1.0
-        rows.append(row)
-        rhs.append(vhat[i, j])
-    if nvar == 0:
-        return Duals(np.zeros(m), np.zeros(n))
-    if rows:
-        sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
-    else:
-        sol = np.zeros(nvar)
-
+    shifts to repair sign constraints."""
+    sol, *_ = np.linalg.lstsq(_price_system(n, m, support, tight_rows, tight_cols).toarray(),
+                              vhat[support[:, 0], support[:, 1]], rcond=None)
     t = np.zeros(m)
     q = np.zeros(n)
-    for j, k in t_idx.items():
-        t[j] = sol[k]
-    for i, k in q_idx.items():
-        q[i] = sol[k]
-    _shift_components(vhat, t, q, support, tight_rows, tight_cols)
+    t[tight_cols] = sol[:len(tight_cols)]
+    q[tight_rows] = sol[len(tight_cols):]
+    _shift_components(vhat, t, q, support.tolist(), tight_rows, tight_cols)
     return Duals(t, q)
 
 
-def _duals_by_lp(vhat, n, m, checked, support, tight_rows, tight_cols):
-    """Feasibility LP for the price system; minimizes the total violation."""
-    t_idx = {j: k for k, j in enumerate(tight_cols)}
-    q_idx = {i: len(tight_cols) + k for k, i in enumerate(tight_rows)}
-    nvar = len(tight_cols) + len(tight_rows)
-    eps = nvar  # one violation variable
-    A_ub, b_ub = [], []
-    sup_set = set(support)
-    for i in checked:
-        for j in range(m):
-            row = np.zeros(nvar + 1)
-            if j in t_idx:
-                row[t_idx[j]] = -1.0
-            if i in q_idx:
-                row[q_idx[i]] = -1.0
-            row[eps] = -1.0
-            A_ub.append(row)             # vhat - t - q - eps <= 0
-            b_ub.append(-vhat[i, j])
-            if (i, j) in sup_set:
-                row2 = np.zeros(nvar + 1)
-                if j in t_idx:
-                    row2[t_idx[j]] = 1.0
-                if i in q_idx:
-                    row2[q_idx[i]] = 1.0
-                row2[eps] = -1.0
-                A_ub.append(row2)        # t + q - vhat - eps <= 0
-                b_ub.append(vhat[i, j])
-    if not A_ub:
+def _duals_by_lp(vhat, n, m, pairs, on_support, tight_rows, tight_cols):
+    """Feasibility LP for the price system; minimizes the total violation
+    eps.  Each pair gives the row vhat - t - q - eps <= 0, followed on the
+    support by t + q - vhat - eps <= 0."""
+    if not len(pairs):
         return Duals(np.zeros(m), np.zeros(n))
+    k = np.arange(len(pairs))
+    at = k + np.cumsum(on_support) - on_support        # each pair's first row
+    nrows = len(pairs) + int(on_support.sum())
+    sign = sparse.csr_matrix(               # row r is -1 or +1 times one pair
+        (np.r_[-np.ones(k.size), np.ones(nrows - k.size)],
+         (np.r_[at, at[on_support] + 1], np.r_[k, k[on_support]])), shape=(nrows, k.size))
+    system = sign @ _price_system(n, m, pairs, tight_rows, tight_cols)
+    nvar = system.shape[1]
     c = np.zeros(nvar + 1)
-    c[eps] = 1.0
-    res = linprog(c, A_ub=np.array(A_ub), b_ub=np.array(b_ub),
+    c[nvar] = 1.0
+    res = linprog(c, A_ub=sparse.hstack([system, -np.ones((nrows, 1))]),
+                  b_ub=sign.data * vhat[pairs[:, 0], pairs[:, 1]][sign.indices],
                   bounds=[(0, None)] * (nvar + 1), method="highs")
     if not res.success:
         return None
     t = np.zeros(m)
     q = np.zeros(n)
-    for j, k in t_idx.items():
-        t[j] = res.x[k]
-    for i, k in q_idx.items():
-        q[i] = res.x[k]
+    t[tight_cols] = res.x[:len(tight_cols)]
+    q[tight_rows] = res.x[len(tight_cols):nvar]
     return Duals(t, q)
 
 
@@ -583,58 +563,42 @@ def _heuristic_positive_point(V, b, c, o, deg_tol):
     return None
 
 
-def _transport_constraints(V, b, c):
+def _surplus_lp(V, b, c, o, cost, delta):
+    """``linprog`` over the pairs in row-major order, plus a last free
+    variable when ``delta`` is 1: the transport rows are the pair incidence,
+    and the surplus rows -V_i . x_i (+ delta) <= -o_i its agent rows scaled
+    by -V."""
     na, mk = V.shape
     nvar = na * mk
-    rows = []
-    for i in range(na):
-        r = np.zeros(nvar)
-        r[i * mk:(i + 1) * mk] = 1.0
-        rows.append(r)
-    cols = []
-    for j in range(mk):
-        r = np.zeros(nvar)
-        r[j::mk] = 1.0
-        cols.append(r)
-    A = np.vstack(rows + cols)
-    ub = np.concatenate([b, c])
-    return A, ub
+    inc = _pair_incidence(na, mk, np.argwhere(np.ones((na, mk), dtype=bool)))
+    agent = inc.row < na
+    A = sparse.coo_matrix(
+        (np.r_[inc.data, -V.ravel()[inc.col[agent]], np.ones(na * delta)],
+         (np.r_[inc.row, na + mk + inc.row[agent], na + mk + np.arange(na * delta)],
+          np.r_[inc.col, inc.col[agent], np.full(na * delta, nvar)])),
+        shape=(2 * na + mk, nvar + delta))
+    A.eliminate_zeros()                 # as from a dense matrix: no zero values
+    return linprog(cost, A_ub=A, b_ub=np.concatenate([b, c, -o]),
+                   bounds=[(0, None)] * nvar + [(None, None)] * delta, method="highs")
 
 
 def _max_min_surplus_lp(V, b, c, o):
     """maximize delta s.t. surplus_i >= delta for all i, feasibility."""
     na, mk = V.shape
-    nvar = na * mk
-    A_tr, ub_tr = _transport_constraints(V, b, c)
-    A_s = np.zeros((na, nvar + 1))
-    for i in range(na):
-        A_s[i, i * mk:(i + 1) * mk] = -V[i]
-        A_s[i, nvar] = 1.0
-    A = np.vstack([np.hstack([A_tr, np.zeros((A_tr.shape[0], 1))]), A_s])
-    ub = np.concatenate([ub_tr, -o])
-    cost = np.zeros(nvar + 1)
-    cost[nvar] = -1.0
-    res = linprog(cost, A_ub=A, b_ub=ub,
-                  bounds=[(0, None)] * nvar + [(None, None)], method="highs")
+    cost = np.zeros(na * mk + 1)
+    cost[-1] = -1.0
+    res = _surplus_lp(V, b, c, o, cost, 1)
     if not res.success:
         raise Infeasible("surplus feasibility program failed")
-    return res.x[:nvar].reshape(na, mk), float(res.x[nvar])
+    return res.x[:-1].reshape(na, mk), float(res.x[-1])
 
 
 def _max_one_surplus_lp(V, b, c, o, k):
     """maximize surplus_k s.t. surplus_i >= 0 for all i, feasibility."""
     na, mk = V.shape
-    nvar = na * mk
-    A_tr, ub_tr = _transport_constraints(V, b, c)
-    A_s = np.zeros((na, nvar))
-    for i in range(na):
-        A_s[i, i * mk:(i + 1) * mk] = -V[i]
-    A = np.vstack([A_tr, A_s])
-    ub = np.concatenate([ub_tr, -o])
-    cost = np.zeros(nvar)
-    cost[k * mk:(k + 1) * mk] = -V[k]
-    res = linprog(cost, A_ub=A, b_ub=ub, bounds=[(0, None)] * nvar,
-                  method="highs")
+    cost = np.zeros((na, mk))
+    cost[k] = -V[k]
+    res = _surplus_lp(V, b, c, o, cost.ravel(), 0)
     if not res.success:
         raise Infeasible("per-agent surplus program is infeasible")
     x = res.x.reshape(na, mk)
@@ -1207,6 +1171,11 @@ def _first_rungs(starts: list[_Start], max_iter: int, trace=None):
     return [(p[k], t[k], q[k], int(iters[k])) for k in range(len(starts))]
 
 
+def _check_tol(tol):
+    if not (math.isfinite(tol) and tol > 0):
+        raise DimensionMismatch("tol must be finite and positive")
+
+
 def solve_many(problems: Sequence[NswProblem], tol: float = DEFAULT_KKT_TOL,
                max_iter: int = ITERATION_CAP,
                warm_start: np.ndarray | None = None) -> list[NswSolution]:
@@ -1221,6 +1190,7 @@ def solve_many(problems: Sequence[NswProblem], tol: float = DEFAULT_KKT_TOL,
     ``metadata["barrier_batch"]`` counts the problems of each first-rung
     call.
     """
+    _check_tol(tol)
     starts: list[_Start | MatchingError] = []
     for problem in problems:
         try:
@@ -1262,8 +1232,7 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
     whose first barrier rung ran in one lockstep call (1 here; see
     :func:`solve_many`).
     """
-    if tol <= 0:
-        raise DimensionMismatch("tol must be positive")
+    _check_tol(tol)
     if _prepared is None:               # a lone problem: a batch of one
         start = _start(problem, warm_start)
         first = (None if start.p0 is None

@@ -44,6 +44,19 @@ class TestSolveCommand:
         assert code == 2
         assert "solver error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exit_1(self, tol, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["solve", "--gen", "random:5", "--seed", "0", "--tol", tol,
+                     "--out", str(out)])
+        assert code == 1
+        assert "tol must be finite" in capsys.readouterr().err
+        assert not (out / "solution.json").exists()
+
+    def test_non_finite_env_tol_exit_1(self, monkeypatch, capsys):
+        monkeypatch.setenv("MATCHLAB_TOL", "nan")
+        assert main(["solve", "--gen", "random:5", "--seed", "0"]) == 1
+
     def test_trace_written(self, table1_file, tmp_path):
         out = tmp_path / "o"
         code = main(["solve", "--instance", table1_file, "--out", str(out),

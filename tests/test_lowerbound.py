@@ -1,14 +1,11 @@
 import json
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 
-from matchlab.core import NegativeValue, TooLarge
+from matchlab.core import NegativeValue
 from matchlab.lowerbound import (
     LevelParams,
-    LevelTable,
-    LowerBoundMarket,
     LowerBoundParams,
     base_market_table,
     certify_lowerbound_tables,
@@ -17,7 +14,6 @@ from matchlab.lowerbound import (
     gen_lowerbound,
     growth_rate,
     lowerbound_params,
-    _expand_market,
 )
 
 
@@ -192,10 +188,14 @@ class TestMarket:
         market = gen_lowerbound(1)
         assert market.total_agents() == 805_896
 
-    def test_expansion_guard(self):
-        with pytest.raises(TooLarge) as err:
-            gen_lowerbound(1).to_instance()
-        assert err.value.total_size == 805_896
+    def test_real_family_counts_balance(self):
+        market = gen_lowerbound(1)
+        tbl0 = market.level_tables[(0, "initial")]
+        tbl1 = market.level_tables[(1, "initial")]
+        total_items = (market.params.k0 * int(sum(tbl0.items.values()))
+                       + int(sum(tbl1.items.values()))
+                       - int(tbl1.items["A"]))   # A units live in level 0
+        assert total_items == market.total_agents()
 
     def test_bundle_round_trip(self, tmp_path):
         market = gen_lowerbound(1)
@@ -210,66 +210,3 @@ class TestMarket:
         inst = json.loads((tmp_path / "instance.json").read_text())
         assert inst["format"] == "aggregated-market"
         assert len(inst["levels"]) == 2
-
-
-class TestExpansionMechanics:
-    def test_real_family_counts_balance(self):
-        market = gen_lowerbound(1)
-        tbl0 = market.level_tables[(0, "initial")]
-        tbl1 = market.level_tables[(1, "initial")]
-        total_items = (market.params.k0 * int(sum(tbl0.items.values()))
-                       + int(sum(tbl1.items.values()))
-                       - int(tbl1.items["A"]))   # A units live in level 0
-        assert total_items == market.total_agents()
-
-    def test_miniature_market_expands_with_boundary_wiring(self):
-        # A tiny synthetic two-level family: two level-0 copies (items A:2,
-        # H:1; bidders a:2, h:1) feed one top level whose item A consists of
-        # the children's H units and whose a bidders are the children's h.
-        base = LevelTable(
-            name="base", equilibrium="initial",
-            items={"A": F(2), "H": F(1)},
-            bidders={"a": F(2), "h": F(1)},
-            values={("a", "A"): F(1), ("h", "H"): F(1)},
-            alloc={("a", "A"): F(2), ("h", "H"): F(1)},
-            t={"A": F(1), "H": F(1)}, q={"a": F(0), "h": F(0)})
-        top = LevelTable(
-            name="chain-1", equilibrium="initial",
-            items={"A": F(2), "B": F(1), "E": F(1), "I": F(1)},
-            bidders={"a": F(2), "b": F(1), "e": F(1), "i": F(1)},
-            values={("a", "A"): F(1), ("a", "B"): F(2),
-                    ("b", "B"): F(1), ("b", "E"): F(1, 2),
-                    ("e", "E"): F(1), ("e", "I"): F(1, 2),
-                    ("i", "I"): F(1)},
-            alloc={("a", "A"): F(2), ("b", "B"): F(1),
-                   ("e", "E"): F(1), ("i", "I"): F(1)},
-            t={k: F(1) for k in "ABEI"},
-            q={k: F(0) for k in "abei"})
-        real = lowerbound_params(1)
-        fake_params = LowerBoundParams(s=1, levels=real.levels, k=(2, 1))
-        market = LowerBoundMarket(
-            params=fake_params,
-            level_tables={(0, "initial"): base, (0, "final"): base,
-                          (1, "initial"): top, (1, "final"): top},
-            removal=[], loser={"level": 1, "class": "e", "size": 1})
-        inst = _expand_market(market)
-        # 2 copies x (a:2 + h:1) + top (b + e + i) = 9 agents; items match.
-        assert inst.n_agents == 9 and inst.n_items == 9
-        v = np.asarray(inst.values)
-        labels = list(inst.agent_labels)
-        items = list(inst.item_labels)
-        h0 = labels.index("L0.0.h0")
-        h1 = labels.index("L0.1.h0")
-        own_H0 = items.index("L0.0.H0")
-        own_H1 = items.index("L0.1.H0")
-        top_B = items.index("L1.0.B0")
-        # Each h bidder values both boundary H units (they form item A of
-        # the top level) and the top level's B item.
-        for h in (h0, h1):
-            assert v[h, own_H0] == 1.0 and v[h, own_H1] == 1.0
-            assert v[h, top_B] == 2.0
-        # Plain level-0 a bidders never see the top level.
-        a00 = labels.index("L0.0.a0")
-        assert v[a00, top_B] == 0.0
-        # Every unit agent has a nonempty row; columns balance.
-        assert (v.sum(axis=1) > 0).all()

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from matchlab import instances, nsw
 from matchlab.analysis import benchmark
 from matchlab.core import (
     DegenerateNormalization,
+    DimensionMismatch,
     FractionalAssignment,
     Infeasible,
     NoConvergence,
@@ -16,6 +19,7 @@ from matchlab.core import (
     utilities,
 )
 from matchlab.lottery import sinkhorn
+from matchlab.mechanisms import pa_run
 from matchlab.nsw import (
     DEFAULT_KKT_TOL,
     Duals,
@@ -193,6 +197,37 @@ class TestRecoverDuals:
         assert shifted >= 20
 
 
+    def test_worst_pair_matches_pair_loop(self, monkeypatch):
+        # Prices that certify nothing: the witness is the first largest
+        # violation in row-major order over checked pairs, or (0, 0).
+        zero_witness = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n, m = (int(x) for x in rng.integers(1, 6, size=2))
+            inst = validate_instance(rng.integers(1, 4, (n, m)).astype(float))
+            p = rng.uniform(size=(n, m)) * (rng.uniform(size=(n, m)) < 0.5) / (n * m)
+            assignment = FractionalAssignment.from_probs(p + 0.01 / (n * m))
+            skip = set(range(0, n, 3)) if seed % 2 else set()
+            prices = Duals(rng.integers(0, 3, m) / 2.0, rng.integers(0, 3, n) / 2.0)
+            if seed % 10 == 0:
+                prices = Duals(np.full(m, 1e3), np.zeros(n))    # nothing violates
+            monkeypatch.setattr(nsw, "_duals_from_support", lambda *a: prices)
+            monkeypatch.setattr(nsw, "_duals_by_lp", lambda *a: prices)
+            vhat, _ = renormalize(inst, assignment, skip_agents=skip)
+            worst, witness = 0.0, (0, 0)
+            for i in (i for i in range(n) if i not in skip):
+                for j in range(m):
+                    gap = vhat[i, j] - prices.t[j] - prices.q[i]
+                    viol = abs(gap) if assignment.probs[i, j] > 1e-9 else max(0.0, gap)
+                    if viol > worst:
+                        worst, witness = viol, (i, j)
+            with pytest.raises(NotOptimal) as err:
+                recover_duals(inst, assignment, skip_agents=skip, tol=1e-300)
+            assert err.value.witness == witness and err.value.violation == worst
+            zero_witness += witness == (0, 0)
+        assert zero_witness >= 6
+
+
 def _shift_components_loop(vhat, t, q, support, tight_rows, tight_cols):
     """Reference for ``nsw._shift_components``: one loop over every pair."""
     R, C = set(tight_rows), set(tight_cols)
@@ -339,6 +374,19 @@ class TestSolveContracts:
             solve(NswProblem.create(inst), max_iter=1)
         assert err.value.iterations == 1
         assert err.value.best_residual > DEFAULT_KKT_TOL
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0])
+    def test_non_finite_tol_rejected(self, tol):
+        problem = NswProblem.create(instances.gen_random(5, seed=0))
+        with pytest.raises(DimensionMismatch):
+            solve(problem, tol=tol)
+        with pytest.raises(DimensionMismatch):
+            nsw.solve_many([problem], tol=tol)
+
+    @pytest.mark.parametrize("budget", [math.nan, [1.0, math.nan, 1.0], math.inf, 0.0])
+    def test_budget_outside_unit_interval_rejected(self, budget):
+        with pytest.raises(DimensionMismatch):
+            NswProblem.create(instances.gen_random(3, seed=0), row_budget=budget)
 
     @pytest.mark.parametrize("bargaining", [False, True])
     def test_n64_certifies(self, bargaining):
@@ -716,3 +764,235 @@ class TestSolveMany:
         _, problems = _loo_problems(instances.gen_random(5, seed=1))
         many = nsw.solve_many(problems)
         assert [id(s) for s in seen] == [id(s) for s in many]
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4, 4), (5, 6)])
+class TestZeroSupply:
+    """A zero-supply item is dropped from the solve and priced afterwards at
+    the best unmet demand max_i (v_ij / s_i - q_i)^+ over live agents."""
+
+    @staticmethod
+    def _market(shape):
+        rng = np.random.default_rng(sum(shape))
+        supplies = np.ones(shape[1])
+        supplies[shape[1] // 2] = 0.0
+        return validate_instance({"values": rng.uniform(0.1, 1.0, shape),
+                                  "supplies": supplies})
+
+    @staticmethod
+    def _assert_certified(sol):
+        inst = sol.problem.instance
+        assert sol.kkt_residual <= DEFAULT_KKT_TOL
+        skip = set(range(inst.n_agents)) - set(sol.problem.active_agents)
+        skip |= sol.degenerate_agents
+        offsets = np.asarray(sol.metadata["offsets"])
+        assert kkt_check(inst, sol.assignment, sol.duals, offsets,
+                         skip_agents=skip) <= DEFAULT_KKT_TOL
+        live = sorted(set(range(inst.n_agents)) - skip)
+        j = int(np.flatnonzero(np.asarray(inst.supplies) == 0.0)[0])
+        assert np.all(sol.assignment.probs[:, j] == 0.0)
+        demand = (np.asarray(inst.values)[live, j] / sol.surplus[live]
+                  - sol.duals.q[live])
+        assert sol.duals.t[j] == pytest.approx(max(0.0, float(demand.max())),
+                                               rel=1e-12, abs=1e-15)
+
+    def test_solve_and_solve_many_certify(self, shape):
+        inst = self._market(shape)
+        self._assert_certified(solve(NswProblem.create(inst)))
+        _, problems = _loo_problems(inst)
+        for sol in nsw.solve_many(problems):
+            self._assert_certified(sol)
+
+    def test_pa_run_certifies(self, shape):
+        inst = self._market(shape)
+        out = pa_run(inst, offsets=uniform_disagreement(inst))
+        self._assert_certified(out.base)
+        assert np.all((out.fractions >= 0) & (out.fractions <= 1 + 1e-9))
+
+
+def _transport_constraints_dense(V, b, c):
+    """Reference for the screen LPs' transport rows, built densely."""
+    na, mk = V.shape
+    nvar = na * mk
+    rows = []
+    for i in range(na):
+        r = np.zeros(nvar)
+        r[i * mk:(i + 1) * mk] = 1.0
+        rows.append(r)
+    for j in range(mk):
+        r = np.zeros(nvar)
+        r[j::mk] = 1.0
+        rows.append(r)
+    return np.vstack(rows), np.concatenate([b, c])
+
+
+def _max_min_surplus_lp_dense(V, b, c, o):
+    """Reference for ``nsw._max_min_surplus_lp`` on a dense matrix."""
+    na, mk = V.shape
+    nvar = na * mk
+    A_tr, ub_tr = _transport_constraints_dense(V, b, c)
+    A_s = np.zeros((na, nvar + 1))
+    for i in range(na):
+        A_s[i, i * mk:(i + 1) * mk] = -V[i]
+        A_s[i, nvar] = 1.0
+    A = np.vstack([np.hstack([A_tr, np.zeros((A_tr.shape[0], 1))]), A_s])
+    cost = np.zeros(nvar + 1)
+    cost[nvar] = -1.0
+    res = linprog(cost, A_ub=A, b_ub=np.concatenate([ub_tr, -o]),
+                  bounds=[(0, None)] * nvar + [(None, None)], method="highs")
+    assert res.success
+    return res.x[:nvar].reshape(na, mk), float(res.x[nvar])
+
+
+def _max_one_surplus_lp_dense(V, b, c, o, k):
+    """Reference for ``nsw._max_one_surplus_lp`` on a dense matrix."""
+    na, mk = V.shape
+    nvar = na * mk
+    A_tr, ub_tr = _transport_constraints_dense(V, b, c)
+    A_s = np.zeros((na, nvar))
+    for i in range(na):
+        A_s[i, i * mk:(i + 1) * mk] = -V[i]
+    cost = np.zeros(nvar)
+    cost[k * mk:(k + 1) * mk] = -V[k]
+    res = linprog(cost, A_ub=np.vstack([A_tr, A_s]), b_ub=np.concatenate([ub_tr, -o]),
+                  bounds=[(0, None)] * nvar, method="highs")
+    if not res.success:
+        return None
+    x = res.x.reshape(na, mk)
+    return x, float(V[k] @ x[k] - o[k])
+
+
+def _price_rows_loop(pairs, tight_rows, tight_cols, sign=1.0):
+    """Reference price-system rows: t on ``tight_cols``, then q on ``tight_rows``."""
+    t_idx = {j: k for k, j in enumerate(tight_cols)}
+    q_idx = {i: len(tight_cols) + k for k, i in enumerate(tight_rows)}
+    rows = []
+    for (i, j) in pairs:
+        row = np.zeros(len(tight_cols) + len(tight_rows))
+        if j in t_idx:
+            row[t_idx[j]] = sign
+        if i in q_idx:
+            row[q_idx[i]] = sign
+        rows.append(row)
+    return rows
+
+
+def _duals_from_support_loop(vhat, n, m, support, tight_rows, tight_cols):
+    """Reference for ``nsw._duals_from_support``, one row per support pair."""
+    nvar = len(tight_cols) + len(tight_rows)
+    rows = _price_rows_loop(support, tight_rows, tight_cols)
+    if nvar == 0:
+        return Duals(np.zeros(m), np.zeros(n))
+    sol = np.zeros(nvar)
+    if rows:
+        sol, *_ = np.linalg.lstsq(np.array(rows), np.array([vhat[i, j] for i, j in support]),
+                                  rcond=None)
+    t, q = np.zeros(m), np.zeros(n)
+    t[tight_cols] = sol[:len(tight_cols)]
+    q[tight_rows] = sol[len(tight_cols):]
+    nsw._shift_components(vhat, t, q, support, tight_rows, tight_cols)
+    return Duals(t, q)
+
+
+def _duals_by_lp_loop(vhat, n, m, pairs, support, tight_rows, tight_cols):
+    """Reference for ``nsw._duals_by_lp``: each pair's row, then its support row."""
+    nvar = len(tight_cols) + len(tight_rows)
+    A_ub, b_ub = [], []
+    for (i, j) in pairs:
+        A_ub.append(np.r_[_price_rows_loop([(i, j)], tight_rows, tight_cols, -1.0)[0], -1.0])
+        b_ub.append(-vhat[i, j])
+        if (i, j) in support:
+            A_ub.append(np.r_[_price_rows_loop([(i, j)], tight_rows, tight_cols)[0], -1.0])
+            b_ub.append(vhat[i, j])
+    if not A_ub:
+        return Duals(np.zeros(m), np.zeros(n))
+    c = np.zeros(nvar + 1)
+    c[nvar] = 1.0
+    res = linprog(c, A_ub=np.array(A_ub), b_ub=np.array(b_ub),
+                  bounds=[(0, None)] * (nvar + 1), method="highs")
+    assert res.success
+    t, q = np.zeros(m), np.zeros(n)
+    t[tight_cols] = res.x[:len(tight_cols)]
+    q[tight_rows] = res.x[len(tight_cols):nvar]
+    return Duals(t, q)
+
+
+def _random_screen_lp(seed):
+    rng = np.random.default_rng(seed)
+    na, mk = (int(x) for x in rng.integers(1, 9, size=2))
+    V = (rng.integers(0, 4, (na, mk)).astype(float) if seed % 2
+         else rng.uniform(size=(na, mk)) * (rng.uniform(size=(na, mk)) < 0.5))
+    if seed % 5 == 0:
+        V[rng.integers(na)] = 0.0                    # a zero row
+    b = rng.choice([1.0, 0.6, 0.25], na)
+    c = rng.choice([1.0, 0.7, 0.3, 0.0], mk)
+    o = V.mean(axis=1) * rng.choice([0.0, 0.5, 1.0, 1.2])
+    return V, b, c, o
+
+
+class TestPairIncidence:
+    def test_incidence_columns(self):
+        A = nsw._pair_incidence(2, 3, [(1, 2), (0, 0), (1, 0)]).toarray()
+        assert np.array_equal(A, [[0, 1, 0], [1, 0, 1],
+                                  [0, 1, 1], [0, 0, 0], [1, 0, 0]])
+        assert nsw._pair_incidence(2, 3, np.zeros((0, 2), dtype=int)).shape == (5, 0)
+
+    def test_screen_lps_match_dense_builders(self):
+        wide = tall = zero_row = feasible = 0
+        for seed in range(150):
+            V, b, c, o = _random_screen_lp(seed)
+            x, delta = nsw._max_min_surplus_lp(V, b, c, o)
+            x_ref, delta_ref = _max_min_surplus_lp_dense(V, b, c, o)
+            assert np.array_equal(x, x_ref) and delta == delta_ref
+            k = seed % V.shape[0]
+            o_one = np.minimum(o, 0.25 * V.mean(axis=1))
+            ref = _max_one_surplus_lp_dense(V, b, c, o_one, k)
+            if ref is None:
+                with pytest.raises(Infeasible):
+                    nsw._max_one_surplus_lp(V, b, c, o_one, k)
+            else:
+                x, best = nsw._max_one_surplus_lp(V, b, c, o_one, k)
+                assert np.array_equal(x, ref[0]) and best == ref[1]
+                feasible += 1
+            tall += V.shape[0] > V.shape[1]
+            wide += V.shape[0] < V.shape[1]
+            zero_row += bool(np.any(V.sum(axis=1) == 0))
+        assert min(tall, wide, zero_row) >= 20 and feasible >= 100
+
+    def test_price_solvers_match_loops(self):
+        empty_support = no_tight = 0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n, m = (int(x) for x in rng.integers(1, 7, size=2))
+            vhat = rng.uniform(0.0, 2.0, (n, m)) * (rng.uniform(size=(n, m)) < 0.8)
+            checked = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                        replace=False).tolist())
+            pairs = np.array([(i, j) for i in checked for j in range(m)])
+            on_support = rng.uniform(size=len(pairs)) < (0.0 if seed % 9 == 0 else 0.4)
+            support = [tuple(pr) for pr in pairs[on_support].tolist()]
+            rows, cols = [], []
+            if seed % 7:
+                rows = sorted(rng.choice(checked, size=int(rng.integers(0, len(checked) + 1)),
+                                         replace=False).tolist())
+                cols = sorted(rng.choice(m, size=int(rng.integers(0, m + 1)),
+                                         replace=False).tolist())
+            got = nsw._duals_from_support(vhat, n, m, pairs[on_support], rows, cols)
+            ref = _duals_from_support_loop(vhat, n, m, support, rows, cols)
+            assert np.array_equal(got.t, ref.t) and np.array_equal(got.q, ref.q)
+            got = nsw._duals_by_lp(vhat, n, m, pairs, on_support, rows, cols)
+            ref = _duals_by_lp_loop(vhat, n, m, pairs.tolist(), set(support), rows, cols)
+            assert np.array_equal(got.t, ref.t) and np.array_equal(got.q, ref.q)
+            empty_support += not support
+            no_tight += not rows and not cols
+        assert min(empty_support, no_tight) >= 20
+
+    def test_max_min_lp_memory_is_sparse(self):
+        # Built from dense matrices, this LP peaked at 194 MiB at n = 128.
+        V = np.asarray(instances.gen_random(128, seed=0).values)
+        tracemalloc.start()
+        try:
+            nsw._max_min_surplus_lp(V, np.ones(128), np.ones(128), 1.2 * V.mean(axis=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
