@@ -190,7 +190,11 @@ def rho_exact(inst: Instance, tol: float = 1e-7,
 
 @dataclass
 class ScanReport:
-    """Distribution of rho over a family of seeded random instances."""
+    """Distribution of rho over a family of seeded random instances.
+
+    ``skipped_pairs`` counts the (subset, agent) pairs that the scan's
+    ``rho_exact`` calls skipped as degenerate, over all instances.
+    """
 
     max_rho: float
     argmax_trial: int
@@ -200,6 +204,7 @@ class ScanReport:
     generator: str
     trials: int
     seed: int
+    skipped_pairs: int
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -211,6 +216,7 @@ class ScanReport:
             "generator": self.generator,
             "trials": self.trials,
             "seed": self.seed,
+            "skipped_pairs": self.skipped_pairs,
         }
 
 
@@ -233,11 +239,9 @@ def rho_scan(generator: str | Callable[[int], Instance], trials: int,
         make = generator
     trial_seeds = rng_from_seed(seed, stream=1).integers(0, 2 ** 62,
                                                          size=trials)
-    values: list[float] = []
-    for k in range(trials):
-        values.append(rho_exact(make(int(trial_seeds[k])), tol=tol).rho)
-    for inst in extra_instances:
-        values.append(rho_exact(inst, tol=tol).rho)
+    reports = [rho_exact(make(int(s)), tol=tol) for s in trial_seeds]
+    reports += [rho_exact(inst, tol=tol) for inst in extra_instances]
+    values = [rep.rho for rep in reports]
     arr = np.asarray(values)
     counts, edges = np.histogram(arr, bins=20)
     argmax = int(np.argmax(arr))
@@ -246,7 +250,8 @@ def rho_scan(generator: str | Callable[[int], Instance], trials: int,
         values=[float(v) for v in values],
         histogram_counts=[int(x) for x in counts],
         histogram_edges=[float(x) for x in edges],
-        generator=gen_name, trials=trials, seed=seed)
+        generator=gen_name, trials=trials, seed=seed,
+        skipped_pairs=sum(len(rep.skipped) for rep in reports))
 
 
 # ---------------------------------------------------------------------------

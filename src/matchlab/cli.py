@@ -57,7 +57,12 @@ EXIT_SOLVER = 2
 
 def _default_tol() -> float:
     env = os.environ.get("MATCHLAB_TOL")
-    return float(env) if env else DEFAULT_KKT_TOL
+    if not env:
+        return DEFAULT_KKT_TOL
+    try:
+        return float(env)
+    except ValueError:
+        raise MatchingError(f"MATCHLAB_TOL is not a number: {env!r}") from None
 
 
 def _ensure_seed(seed: int | None) -> int:
@@ -183,7 +188,8 @@ def cmd_rho(args) -> int:
                 for k, count in enumerate(scan.histogram_counts):
                     writer.writerow([scan.histogram_edges[k],
                                      scan.histogram_edges[k + 1], count])
-        print(f"rho scan: max {scan.max_rho:.9g} over {scan.trials} trials"
+        print(f"rho scan: max {scan.max_rho:.9g} over {scan.trials} trials, "
+              f"{scan.skipped_pairs} degenerate (subset, agent) pairs skipped"
               + (f" -> {path}" if path else ""))
         return EXIT_OK
     inst = _load_or_generate(args, seed)
@@ -368,9 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (OSError, MatchingError) as exc:
         if isinstance(exc, (NoConvergence, Infeasible)):

@@ -20,11 +20,13 @@ item prices ``t_j >= 0`` and agent prices ``q_i >= 0`` with
     equality wherever ``p_ij > 0``,
 
 and the maximal violation of these conditions (the KKT residual) is
-reported honestly.  Internally the solver follows a primal log-barrier
-path to identify the optimal support: damped Newton steps, solved with the
-explicit Hessian below 150 (agent, item) pairs and by block elimination
-from there on, where a step whose componentwise backward error exceeds
-1e-13 ends the path instead.  Problems of one shape (a mechanism's
+reported honestly.  Internally the solver follows a log-barrier central
+path to identify the optimal support by damped Newton steps.  Below 150
+(agent, item) pairs it steps in the primal p with the explicit
+(na mk)^2 Hessian.  From there on it steps in the dual (beta, t, q) of the
+Eisenberg-Gale type program, whose barrier has the same central path and a
+Hessian of order 2 na + mk, and hands the polish the Newton-corrected
+primal estimate of its last step.  Problems of one shape (a mechanism's
 leave-one-out or subset solves, through :func:`solve_many`) follow the
 first rung of that path in lockstep, K Hessians solved at once.  It then
 polishes primal variables and prices together on that support by Newton on
@@ -46,7 +48,6 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs
 from scipy.optimize import linear_sum_assignment, linprog
 
 from .core import (
@@ -81,15 +82,13 @@ _SUPPLY_EPS = 1e-12
 # Pairs above this mass count as support when a candidate is ranked.
 _SUPPORT_TOL = 1e-9
 
-# Barrier Newton steps.  From this many (agent, item) pairs on, the step is
-# solved by block elimination; below it the explicit Hessian is faster.
+# Barrier Newton steps.  From this many (agent, item) pairs on, the barrier
+# follows the dual path, whose Hessian has 2 na + mk rows instead of na mk.
 _STRUCTURED_MIN_PAIRS = 150
-# A structured step is kept only when its componentwise backward error is
-# this small after at most this many refinement passes.
-_STEP_BACKWARD_TOL = 1e-13
-_REFINE_PASSES = 2
-# One lockstep barrier call holds at most this many bytes of dense Hessians
-# (8 (na mk)^2 per problem); a larger group of one shape is split.
+# The dual step's ridge on its unit-diagonal Hessian (see _DualPath.newton).
+_DUAL_RIDGE = 1e-14
+# One lockstep barrier call holds at most this many bytes of Hessians
+# (8 n^2 per problem of Hessian order n); a larger group of one shape is split.
 _LOCKSTEP_BYTES = 2 ** 22
 # Barrier rungs: each final mu with the support thresholds its polish tries.
 _RUNGS = ((1e-8, (3e-5, 1e-6)), (1e-10, (1e-6, 1e-4)), (1e-12, (1e-7, 3e-5)))
@@ -636,11 +635,13 @@ def _interior_start(V, b, c, o, base):
 
 
 def _dense_hessians(V, p, s, r, d, mu):
-    """The barrier's negative Hessians of K problems, explicitly.
+    """The primal barrier's negative Hessians of K problems, explicitly.
 
     Arguments carry a leading batch axis (``p`` is (K, na, mk)); returns
-    the (K, na*mk, na*mk) matrices H = diag(mu/p^2) + W W^T of
-    :func:`_structured_step`, filled without a loop over items.
+    the (K, na*mk, na*mk) matrices H = diag(mu/p^2) + W W^T, where row
+    (i, j) of W holds V_ij/s_i in agent i's value column, sqrt(mu)/r_i in
+    agent i's budget column and sqrt(mu)/d_j in item j's column, filled
+    without a loop over items.
     """
     K, na, mk = p.shape
     ia, jm = np.arange(na), np.arange(mk)
@@ -657,210 +658,232 @@ def _dense_hessians(V, p, s, r, d, mu):
     return Hf
 
 
-def _dense_steps(V, p, s, r, d, mu, g):
-    """Solve H x = g for every problem of the batch with one stacked solve."""
-    K, na, mk = p.shape
-    H = _dense_hessians(V, p, s, r, d, mu)
-    rhs = g.reshape(K, na * mk, 1)
+def _stacked_solve(H, g):
+    """Solve H x = g for a stack of K matrices with one stacked solve; a
+    numerically singular matrix is regularized, as a lone solve would be."""
+    K, n = g.shape
+    rhs = g.reshape(K, n, 1)
     try:
         x = np.linalg.solve(H, rhs)
     except np.linalg.LinAlgError:
-        # A numerically singular H: regularize each matrix as the solve of
-        # a lone problem would.
         x = np.empty_like(rhs)
         for k in range(K):
             try:
                 x[k] = np.linalg.solve(H[k], rhs[k])
             except np.linalg.LinAlgError:
-                H[k][np.diag_indices(na * mk)] += 1e-12 * np.max(np.abs(H[k]))
+                H[k][np.diag_indices(n)] += 1e-12 * np.max(np.abs(H[k]))
                 x[k] = np.linalg.solve(H[k], rhs[k])
-    return x.reshape(p.shape)
+    return x.reshape(K, n)
 
 
-def _structured_step(V, p, s, r, d, mu, g):
-    """Solve H x = g by block elimination, or return None.
+class _PrimalPath:
+    """The primal barrier sum_i log s_i + mu (sum log p + sum log r +
+    sum log d) in p, maximized with the explicit (na mk)^2 Hessian; r and d
+    are the row and column slacks.  Problems below
+    ``_STRUCTURED_MIN_PAIRS`` pairs follow it."""
 
-    The barrier's negative Hessian is H = diag(mu/p^2) + W W^T, where row
-    (i, j) of W has three nonzeros: V_ij/s_i in agent i's value column,
-    sqrt(mu)/r_i in agent i's budget column and sqrt(mu)/d_j in item j's
-    column (2 na + mk columns in all).  Pairs with p_ij > sqrt(mu) form the
-    set B; the rest, S, have diag(mu/p^2) >= 1 dominating their rows.  S is
-    eliminated by the matrix inversion lemma through the capacitance
-    C = I + W_S^T D_S^-1 W_S, and the |B| x |B| Schur complement
-    D_B + W_B C^-1 W_B^T is solved densely.  (Plain Woodbury over all
-    pairs cancels catastrophically late on the path, where each agent's
-    support holds one or two items.)  Refinement passes against the exact
-    O(na*mk) product H x follow, a second one only when the first falls
-    short.  The step is returned only when g^T x > 0 and its componentwise
-    (Oettli-Prager) backward error max |g - H x| / (H |x| + |g|) is at most
-    _STEP_BACKWARD_TOL; H is entrywise non-negative, so |H| |x| is
-    h_times(|x|).  Late on the path H holds entries near mu / p^2, and a
-    normwise bound on g - H x would decline backward-stable steps.
+    def __init__(self, V, b, c, o):
+        self.V, self.b, self.c, self.o = V, b, c, o
+
+    def surplus(self, p):
+        return np.einsum("kij,kij->ki", self.V, p) - self.o
+
+    def phi(self, p, mu):
+        # -inf or nan outside the domain (a log of a value <= 0), and no
+        # comparison accepts either.
+        return (np.log(self.surplus(p)).sum(axis=1)
+                + mu * (np.log(p).sum(axis=(1, 2)) + np.log(self.b - p.sum(axis=2)).sum(axis=1)
+                        + np.log(self.c - p.sum(axis=1)).sum(axis=1)))
+
+    def newton(self, p, mu, centering):
+        """(gradient, Newton step, values that must stay positive, their
+        derivatives along the step), each with the batch axis."""
+        K = p.shape[0]
+        V = self.V
+        s = self.surplus(p)
+        r = self.b - p.sum(axis=2)
+        d = self.c - p.sum(axis=1)
+        g = (V / s[:, :, None] + mu / p - mu / r[:, :, None]
+             - mu / d[:, None, :])
+        dp = _stacked_solve(_dense_hessians(V, p, s, r, d, mu),
+                            g.reshape(K, -1)).reshape(p.shape)
+        return (g, dp, np.concatenate([p.reshape(K, -1), s, r, d], axis=1),
+                np.concatenate([dp.reshape(K, -1), np.einsum("kij,kij->ki", V, dp),
+                                -dp.sum(axis=2), -dp.sum(axis=1)], axis=1))
+
+    def objective(self, p):
+        return np.log(self.surplus(p)).sum(axis=1)
+
+    def result(self, p, mu):
+        """(p, t, q) with the barrier's prices t = mu/d and q = mu/r."""
+        return p, mu[:, None] / (self.c - p.sum(axis=1)), mu[:, None] / (self.b - p.sum(axis=2))
+
+
+class _DualPath:
+    """The dual barrier of the program, in x = (beta, t, q) per problem:
+
+        Phi_mu = sum_i (-log beta_i - beta_i o_i) + c.t + b.q
+                 - mu (sum log z + sum log t + sum log q),
+        z_ij = t_j + q_i - beta_i V_ij,
+
+    minimized (``phi`` is -Phi_mu, so that the barrier loop maximizes it)
+    with the (2 na + mk)^2 Hessian.  Its central path is the primal's, with
+    p = mu/z, s = 1/beta, d = mu/t and r = mu/q.  Problems with at least
+    ``_STRUCTURED_MIN_PAIRS`` pairs follow it.
     """
-    na, mk = p.shape
-    root = math.sqrt(mu)
-    u = V / s[:, None]
-    beta = root / r
-    gamma = root / d
-    big = p > root
-    e = np.where(big, 0.0, p * p / mu)            # D_S^-1, zero on B
 
-    def wt(x):                                    # W^T x
-        return np.concatenate([(u * x).sum(axis=1), beta * x.sum(axis=1),
-                               gamma * x.sum(axis=0)])
+    def __init__(self, V, b, c, o):
+        self.V, self.b, self.c, self.o = V, b, c, o
+        self.p_hat = None           # each problem's primal estimate from its last step
 
-    def wz(z):                                    # W z
-        return (u * z[:na, None] + (beta * z[na:2 * na])[:, None]
-                + (gamma * z[2 * na:])[None, :])
+    def split(self, x):
+        na, mk = self.V.shape[1:]
+        return x[:, :na], x[:, na:na + mk], x[:, na + mk:]
 
-    # Capacitance C = I + W_S^T D_S^-1 W_S; agents couple only via items.
-    eu = e * u
-    a_item = eu * gamma
-    b_item = beta[:, None] * e * gamma
-    cap = np.zeros((2 * na + mk, 2 * na + mk))
-    ia, ib = np.arange(na), np.arange(na, 2 * na)
-    ic = np.arange(2 * na, 2 * na + mk)
-    cap[ia, ia] = (eu * u).sum(axis=1)
-    cap[ia, ib] = cap[ib, ia] = beta * eu.sum(axis=1)
-    cap[ib, ib] = beta ** 2 * e.sum(axis=1)
-    cap[ic, ic] = gamma ** 2 * e.sum(axis=0)
-    cap[:na, 2 * na:] = a_item
-    cap[2 * na:, :na] = a_item.T
-    cap[na:2 * na, 2 * na:] = b_item
-    cap[2 * na:, na:2 * na] = b_item.T
-    cap[np.diag_indices_from(cap)] += 1.0
+    def slacks(self, x):
+        beta, t, q = self.split(x)
+        return t[:, None, :] + q[:, :, None] - beta[:, :, None] * self.V
 
-    chol, info = dpotrf(cap)
-    if info:
-        return None
-    bi, bj = np.nonzero(big)
-    nb = bi.size
-    if nb:
-        w_b = np.zeros((nb, 2 * na + mk))
-        rows = np.arange(nb)
-        w_b[rows, bi] = u[bi, bj]
-        w_b[rows, na + bi] = beta[bi]
-        w_b[rows, 2 * na + bj] = gamma[bj]
-        schur = w_b @ dpotrs(chol, w_b.T)[0]
-        schur[rows, rows] += mu / p[bi, bj] ** 2
-        lu, piv, info = dgetrf(schur)
-        if info:
-            return None
+    def phi(self, x, mu):
+        beta, t, q = self.split(x)
+        return (np.log(beta).sum(axis=1) + (beta * self.o).sum(axis=1)
+                - (self.c * t).sum(axis=1) - (self.b * q).sum(axis=1)
+                + mu * (np.log(self.slacks(x)).sum(axis=(1, 2)) + np.log(t).sum(axis=1)
+                        + np.log(q).sum(axis=1)))
 
-    def solve_h(rhs):
-        x_b = np.zeros_like(rhs)
-        y = rhs
-        if nb:
-            w = dpotrs(chol, wt(e * rhs))[0]
-            x_b[bi, bj] = dgetrs(lu, piv, rhs[bi, bj] - w_b @ w)[0]
-            y = rhs - wz(wt(x_b))
-        ey = e * y
-        return ey - e * wz(dpotrs(chol, wt(ey))[0]) + x_b
+    def system(self, x, mu):
+        """(z, -grad Phi_mu, Hessian of Phi_mu); with w = mu/z^2 the Hessian
+        has the blocks beta-beta diag(1/beta^2 + sum_j w V^2), beta-t -w V,
+        beta-q diag(-sum_j w V), t-t diag(sum_i w + mu/t^2), t-q w^T and
+        q-q diag(sum_j w + mu/q^2)."""
+        V = self.V
+        K, na, mk = V.shape
+        beta, t, q = self.split(x)
+        z = self.slacks(x)
+        p = mu / z
+        w = p / z
+        wv = w * V
+        g = np.concatenate([1.0 / beta + self.o - (p * V).sum(axis=2),
+                            p.sum(axis=1) + mu / t - self.c,
+                            p.sum(axis=2) + mu / q - self.b], axis=1)
+        ib, it = np.arange(na), na + np.arange(mk)
+        iq = na + mk + ib
+        H = np.zeros((K, 2 * na + mk, 2 * na + mk))
+        H[:, ib, ib] = 1.0 / beta ** 2 + (wv * V).sum(axis=2)
+        H[:, ib, iq] = H[:, iq, ib] = -wv.sum(axis=2)
+        H[:, it, it] = w.sum(axis=1) + mu / t ** 2
+        H[:, iq, iq] = w.sum(axis=2) + mu / q ** 2
+        H[:, :na, na:na + mk] = -wv
+        H[:, na:na + mk, :na] = -wv.transpose(0, 2, 1)
+        H[:, na:na + mk, na + mk:] = w.transpose(0, 2, 1)
+        H[:, na + mk:, na:na + mk] = w
+        return z, g, H
 
-    def h_times(x):
-        return mu / p ** 2 * x + wz(wt(x))
+    def newton(self, x, mu, centering):
+        """As :meth:`_PrimalPath.newton`.  Also records, for the problems
+        in ``centering``, the Newton-corrected primal estimate
+        p = (mu/z)(1 - dz/z), which meets the row and column equalities
+        with r = (mu/q)(1 - dq/q) and d = (mu/t)(1 - dt/t)."""
+        K, n = x.shape
+        z, g, H = self.system(x, mu)
+        # Late on the path each tight (agent, item) component's price shift
+        # (t + d, q - d) has curvature of order mu in entries of order
+        # 1/mu, below their rounding error: the step is solved on the
+        # unit-diagonal scaling of H with a ridge above that error.
+        dg = np.arange(n)
+        scale = np.sqrt(H[:, dg, dg])
+        H /= scale[:, :, None] * scale[:, None, :]
+        H[:, dg, dg] += _DUAL_RIDGE
+        dx = _stacked_solve(H, g / scale) / scale
+        dbeta, dt, dq = self.split(dx)
+        dz = dt[:, None, :] + dq[:, :, None] - dbeta[:, :, None] * self.V
+        p_hat = mu / z * (1.0 - dz / z)
+        if self.p_hat is None:
+            self.p_hat = p_hat
+        else:
+            self.p_hat[centering] = p_hat[centering]
+        return (g, dx, np.concatenate([x, z.reshape(K, -1)], axis=1),
+                np.concatenate([dx, dz.reshape(K, -1)], axis=1))
 
-    with np.errstate(all="ignore"):    # a non-finite x fails the test below
-        x = solve_h(g)
-        for _ in range(_REFINE_PASSES):
-            x += solve_h(g - h_times(x))
-            backward = np.abs(g - h_times(x)) / (h_times(np.abs(x)) + np.abs(g))
-            if float(np.max(backward)) <= _STEP_BACKWARD_TOL:
-                return x if float(np.vdot(g, x)) > 0 else None
-    return None
+    def objective(self, x):
+        return -np.log(self.split(x)[0]).sum(axis=1)     # sum_i log s_i, s = 1/beta
+
+    def result(self, x, mu):
+        """(p, t, q): the last step's primal estimate (mu/z when no step
+        was taken) and the dual prices."""
+        _, t, q = self.split(x)
+        p = self.p_hat if self.p_hat is not None else mu[:, None, None] / self.slacks(x)
+        return p, t, q
 
 
-def _barrier_solve(V, b, c, o, p0, mu_start, mu_end, budget, trace):
-    """Follow the log-barrier central path from ``mu_start`` to ``mu_end``.
+def _dual_start(V):
+    """The dual barrier's start: beta_i = 0.5 / max_j V_ij and t = q = 1,
+    so that every z_ij is at least 1.5."""
+    na, mk = V.shape
+    return np.concatenate([0.5 / V.max(axis=1), np.ones(mk + na)])
+
+
+def _barrier_solve(V, b, c, o, x0, mu_start, mu_end, budget, trace):
+    """Follow the barrier central path from ``mu_start`` to ``mu_end``.
 
     Every argument but the scalars carries a leading batch axis: K problems
     of one shape follow the same mu schedule in lockstep, and a problem
     that has finished centering at the current mu is masked (step length
-    0) until mu moves on.  Returns (p, t, q, iterations), each with the
-    batch axis.  Problems with at least ``_STRUCTURED_MIN_PAIRS`` pairs
-    take structured Newton steps, and a declined step ends that problem's
-    centering at the current mu, as a step with no feasible length does;
-    smaller problems take dense steps, all K in one stacked solve.
-    ``trace``, when given, gets one row per Newton step of a lone problem.
+    0) until mu moves on.  Problems below ``_STRUCTURED_MIN_PAIRS`` pairs
+    take primal steps from p = ``x0``, larger ones dual steps from
+    (beta, t, q) = ``x0``; either way all K Newton systems are solved in one
+    stacked solve.  Returns (p, t, q, iterations, x), each with the batch
+    axis, where x is the state a later rung continues from.  ``trace``,
+    when given, gets one row per Newton step of a lone problem.
     """
     K, na, mk = V.shape
-    p = p0.copy()
+    path = (_PrimalPath if na * mk < _STRUCTURED_MIN_PAIRS else _DualPath)(V, b, c, o)
+    x = x0.copy()
     iters = np.zeros(K, dtype=int)
     mu = mu_start
     mu_last = np.full(K, mu_start)     # the mu at which each problem stopped
     running = np.ones(K, dtype=bool)
-    dense = na * mk < _STRUCTURED_MIN_PAIRS
-
-    def surplus(pt):
-        return np.einsum("kij,kij->ki", V, pt) - o
-
-    def phi(pt, mu):
-        # -inf or nan outside the domain (a log of a value <= 0), and no
-        # comparison accepts either.
-        return (np.log(surplus(pt)).sum(axis=1)
-                + mu * (np.log(pt).sum(axis=(1, 2)) + np.log(b - pt.sum(axis=2)).sum(axis=1)
-                        + np.log(c - pt.sum(axis=1)).sum(axis=1)))
+    each = (K,) + (1,) * (x.ndim - 1)  # a per-problem scalar against x
 
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
             centering = running & (iters < budget)
-            phi_p = np.full(K, np.nan)     # phi(p, mu) where known
+            phi_x = np.full(K, np.nan)     # phi(x, mu) where known
             for _ in range(60):
                 centering &= iters < budget
                 if not centering.any():
                     break
-                s = surplus(p)
-                r = b - p.sum(axis=2)
-                d = c - p.sum(axis=1)
-                g = (V / s[:, :, None] + mu / p - mu / r[:, :, None]
-                     - mu / d[:, None, :])
-
-                if dense:
-                    dp = _dense_steps(V, p, s, r, d, mu, g)
-                else:
-                    dp = np.zeros_like(p)
-                    declined = False
-                    for k in np.flatnonzero(centering):
-                        step = _structured_step(V[k], p[k], s[k], r[k], d[k], mu, g[k])
-                        if step is None:
-                            centering[k], declined = False, True
-                        else:
-                            dp[k] = step
-                    if declined and not centering.any():
-                        break
-                decrement = (g.reshape(K, 1, -1) @ dp.reshape(K, -1, 1)).reshape(K)
+                g, dx, vals, dvals = path.newton(x, mu, centering)
+                decrement = (g.reshape(K, 1, -1) @ dx.reshape(K, -1, 1)).reshape(K)
                 iters += centering
 
                 # Largest feasible step: the min of -vals / dvals over dvals < 0
                 # (vals > 0, and vals / -0.0 = -inf drops the other entries).
-                vals = np.concatenate([p.reshape(K, -1), s, r, d], axis=1)
-                dvals = np.concatenate([dp.reshape(K, -1), np.einsum("kij,kij->ki", V, dp),
-                                        -dp.sum(axis=2), -dp.sum(axis=1)], axis=1)
                 ratio = vals / np.minimum(dvals, -0.0)
                 alpha = np.minimum(1.0, 0.99 * -ratio.max(axis=1))
                 centering &= alpha > 0
                 alpha[~centering] = 0.0
 
-                # Armijo backtracking from phi(p), known unless mu just moved
+                # Armijo backtracking from phi(x), known unless mu just moved
                 # or the last search ran out.
-                if np.isnan(phi_p[centering]).any():
-                    phi_p = phi(p, mu)
-                trial = phi_p
+                if np.isnan(phi_x[centering]).any():
+                    phi_x = path.phi(x, mu)
+                trial = phi_x
                 searching = centering & (alpha > 1e-14)
                 while searching.any():
-                    trial = phi(p + alpha[:, None, None] * dp, mu)
-                    searching &= ~(trial >= phi_p + 0.25 * alpha * decrement)
+                    trial = path.phi(x + alpha.reshape(each) * dx, mu)
+                    searching &= ~(trial >= phi_x + 0.25 * alpha * decrement)
                     if not searching.any():
                         break
                     alpha[searching] *= 0.5
                     searching &= alpha > 1e-14
-                p = p + alpha[:, None, None] * dp
+                x = x + alpha.reshape(each) * dx
                 # An accepted search kept its alpha, so the last trial is phi
-                # at the new p; a search that ran out left alpha <= 1e-14,
+                # at the new x; a search that ran out left alpha <= 1e-14,
                 # and a masked problem (alpha 0) stays masked at this mu.
-                phi_p = np.where(alpha > 1e-14, trial, np.nan)
+                phi_x = np.where(alpha > 1e-14, trial, np.nan)
                 if trace is not None and centering[0]:
-                    trace.append((int(iters[0]), float(np.log(surplus(p)[0]).sum()),
+                    trace.append((int(iters[0]), float(path.objective(x)[0]),
                                   float(decrement[0])))
                 loose = 1.0 if mu > mu_end else 0.3
                 centering &= ~(decrement < max(loose * mu, 1e-16))
@@ -870,9 +893,7 @@ def _barrier_solve(V, b, c, o, p0, mu_start, mu_end, budget, trace):
                 break
             mu = max(mu * 0.02, mu_end)
 
-    r = b - p.sum(axis=2)
-    d = c - p.sum(axis=1)
-    return p, mu_last[:, None] / d, mu_last[:, None] / r, iters
+    return (*path.result(x, mu_last), iters, x)
 
 
 # ---------------------------------------------------------------------------
@@ -1120,7 +1141,7 @@ def _degenerate_fill(full_p, degenerate, budgets, supplies):
 @dataclass
 class _Start:
     """A problem reduced to its active rows and kept (positive-supply)
-    columns, screened, with the interior start of its live rows."""
+    columns, screened, with the barrier's start for its live rows."""
 
     V: np.ndarray
     b: np.ndarray
@@ -1129,12 +1150,15 @@ class _Start:
     keep: np.ndarray
     live: list[int]
     degenerate: set[int]
-    p0: np.ndarray | None      # None when no row is live
+    x0: np.ndarray | None      # None when no row is live
     mu0: float                 # the barrier's first mu
 
 
 def _start(problem: NswProblem, warm_start: np.ndarray | None) -> _Start:
-    """The stages before the barrier: degeneracy screen and interior start."""
+    """The stages before the barrier: degeneracy screen and start point
+    (an interior primal point, or the dual start from
+    ``_STRUCTURED_MIN_PAIRS`` live pairs on, where the warm hint only
+    shortens the screen)."""
     inst = problem.instance
     active = list(problem.active_agents)
     V_full = np.asarray(inst.values)
@@ -1152,23 +1176,25 @@ def _start(problem: NswProblem, warm_start: np.ndarray | None) -> _Start:
         hint = np.asarray(warm_start, dtype=float)[np.ix_(active, keep)]
 
     live, degenerate, base, warm = _screen_degenerate(V, b, c, o, deg_tol, hint)
-    p0 = None
-    if live:
-        p0 = _interior_start(V[live], b[live], c, o[live], base)
-        if p0 is None:
+    x0 = None
+    if live and len(live) * len(keep) >= _STRUCTURED_MIN_PAIRS:
+        x0, warm = _dual_start(V[live]), False
+    elif live:
+        x0 = _interior_start(V[live], b[live], c, o[live], base)
+        if x0 is None:
             raise Infeasible("no strictly interior point with positive surplus")
     return _Start(V=V, b=b, c=c, o=o, keep=keep, live=live,
-                  degenerate=degenerate, p0=p0, mu0=5e-3 if warm else 0.05)
+                  degenerate=degenerate, x0=x0, mu0=5e-3 if warm else 0.05)
 
 
 def _first_rungs(starts: list[_Start], max_iter: int, trace=None):
     """The first barrier rung of problems with one live shape and one
-    ``mu0``, in lockstep; one (p, t, q, iterations) per problem."""
-    V, b, c, o, p0 = (np.stack(x) for x in zip(*[
-        (st.V[st.live], st.b[st.live], st.c, st.o[st.live], st.p0) for st in starts]))
-    p, t, q, iters = _barrier_solve(V, b, c, o, p0, starts[0].mu0, _RUNGS[0][0],
-                                    max_iter, trace)
-    return [(p[k], t[k], q[k], int(iters[k])) for k in range(len(starts))]
+    ``mu0``, in lockstep; one (p, t, q, iterations, state) per problem."""
+    V, b, c, o, x0 = (np.stack(x) for x in zip(*[
+        (st.V[st.live], st.b[st.live], st.c, st.o[st.live], st.x0) for st in starts]))
+    p, t, q, iters, x = _barrier_solve(V, b, c, o, x0, starts[0].mu0, _RUNGS[0][0],
+                                       max_iter, trace)
+    return [(p[k], t[k], q[k], int(iters[k]), x[k]) for k in range(len(starts))]
 
 
 def _check_tol(tol):
@@ -1183,7 +1209,7 @@ def solve_many(problems: Sequence[NswProblem], tol: float = DEFAULT_KKT_TOL,
 
     Each problem is screened and started on its own; then problems of one
     live shape and one warm flag run their first barrier rung in one
-    lockstep call (several when their dense Hessians would pass
+    lockstep call (several when their Hessians would pass
     ``_LOCKSTEP_BYTES``), and :func:`solve` finishes each from there.
     Results are those of the sequential loop, which also decides which
     exception is raised: the first failing problem's.
@@ -1199,11 +1225,12 @@ def solve_many(problems: Sequence[NswProblem], tol: float = DEFAULT_KKT_TOL,
             starts.append(err)
     groups: dict[tuple, list[int]] = {}
     for k, st in enumerate(starts):
-        if isinstance(st, _Start) and st.p0 is not None:
-            groups.setdefault((st.p0.shape, st.mu0), []).append(k)
+        if isinstance(st, _Start) and st.x0 is not None:
+            groups.setdefault((len(st.live), len(st.keep), st.mu0), []).append(k)
     prepared = [(st, None, 1) for st in starts]
-    for (shape, _), group in groups.items():
-        per_call = max(1, _LOCKSTEP_BYTES // (8 * (shape[0] * shape[1]) ** 2))
+    for (na, mk, _), group in groups.items():
+        order = na * mk if na * mk < _STRUCTURED_MIN_PAIRS else 2 * na + mk
+        per_call = max(1, _LOCKSTEP_BYTES // (8 * order ** 2))
         for at in range(0, len(group), per_call):
             ks = group[at:at + per_call]
             for k, rung in zip(ks, _first_rungs([starts[k] for k in ks], max_iter)):
@@ -1235,7 +1262,7 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
     _check_tol(tol)
     if _prepared is None:               # a lone problem: a batch of one
         start = _start(problem, warm_start)
-        first = (None if start.p0 is None
+        first = (None if start.x0 is None
                  else _first_rungs([start], max_iter, trace)[0])
         batch = 1
     else:                               # from solve_many
@@ -1265,14 +1292,14 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
             if iters_used >= max_iter:
                 break
             if rung == 0:
-                p_bar, t_bar, q_bar, it = first
+                p_bar, t_bar, q_bar, it, x_path = first
             else:                       # the few problems that get here go alone
-                p_bar, t_bar, q_bar, its = (x[0] for x in _barrier_solve(
-                    Vl[None], bl[None], c[None], ol[None], p_path[None],
+                p_bar, t_bar, q_bar, its, x_path = (x[0] for x in _barrier_solve(
+                    Vl[None], bl[None], c[None], ol[None], x_path[None],
                     mu_reached, mu_end, max_iter - iters_used, trace))
                 it = int(its)
             iters_used += it
-            p_path, mu_reached = p_bar, mu_end
+            mu_reached = mu_end
             for tau in taus:
                 polished = _polish(Vl, bl, c, ol, p_bar, tau, t_bar, q_bar)
                 if polished is None:

@@ -169,6 +169,13 @@ class TestRhoScan:
         scan = rho_scan("random:3", trials=8, seed=1)
         assert sum(scan.histogram_counts) == 8
 
+    def test_skipped_pairs_summed_over_trials(self):
+        # Half-sparse markets leave agents degenerate in some subsets; the
+        # scan reports the (subset, agent) pairs its rho_exact calls skip.
+        scan = rho_scan("random:5,sparse,0.5", trials=40, seed=0)
+        assert scan.skipped_pairs == 128
+        assert scan.to_dict()["skipped_pairs"] == 128
+
 
 class TestAudits:
     def test_pa_truthful(self):

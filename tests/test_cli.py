@@ -57,6 +57,11 @@ class TestSolveCommand:
         monkeypatch.setenv("MATCHLAB_TOL", "nan")
         assert main(["solve", "--gen", "random:5", "--seed", "0"]) == 1
 
+    def test_non_numeric_env_tol_exit_1(self, monkeypatch, capsys):
+        monkeypatch.setenv("MATCHLAB_TOL", "abc")
+        assert main(["solve", "--gen", "random:3", "--seed", "0"]) == 1
+        assert "MATCHLAB_TOL is not a number: 'abc'" in capsys.readouterr().err
+
     def test_trace_written(self, table1_file, tmp_path):
         out = tmp_path / "o"
         code = main(["solve", "--instance", table1_file, "--out", str(out),
@@ -131,6 +136,8 @@ class TestRhoCommand:
         assert code == 0
         scan = json.loads((out / "rho_scan.json").read_text())
         assert scan["trials"] == 4
+        assert scan["skipped_pairs"] == 0
+        assert "0 degenerate (subset, agent) pairs skipped" in capsys.readouterr().out
         hist = (out / "rho_hist.csv").read_text().splitlines()
         assert hist[0] == "bin_left,bin_right,count"
 
