@@ -20,19 +20,18 @@ item prices ``t_j >= 0`` and agent prices ``q_i >= 0`` with
     equality wherever ``p_ij > 0``,
 
 and the maximal violation of these conditions (the KKT residual) is
-reported honestly.  Internally the solver follows a log-barrier central
-path to identify the optimal support by damped Newton steps.  Below 150
-(agent, item) pairs it steps in the primal p with the explicit
-(na mk)^2 Hessian.  From there on it steps in the dual (beta, t, q) of the
-Eisenberg-Gale type program, whose barrier has the same central path and a
-Hessian of order 2 na + mk, and hands the polish the Newton-corrected
-primal estimate of its last step.  Problems of one shape (a mechanism's
-leave-one-out or subset solves, through :func:`solve_many`) follow the
-first rung of that path in lockstep, K Hessians solved at once.  It then
-polishes primal variables and prices together on that support by Newton on
-the square stationarity system, with an active-set repair loop, over a
-short ladder of final barrier weights and support thresholds, until a
-candidate's certificate is well within tolerance.
+reported honestly.  Internally the solver follows the central path to
+identify the optimal support.  Below 150 (agent, item) pairs it takes
+damped Newton steps on the primal log barrier in p with the explicit
+(na mk)^2 Hessian.  From there on it runs Mehrotra's primal-dual
+predictor-corrector method in (p, beta, t, q), beta = 1/s, whose Newton
+system reduces to a matrix of order 2 na + mk.  Problems of one shape (a
+mechanism's leave-one-out or subset solves, through :func:`solve_many`)
+follow the first rung of that path in lockstep, K systems solved at once.
+It then polishes primal variables and prices together on that support by
+Newton on the square stationarity system, with an active-set repair loop,
+over a short ladder of final barrier weights and support thresholds, until
+a candidate's certificate is well within tolerance.
 
 Agents whose maximum achievable surplus is zero (for instance constant
 value rows under an average-value offset) cannot appear in the log
@@ -83,10 +82,10 @@ _SUPPLY_EPS = 1e-12
 _SUPPORT_TOL = 1e-9
 
 # Barrier Newton steps.  From this many (agent, item) pairs on, the barrier
-# follows the dual path, whose Hessian has 2 na + mk rows instead of na mk.
+# is a primal-dual path whose Newton matrix has 2 na + mk rows instead of na mk.
 _STRUCTURED_MIN_PAIRS = 150
-# The dual step's ridge on its unit-diagonal Hessian (see _DualPath.newton).
-_DUAL_RIDGE = 1e-14
+# The primal-dual path stops a problem only once max |1 - beta s| is this small.
+_PD_SURPLUS_TOL = 1e-6
 # One lockstep barrier call holds at most this many bytes of Hessians
 # (8 n^2 per problem of Hessian order n); a larger group of one shape is split.
 _LOCKSTEP_BYTES = 2 ** 22
@@ -676,151 +675,42 @@ def _stacked_solve(H, g):
     return x.reshape(K, n)
 
 
-class _PrimalPath:
+def _primal_surplus(V, p, o):
+    return np.einsum("kij,kij->ki", V, p) - o
+
+
+def _primal_phi(V, b, c, o, p, mu):
     """The primal barrier sum_i log s_i + mu (sum log p + sum log r +
-    sum log d) in p, maximized with the explicit (na mk)^2 Hessian; r and d
-    are the row and column slacks.  Problems below
-    ``_STRUCTURED_MIN_PAIRS`` pairs follow it."""
-
-    def __init__(self, V, b, c, o):
-        self.V, self.b, self.c, self.o = V, b, c, o
-
-    def surplus(self, p):
-        return np.einsum("kij,kij->ki", self.V, p) - self.o
-
-    def phi(self, p, mu):
-        # -inf or nan outside the domain (a log of a value <= 0), and no
-        # comparison accepts either.
-        return (np.log(self.surplus(p)).sum(axis=1)
-                + mu * (np.log(p).sum(axis=(1, 2)) + np.log(self.b - p.sum(axis=2)).sum(axis=1)
-                        + np.log(self.c - p.sum(axis=1)).sum(axis=1)))
-
-    def newton(self, p, mu, centering):
-        """(gradient, Newton step, values that must stay positive, their
-        derivatives along the step), each with the batch axis."""
-        K = p.shape[0]
-        V = self.V
-        s = self.surplus(p)
-        r = self.b - p.sum(axis=2)
-        d = self.c - p.sum(axis=1)
-        g = (V / s[:, :, None] + mu / p - mu / r[:, :, None]
-             - mu / d[:, None, :])
-        dp = _stacked_solve(_dense_hessians(V, p, s, r, d, mu),
-                            g.reshape(K, -1)).reshape(p.shape)
-        return (g, dp, np.concatenate([p.reshape(K, -1), s, r, d], axis=1),
-                np.concatenate([dp.reshape(K, -1), np.einsum("kij,kij->ki", V, dp),
-                                -dp.sum(axis=2), -dp.sum(axis=1)], axis=1))
-
-    def objective(self, p):
-        return np.log(self.surplus(p)).sum(axis=1)
-
-    def result(self, p, mu):
-        """(p, t, q) with the barrier's prices t = mu/d and q = mu/r."""
-        return p, mu[:, None] / (self.c - p.sum(axis=1)), mu[:, None] / (self.b - p.sum(axis=2))
+    sum log d), with the batch axis; -inf or nan outside the domain (a log
+    of a value <= 0), and no comparison accepts either."""
+    return (np.log(_primal_surplus(V, p, o)).sum(axis=1)
+            + mu * (np.log(p).sum(axis=(1, 2)) + np.log(b - p.sum(axis=2)).sum(axis=1)
+                    + np.log(c - p.sum(axis=1)).sum(axis=1)))
 
 
-class _DualPath:
-    """The dual barrier of the program, in x = (beta, t, q) per problem:
-
-        Phi_mu = sum_i (-log beta_i - beta_i o_i) + c.t + b.q
-                 - mu (sum log z + sum log t + sum log q),
-        z_ij = t_j + q_i - beta_i V_ij,
-
-    minimized (``phi`` is -Phi_mu, so that the barrier loop maximizes it)
-    with the (2 na + mk)^2 Hessian.  Its central path is the primal's, with
-    p = mu/z, s = 1/beta, d = mu/t and r = mu/q.  Problems with at least
-    ``_STRUCTURED_MIN_PAIRS`` pairs follow it.
-    """
-
-    def __init__(self, V, b, c, o):
-        self.V, self.b, self.c, self.o = V, b, c, o
-        self.p_hat = None           # each problem's primal estimate from its last step
-
-    def split(self, x):
-        na, mk = self.V.shape[1:]
-        return x[:, :na], x[:, na:na + mk], x[:, na + mk:]
-
-    def slacks(self, x):
-        beta, t, q = self.split(x)
-        return t[:, None, :] + q[:, :, None] - beta[:, :, None] * self.V
-
-    def phi(self, x, mu):
-        beta, t, q = self.split(x)
-        return (np.log(beta).sum(axis=1) + (beta * self.o).sum(axis=1)
-                - (self.c * t).sum(axis=1) - (self.b * q).sum(axis=1)
-                + mu * (np.log(self.slacks(x)).sum(axis=(1, 2)) + np.log(t).sum(axis=1)
-                        + np.log(q).sum(axis=1)))
-
-    def system(self, x, mu):
-        """(z, -grad Phi_mu, Hessian of Phi_mu); with w = mu/z^2 the Hessian
-        has the blocks beta-beta diag(1/beta^2 + sum_j w V^2), beta-t -w V,
-        beta-q diag(-sum_j w V), t-t diag(sum_i w + mu/t^2), t-q w^T and
-        q-q diag(sum_j w + mu/q^2)."""
-        V = self.V
-        K, na, mk = V.shape
-        beta, t, q = self.split(x)
-        z = self.slacks(x)
-        p = mu / z
-        w = p / z
-        wv = w * V
-        g = np.concatenate([1.0 / beta + self.o - (p * V).sum(axis=2),
-                            p.sum(axis=1) + mu / t - self.c,
-                            p.sum(axis=2) + mu / q - self.b], axis=1)
-        ib, it = np.arange(na), na + np.arange(mk)
-        iq = na + mk + ib
-        H = np.zeros((K, 2 * na + mk, 2 * na + mk))
-        H[:, ib, ib] = 1.0 / beta ** 2 + (wv * V).sum(axis=2)
-        H[:, ib, iq] = H[:, iq, ib] = -wv.sum(axis=2)
-        H[:, it, it] = w.sum(axis=1) + mu / t ** 2
-        H[:, iq, iq] = w.sum(axis=2) + mu / q ** 2
-        H[:, :na, na:na + mk] = -wv
-        H[:, na:na + mk, :na] = -wv.transpose(0, 2, 1)
-        H[:, na:na + mk, na + mk:] = w.transpose(0, 2, 1)
-        H[:, na + mk:, na:na + mk] = w
-        return z, g, H
-
-    def newton(self, x, mu, centering):
-        """As :meth:`_PrimalPath.newton`.  Also records, for the problems
-        in ``centering``, the Newton-corrected primal estimate
-        p = (mu/z)(1 - dz/z), which meets the row and column equalities
-        with r = (mu/q)(1 - dq/q) and d = (mu/t)(1 - dt/t)."""
-        K, n = x.shape
-        z, g, H = self.system(x, mu)
-        # Late on the path each tight (agent, item) component's price shift
-        # (t + d, q - d) has curvature of order mu in entries of order
-        # 1/mu, below their rounding error: the step is solved on the
-        # unit-diagonal scaling of H with a ridge above that error.
-        dg = np.arange(n)
-        scale = np.sqrt(H[:, dg, dg])
-        H /= scale[:, :, None] * scale[:, None, :]
-        H[:, dg, dg] += _DUAL_RIDGE
-        dx = _stacked_solve(H, g / scale) / scale
-        dbeta, dt, dq = self.split(dx)
-        dz = dt[:, None, :] + dq[:, :, None] - dbeta[:, :, None] * self.V
-        p_hat = mu / z * (1.0 - dz / z)
-        if self.p_hat is None:
-            self.p_hat = p_hat
-        else:
-            self.p_hat[centering] = p_hat[centering]
-        return (g, dx, np.concatenate([x, z.reshape(K, -1)], axis=1),
-                np.concatenate([dx, dz.reshape(K, -1)], axis=1))
-
-    def objective(self, x):
-        return -np.log(self.split(x)[0]).sum(axis=1)     # sum_i log s_i, s = 1/beta
-
-    def result(self, x, mu):
-        """(p, t, q): the last step's primal estimate (mu/z when no step
-        was taken) and the dual prices."""
-        _, t, q = self.split(x)
-        p = self.p_hat if self.p_hat is not None else mu[:, None, None] / self.slacks(x)
-        return p, t, q
+def _primal_newton(V, b, c, o, p, mu):
+    """(gradient, Newton step, values that must stay positive, their
+    derivatives along the step) of the primal barrier, each with the batch
+    axis; r and d are the row and column slacks."""
+    K = p.shape[0]
+    s = _primal_surplus(V, p, o)
+    r = b - p.sum(axis=2)
+    d = c - p.sum(axis=1)
+    g = (V / s[:, :, None] + mu / p - mu / r[:, :, None]
+         - mu / d[:, None, :])
+    dp = _stacked_solve(_dense_hessians(V, p, s, r, d, mu),
+                        g.reshape(K, -1)).reshape(p.shape)
+    return (g, dp, np.concatenate([p.reshape(K, -1), s, r, d], axis=1),
+            np.concatenate([dp.reshape(K, -1), np.einsum("kij,kij->ki", V, dp),
+                            -dp.sum(axis=2), -dp.sum(axis=1)], axis=1))
 
 
-def _dual_start(V):
-    """The dual barrier's start: beta_i = 0.5 / max_j V_ij and t = q = 1,
-    so that every z_ij is at least 1.5."""
-    na, mk = V.shape
-    return np.concatenate([0.5 / V.max(axis=1), np.ones(mk + na)])
+def _max_step(vals, dvals):
+    """The largest step along ``dvals`` that keeps the positive ``vals``
+    positive, per problem (inf when none decreases); both are (K, n)."""
+    # The min of -vals / dvals over dvals < 0: vals / -0.0 = -inf drops
+    # the other entries.
+    return -(vals / np.minimum(dvals, -0.0)).max(axis=1)
 
 
 def _barrier_solve(V, b, c, o, x0, mu_start, mu_end, budget, trace):
@@ -830,60 +720,59 @@ def _barrier_solve(V, b, c, o, x0, mu_start, mu_end, budget, trace):
     of one shape follow the same mu schedule in lockstep, and a problem
     that has finished centering at the current mu is masked (step length
     0) until mu moves on.  Problems below ``_STRUCTURED_MIN_PAIRS`` pairs
-    take primal steps from p = ``x0``, larger ones dual steps from
-    (beta, t, q) = ``x0``; either way all K Newton systems are solved in one
-    stacked solve.  Returns (p, t, q, iterations, x), each with the batch
-    axis, where x is the state a later rung continues from.  ``trace``,
-    when given, gets one row per Newton step of a lone problem.
+    take damped primal Newton steps from p = ``x0``, all K Hessians solved
+    in one stacked solve; larger ones follow the primal-dual path of
+    :func:`_primal_dual_solve` from its state ``x0``.  Returns
+    (p, t, q, iterations, x), each with the batch axis, where x is the
+    state a later rung continues from.  ``trace``, when given, gets one
+    row per Newton step of a lone problem.
     """
     K, na, mk = V.shape
-    path = (_PrimalPath if na * mk < _STRUCTURED_MIN_PAIRS else _DualPath)(V, b, c, o)
-    x = x0.copy()
+    if na * mk >= _STRUCTURED_MIN_PAIRS:
+        return _primal_dual_solve(V, b, c, o, x0, mu_end, budget, trace)
+    p = x0.copy()
     iters = np.zeros(K, dtype=int)
     mu = mu_start
     mu_last = np.full(K, mu_start)     # the mu at which each problem stopped
     running = np.ones(K, dtype=bool)
-    each = (K,) + (1,) * (x.ndim - 1)  # a per-problem scalar against x
 
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
             centering = running & (iters < budget)
-            phi_x = np.full(K, np.nan)     # phi(x, mu) where known
+            phi_p = np.full(K, np.nan)     # phi(p, mu) where known
             for _ in range(60):
                 centering &= iters < budget
                 if not centering.any():
                     break
-                g, dx, vals, dvals = path.newton(x, mu, centering)
-                decrement = (g.reshape(K, 1, -1) @ dx.reshape(K, -1, 1)).reshape(K)
+                g, dp, vals, dvals = _primal_newton(V, b, c, o, p, mu)
+                decrement = (g.reshape(K, 1, -1) @ dp.reshape(K, -1, 1)).reshape(K)
                 iters += centering
 
-                # Largest feasible step: the min of -vals / dvals over dvals < 0
-                # (vals > 0, and vals / -0.0 = -inf drops the other entries).
-                ratio = vals / np.minimum(dvals, -0.0)
-                alpha = np.minimum(1.0, 0.99 * -ratio.max(axis=1))
+                alpha = np.minimum(1.0, 0.99 * _max_step(vals, dvals))
                 centering &= alpha > 0
                 alpha[~centering] = 0.0
 
-                # Armijo backtracking from phi(x), known unless mu just moved
+                # Armijo backtracking from phi(p), known unless mu just moved
                 # or the last search ran out.
-                if np.isnan(phi_x[centering]).any():
-                    phi_x = path.phi(x, mu)
-                trial = phi_x
+                if np.isnan(phi_p[centering]).any():
+                    phi_p = _primal_phi(V, b, c, o, p, mu)
+                trial = phi_p
                 searching = centering & (alpha > 1e-14)
                 while searching.any():
-                    trial = path.phi(x + alpha.reshape(each) * dx, mu)
-                    searching &= ~(trial >= phi_x + 0.25 * alpha * decrement)
+                    trial = _primal_phi(V, b, c, o, p + alpha[:, None, None] * dp, mu)
+                    searching &= ~(trial >= phi_p + 0.25 * alpha * decrement)
                     if not searching.any():
                         break
                     alpha[searching] *= 0.5
                     searching &= alpha > 1e-14
-                x = x + alpha.reshape(each) * dx
+                p = p + alpha[:, None, None] * dp
                 # An accepted search kept its alpha, so the last trial is phi
-                # at the new x; a search that ran out left alpha <= 1e-14,
+                # at the new p; a search that ran out left alpha <= 1e-14,
                 # and a masked problem (alpha 0) stays masked at this mu.
-                phi_x = np.where(alpha > 1e-14, trial, np.nan)
+                phi_p = np.where(alpha > 1e-14, trial, np.nan)
                 if trace is not None and centering[0]:
-                    trace.append((int(iters[0]), float(path.objective(x)[0]),
+                    trace.append((int(iters[0]),
+                                  float(np.log(_primal_surplus(V, p, o)).sum(axis=1)[0]),
                                   float(decrement[0])))
                 loose = 1.0 if mu > mu_end else 0.3
                 centering &= ~(decrement < max(loose * mu, 1e-16))
@@ -893,7 +782,154 @@ def _barrier_solve(V, b, c, o, x0, mu_start, mu_end, budget, trace):
                 break
             mu = max(mu * 0.02, mu_end)
 
-    return (*path.result(x, mu_last), iters, x)
+    return (p, mu_last[:, None] / (c - p.sum(axis=1)), mu_last[:, None] / (b - p.sum(axis=2)),
+            iters, p)
+
+
+def _pd_values(V, b, c, o, x):
+    """The quantities a primal-dual state x = (p, beta, t, q) keeps
+    positive, each with the batch axis: (p, s, r, d, beta, z, t, q), with
+    z_ij = t_j + q_i - beta_i V_ij."""
+    K, na, mk = V.shape
+    n = na * mk
+    p = x[:, :n].reshape(K, na, mk)
+    beta, t, q = x[:, n:n + na], x[:, n + na:n + na + mk], x[:, n + na + mk:]
+    z = t[:, None, :] + q[:, :, None] - beta[:, :, None] * V
+    return (p, _primal_surplus(V, p, o), b - p.sum(axis=2), c - p.sum(axis=1),
+            beta, z, t, q)
+
+
+def _pd_mu(vals):
+    """Average complementarity (p.z + t.d + q.r) / (na mk + na + mk)."""
+    p, s, r, d, beta, z, t, q = vals
+    total = (p * z).sum(axis=(1, 2)) + (t * d).sum(axis=1) + (q * r).sum(axis=1)
+    return total / (p[0].size + r.shape[1] + d.shape[1])
+
+
+def _pd_matrix(V, vals):
+    """The reduced Newton matrix of the perturbed KKT system in
+    (dbeta, dt, dq), scaled to a unit diagonal, and the scale.  With
+    w = p/z its blocks are beta-beta diag(s/beta + sum_j w V^2), beta-t
+    -w V, beta-q diag(-sum_j w V), t-t diag(sum_i w + d/t), t-q w^T and
+    q-q diag(sum_j w + r/q)."""
+    p, s, r, d, beta, z, t, q = vals
+    K, na, mk = V.shape
+    w = p / z
+    wv = w * V
+    ib, it = np.arange(na), na + np.arange(mk)
+    iq = na + mk + ib
+    M = np.zeros((K, 2 * na + mk, 2 * na + mk))
+    M[:, ib, ib] = s / beta + (wv * V).sum(axis=2)
+    M[:, ib, iq] = M[:, iq, ib] = -wv.sum(axis=2)
+    M[:, it, it] = w.sum(axis=1) + d / t
+    M[:, iq, iq] = w.sum(axis=2) + r / q
+    M[:, :na, na:na + mk] = -wv
+    M[:, na:na + mk, :na] = -wv.transpose(0, 2, 1)
+    M[:, na:na + mk, na + mk:] = w.transpose(0, 2, 1)
+    M[:, na + mk:, na:na + mk] = w
+    dg = np.arange(2 * na + mk)
+    scale = np.sqrt(M[:, dg, dg])
+    M /= scale[:, :, None] * scale[:, None, :]
+    return M, scale
+
+
+def _pd_direction(V, vals, M, scale, rz, rt, rq, rb):
+    """The Newton direction that meets the linearized equations
+    z dp + p dz = rz, d dt + t dd = rt, r dq + q dr = rq and
+    beta ds + s dbeta = rb, as the derivatives of ``vals``:
+    (dp, ds, dr, dd, dbeta, dz, dt, dq)."""
+    p, s, r, d, beta, z, t, q = vals
+    na, mk = V.shape[1:]
+    a = rz / z                           # dp = a - (p/z) dz
+    g = np.concatenate([rb / beta - (V * a).sum(axis=2),
+                        rt / t + a.sum(axis=1),
+                        rq / q + a.sum(axis=2)], axis=1)
+    dx = _stacked_solve(M, g / scale) / scale
+    dbeta, dt, dq = dx[:, :na], dx[:, na:na + mk], dx[:, na + mk:]
+    dz = dt[:, None, :] + dq[:, :, None] - dbeta[:, :, None] * V
+    dp = a - p / z * dz
+    return (dp, np.einsum("kij,kij->ki", V, dp), -dp.sum(axis=2), -dp.sum(axis=1),
+            dbeta, dz, dt, dq)
+
+
+def _pd_max_step(vals, dvals):
+    """:func:`_max_step` over all of the primal-dual ``vals``."""
+    return _max_step(*(np.concatenate([x.reshape(len(x), -1) for x in v], axis=1)
+                       for v in (vals, dvals)))
+
+
+def _pd_done(vals, mu, mu_end):
+    """Problems whose mu is at most ``mu_end`` and whose surpluses meet
+    beta s = 1 to ``_PD_SURPLUS_TOL``."""
+    p, s, r, d, beta, z, t, q = vals
+    return (mu <= mu_end) & (np.abs(1.0 - beta * s).max(axis=1) <= _PD_SURPLUS_TOL)
+
+
+def _primal_dual_solve(V, b, c, o, x0, mu_end, budget, trace):
+    """Mehrotra's predictor-corrector path for problems of
+    ``_STRUCTURED_MIN_PAIRS`` pairs or more, with the batch axis.
+
+    The state x = (p, beta, t, q) keeps p, the surplus s = V.p - o, the
+    slacks r = b - sum_j p and d = c - sum_i p, beta, z, t and q strictly
+    positive, and each iteration drives (1 - beta s, p z, t d, q r) toward
+    (0, sigma mu, sigma mu, sigma mu): one reduced matrix, two solves (the
+    affine step, then the corrector with sigma = (mu_aff / mu)^3 and the
+    second-order terms of the three products), and one step length for
+    all variables, 0.99 of the largest that keeps them positive.  A
+    problem stops once :func:`_pd_done`, or when its step is shorter than
+    1e-8 or not finite, or after 60 steps, as many as the primal path
+    takes at one mu.  Each call steps only the problems still running.
+    Returns what :func:`_barrier_solve` returns.
+    """
+    K = V.shape[0]
+    x = x0.copy()
+    iters = np.zeros(K, dtype=int)
+    vals = _pd_values(V, b, c, o, x)
+    mu = _pd_mu(vals)
+    running = ~_pd_done(vals, mu, mu_end)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            running &= iters < min(budget, 60)
+            if not running.any():
+                break
+            k = np.flatnonzero(running)
+            Vk = V[k]
+            cur = tuple(v[k] for v in vals)
+            p, s, r, d, beta, z, t, q = cur
+            M, scale = _pd_matrix(Vk, cur)
+            aff = _pd_direction(Vk, cur, M, scale, -p * z, -t * d, -q * r, 1.0 - beta * s)
+            a_aff = np.minimum(1.0, _pd_max_step(cur, aff))
+            mu_aff = _pd_mu(tuple(v + a_aff.reshape((-1,) + (1,) * (v.ndim - 1)) * dv
+                                  for v, dv in zip(cur, aff)))
+            target = (mu_aff / mu[k]) ** 3 * mu[k]
+            dp_a, _, dr_a, dd_a, _, dz_a, dt_a, dq_a = aff
+            step = _pd_direction(Vk, cur, M, scale,
+                                 target[:, None, None] - p * z - dp_a * dz_a,
+                                 target[:, None] - t * d - dt_a * dd_a,
+                                 target[:, None] - q * r - dq_a * dr_a,
+                                 1.0 - beta * s)
+            dp, _, _, _, dbeta, _, dt, dq = step
+            dx = np.concatenate([dp.reshape(len(k), -1), dbeta, dt, dq], axis=1)
+            alpha = np.minimum(1.0, 0.99 * _pd_max_step(cur, step))
+            moving = (alpha > 1e-8) & np.isfinite(dx).all(axis=1)    # false for nan
+            x[k] += np.where(moving, alpha, 0.0)[:, None] * dx
+            iters[k] += 1
+            vals = _pd_values(V, b, c, o, x)
+            mu = _pd_mu(vals)
+            if trace is not None and running[0]:
+                trace.append((int(iters[0]), float(np.log(vals[1][0]).sum()), float(mu[0])))
+            running[k[~moving]] = False
+            running &= ~_pd_done(vals, mu, mu_end)
+    p, _, _, _, _, _, t, q = vals
+    return p, t, q, iters, x
+
+
+def _pd_start(V, o, p):
+    """The primal-dual start at an interior primal point p: beta = 1/s and
+    t = q = max_ij beta_i V_ij, so that every z_ij is at least that max."""
+    beta = 1.0 / _surplus(V, p, o)
+    top = float(np.max(beta[:, None] * V))
+    return np.concatenate([p.ravel(), beta, np.full(V.shape[1] + V.shape[0], top)])
 
 
 # ---------------------------------------------------------------------------
@@ -1151,14 +1187,13 @@ class _Start:
     live: list[int]
     degenerate: set[int]
     x0: np.ndarray | None      # None when no row is live
-    mu0: float                 # the barrier's first mu
+    mu0: float                 # the primal barrier's first mu
 
 
 def _start(problem: NswProblem, warm_start: np.ndarray | None) -> _Start:
-    """The stages before the barrier: degeneracy screen and start point
-    (an interior primal point, or the dual start from
-    ``_STRUCTURED_MIN_PAIRS`` live pairs on, where the warm hint only
-    shortens the screen)."""
+    """The stages before the barrier: degeneracy screen and start point, an
+    interior primal point, from ``_STRUCTURED_MIN_PAIRS`` live pairs on
+    extended to the primal-dual state of :func:`_pd_start`."""
     inst = problem.instance
     active = list(problem.active_agents)
     V_full = np.asarray(inst.values)
@@ -1177,12 +1212,12 @@ def _start(problem: NswProblem, warm_start: np.ndarray | None) -> _Start:
 
     live, degenerate, base, warm = _screen_degenerate(V, b, c, o, deg_tol, hint)
     x0 = None
-    if live and len(live) * len(keep) >= _STRUCTURED_MIN_PAIRS:
-        x0, warm = _dual_start(V[live]), False
-    elif live:
+    if live:
         x0 = _interior_start(V[live], b[live], c, o[live], base)
         if x0 is None:
             raise Infeasible("no strictly interior point with positive surplus")
+        if len(live) * len(keep) >= _STRUCTURED_MIN_PAIRS:
+            x0 = _pd_start(V[live], o[live], x0)
     return _Start(V=V, b=b, c=c, o=o, keep=keep, live=live,
                   degenerate=degenerate, x0=x0, mu0=5e-3 if warm else 0.05)
 
@@ -1255,9 +1290,13 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
     surplus, and :class:`NoConvergence` when the certificate tolerance
     cannot be met inside the iteration budget.  ``metadata["polish"]`` is
     the ``(mu_end, tau)`` rung and support threshold of the winning
-    candidate, and ``metadata["barrier_batch"]`` the number of problems
-    whose first barrier rung ran in one lockstep call (1 here; see
-    :func:`solve_many`).
+    candidate, ``metadata["rung_iterations"]`` the Newton steps of each
+    barrier rung that ran (they sum to ``metadata["iterations"]``), and
+    ``metadata["barrier_batch"]`` the number of problems whose first
+    barrier rung ran in one lockstep call (1 here; see :func:`solve_many`).
+    ``trace``, when given, gets one row per Newton step of the barrier:
+    (iteration, sum_i log s_i, m), where m is the Newton decrement on the
+    primal path and mu on the primal-dual path.
     """
     _check_tol(tol)
     if _prepared is None:               # a lone problem: a batch of one
@@ -1282,6 +1321,7 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
     t_kept = np.zeros(len(keep))
     q_live = np.zeros(na_live)
     iters_used = 0
+    rung_iterations = []                # Newton steps of each barrier rung that ran
     winner = None
 
     if na_live > 0:
@@ -1299,6 +1339,7 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
                     mu_reached, mu_end, max_iter - iters_used, trace))
                 it = int(its)
             iters_used += it
+            rung_iterations.append(it)
             mu_reached = mu_end
             for tau in taus:
                 polished = _polish(Vl, bl, c, ol, p_bar, tau, t_bar, q_bar)
@@ -1373,6 +1414,7 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
         kkt_residual=residual,
         degenerate_agents=degenerate,
         metadata={"iterations": iters_used,
+                  "rung_iterations": rung_iterations,
                   "structured_steps": iters_used if structured else 0,
                   "dense_steps": 0 if structured else iters_used,
                   "polish": winner,

@@ -405,33 +405,18 @@ class TestSolveContracts:
         _assert_certifies_structured(128, seed, bargaining)
 
     def test_n256_certifies_in_bounded_time_and_memory(self):
-        # Solved in a fresh interpreter, so that earlier tests' memory does
-        # not count toward the peak.  Timed on one BLAS thread, as the
-        # benchmark times every solve: with two OpenBLAS threads the
-        # polish's lstsq rounds differently on this market, and its first
-        # polish spends all 40 repair rounds dropping one collapsed pair
-        # each (a polish fault, recorded in CHANGES.md).
-        script = textwrap.dedent("""
-            import json, resource, time
-            from matchlab import instances, nsw
-            inst = instances.gen_random(256, seed=0)
-            start = time.perf_counter()
-            sol = nsw.solve(nsw.NswProblem.create(inst))
-            print(json.dumps({
-                "seconds": time.perf_counter() - start,
-                "kkt_residual": sol.kkt_residual,
-                "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
-        """)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(nsw.__file__)))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   MKL_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                             text=True, timeout=120, check=True)
-        record = json.loads(run.stdout.splitlines()[-1])
+        record = _solve_in_child(256, seed=0)
         assert record["kkt_residual"] <= DEFAULT_KKT_TOL
         assert record["seconds"] <= 10.0
         assert record["peak_mb"] < 500.0
+
+    def test_n192_seed1_certifies_in_bounded_time(self):
+        # Its first polish starts from 248 support pairs, 48 of which
+        # collapse; a barrier point that sends it through all 40 repair
+        # rounds costs minutes in the next polishes' lstsq.
+        record = _solve_in_child(192, seed=1)
+        assert record["kkt_residual"] <= DEFAULT_KKT_TOL
+        assert record["seconds"] <= 20.0
 
     # Each of these is certified only after the first polish of the first
     # barrier rung, (mu_end, tau) = (1e-8, 3e-5), has failed; they keep
@@ -444,6 +429,44 @@ class TestSolveContracts:
                else solve(NswProblem.create(inst)))
         assert sol.kkt_residual <= DEFAULT_KKT_TOL
         assert sol.metadata["polish"] != (1e-8, 3e-5)
+        # One count per rung run, up to the winning one: two or more for
+        # the three won on the 1e-10 rung, one for (6, 98), won on the
+        # first rung's second threshold.
+        rungs = sol.metadata["rung_iterations"]
+        mu_ends = [mu_end for mu_end, _ in nsw._RUNGS]
+        assert len(rungs) == mu_ends.index(sol.metadata["polish"][0]) + 1
+        assert sum(rungs) == sol.metadata["iterations"]
+
+    @pytest.mark.parametrize("n,seed", [(5, 0), (13, 1)])
+    def test_first_rung_win_records_one_rung(self, n, seed):
+        sol = solve(NswProblem.create(instances.gen_random(n, seed=seed)))
+        assert sol.metadata["polish"][0] == 1e-8
+        assert sol.metadata["rung_iterations"] == [sol.metadata["iterations"]]
+
+
+def _solve_in_child(n, seed):
+    """Solve ``gen_random(n, seed)`` with plain offsets in a fresh
+    interpreter, so that earlier tests' memory does not count toward the
+    peak, on one BLAS thread, as the benchmark times every solve.  Returns
+    its seconds, kkt_residual and peak_mb."""
+    script = textwrap.dedent(f"""
+        import json, resource, time
+        from matchlab import instances, nsw
+        inst = instances.gen_random({n}, seed={seed})
+        start = time.perf_counter()
+        sol = nsw.solve(nsw.NswProblem.create(inst))
+        print(json.dumps({{
+            "seconds": time.perf_counter() - start,
+            "kkt_residual": sol.kkt_residual,
+            "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}}))
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nsw.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    return json.loads(run.stdout.splitlines()[-1])
 
 
 def _assert_certifies_structured(n, seed, bargaining):
@@ -482,29 +505,38 @@ def _dense_hessian(V, p, s, r, d, mu):
     return nsw._dense_hessians(V[None], p[None], s[None], r[None], d[None], mu)[0]
 
 
-def _dual_state(seed, K, n=(5, 6)):
-    """K random problems of shape ``n`` with a random strictly interior dual
-    state x = (beta, t, q), as arguments of ``nsw._DualPath``: (V, b, c, o, x)."""
+def _pd_state(seed, K, n=13):
+    """K random n x n problems with a random strictly interior primal-dual
+    state x = (p, beta, t, q): (V, b, c, o, x), each with the batch axis."""
     rng = np.random.default_rng(seed)
-    na, mk = n
-    V = rng.uniform(0.0, 1.0, (K, na, mk))
-    b, c = rng.uniform(0.3, 1.0, (K, na)), rng.uniform(0.3, 1.0, (K, mk))
-    o = rng.uniform(0.0, 0.2, (K, na))
-    x = np.concatenate([rng.uniform(0.1, 0.4, (K, na)), rng.uniform(0.5, 1.5, (K, mk + na))],
-                       axis=1)
-    return V, b, c, o, x
+    V = rng.uniform(0.0, 1.0, (K, n, n))
+    b, c = rng.uniform(0.8, 1.0, (K, n)), rng.uniform(0.8, 1.0, (K, n))
+    o = rng.uniform(0.0, 0.05, (K, n))
+    p = rng.uniform(0.01, 0.06, (K, n, n))
+    beta = rng.uniform(0.5, 5.0, (K, n))
+    top = (beta[:, :, None] * V).max(axis=(1, 2))[:, None]
+    t, q = top + rng.uniform(0.1, 1.0, (K, n)), top + rng.uniform(0.1, 1.0, (K, n))
+    return V, b, c, o, np.concatenate([p.reshape(K, -1), beta, t, q], axis=1)
 
 
-def _late_dual_state(inst, offsets, mu):
-    """A problem's dual state where its barrier path stops at ``mu``, as
-    arguments of ``nsw._DualPath``: (V, b, c, o, x), with a batch axis of 1."""
-    V = np.asarray(inst.values, dtype=float)[None]
-    b = np.ones((1, inst.n_agents))
-    c = np.asarray(inst.supplies, dtype=float)[None]
-    o = np.asarray(offsets, dtype=float)[None]
-    x0 = nsw._dual_start(V[0])[None]
-    *_, x = nsw._barrier_solve(V, b, c, o, x0, 0.05, mu, nsw.ITERATION_CAP, None)
-    return V, b, c, o, x
+def _pd_step(V, b, c, o, x, mu):
+    """The primal-dual values at x and the direction toward mu, as the
+    path computes them: (values, targets, direction)."""
+    vals = nsw._pd_values(V, b, c, o, x)
+    p, s, r, d, beta, z, t, q = vals
+    targets = (mu - p * z, mu - t * d, mu - q * r, 1.0 - beta * s)
+    M, scale = nsw._pd_matrix(V, vals)
+    return vals, targets, nsw._pd_direction(V, vals, M, scale, *targets)
+
+
+_PD_MARKETS = {
+    "random13": (instances.gen_random(13, seed=0), False),
+    "sparse13-bargaining": (instances.gen_random(13, "sparse", seed=1), True),
+    "grid14-bargaining": (instances.gen_random(14, "grid", seed=2), True),
+    "fractional11x16": (validate_instance({
+        "values": np.random.default_rng(3).uniform(size=(11, 16)),
+        "supplies": np.linspace(0.4, 1.0, 16)}), False),
+}
 
 
 class TestNewtonStep:
@@ -529,55 +561,46 @@ class TestNewtonStep:
             assert np.array_equal(H[k], _dense_hessian(V[k], p[k], s[k], r[k], d[k], mu))
 
     @pytest.mark.parametrize("mu", [1e-2, 1e-6, 1e-10])
-    def test_dual_system_matches_finite_differences(self, mu):
-        # -grad Phi_mu and the Hessian of Phi_mu (phi is -Phi_mu) against
-        # central differences at random interior states of a batch, and
-        # each problem of the batch against the same problem alone.
-        V, b, c, o, x = _dual_state(0, K=3)
-        path = nsw._DualPath(V, b, c, o)
-        z, g, H = path.system(x, mu)
-        assert np.all(z > 0)
-        h = 1e-6
-        for e in np.eye(x.shape[1]):
-            up, down = x + h * e, x - h * e
-            fd_g = (path.phi(up, mu) - path.phi(down, mu)) / (2 * h)
-            fd_h = -(path.system(up, mu)[1] - path.system(down, mu)[1]) / (2 * h)
-            k = np.flatnonzero(e)[0]
-            assert np.allclose(g[:, k], fd_g, rtol=1e-6, atol=1e-8)
-            assert np.allclose(H[:, :, k], fd_h, rtol=1e-6, atol=1e-8)
-        assert np.array_equal(H, H.transpose(0, 2, 1))
+    def test_pd_direction_meets_linearized_equations(self, mu):
+        # At random interior states of a batch, the direction meets
+        # z dp + p dz = mu - p z, d dt + t dd = mu - t d,
+        # r dq + q dr = mu - q r and beta ds + s dbeta = 1 - beta s, with
+        # dz, ds, dr and dd recomputed from (dp, dbeta, dt, dq); and each
+        # problem of the batch gets the direction it gets alone.
+        V, b, c, o, x = _pd_state(0, K=3)
+        vals, targets, step = _pd_step(V, b, c, o, x, mu)
+        p, s, r, d, beta, z, t, q = vals
+        dp, _, _, _, dbeta, _, dt, dq = step
+        dz = dt[:, None, :] + dq[:, :, None] - dbeta[:, :, None] * V
+        ds, dr, dd = (V * dp).sum(axis=2), -dp.sum(axis=2), -dp.sum(axis=1)
+        for (u, du, w, dw), rhs in zip([(z, dp, p, dz), (d, dt, t, dd), (r, dq, q, dr),
+                                        (beta, ds, s, dbeta)], targets):
+            lhs = u * du + w * dw
+            size = np.abs(u * du) + np.abs(w * dw) + np.abs(rhs)
+            assert np.max(np.abs(lhs - rhs)) <= 1e-10 * np.max(size)
         for k in range(len(x)):
-            alone = nsw._DualPath(V[k:k + 1], b[k:k + 1], c[k:k + 1], o[k:k + 1])
-            z1, g1, H1 = alone.system(x[k:k + 1], mu)
-            assert np.array_equal(z1[0], z[k])
-            assert np.array_equal(g1[0], g[k])
-            assert np.array_equal(H1[0], H[k])
+            alone = _pd_step(V[k:k + 1], b[k:k + 1], c[k:k + 1], o[k:k + 1], x[k:k + 1], mu)[2]
+            for batched, single in zip(step, alone):
+                assert np.array_equal(batched[k], single[0])
 
-    @pytest.mark.parametrize("mu", [1e-2, 1e-6, 1e-8, 1e-10, 1e-12])
-    def test_primal_estimate_meets_equalities(self, mu):
-        # The t and q rows of the Newton system say that
-        # p = (mu/z)(1 - dz/z) with r = (mu/q)(1 - dq/q) and
-        # d = (mu/t)(1 - dt/t) meets the budget and supply equalities.  At
-        # states late on the path w = mu/z^2 reaches 1/mu, and the solve
-        # keeps those rows to rounding (the ridge adds 1e-14 of each
-        # diagonal entry).
-        markets = [(instances.gen_random(13, seed=0), None),
-                   (instances.gen_random(13, "sparse", seed=1), "bargaining"),
-                   (instances.gen_random(14, "grid", seed=2), "bargaining"),
-                   (validate_instance({"values": np.random.default_rng(3).uniform(size=(11, 16)),
-                                       "supplies": np.linspace(0.4, 1.0, 16)}), None)]
-        for inst, offsets in markets:
-            off = (uniform_disagreement(inst) if offsets else np.zeros(inst.n_agents))
-            V, b, c, o, x = _late_dual_state(inst, off, mu)
-            path = nsw._DualPath(V, b, c, o)
-            g, dx, _, _ = path.newton(x, mu, np.ones(1, dtype=bool))
-            assert float(np.vdot(g, dx)) > 0
-            _, t, q = path.split(x)
-            _, dt, dq = path.split(dx)
-            r_hat = mu / q * (1.0 - dq / q)
-            d_hat = mu / t * (1.0 - dt / t)
-            assert np.max(np.abs(path.p_hat.sum(axis=2) + r_hat - b)) <= 1e-12
-            assert np.max(np.abs(path.p_hat.sum(axis=1) + d_hat - c)) <= 1e-12
+    @pytest.mark.parametrize("market", sorted(_PD_MARKETS))
+    def test_pd_path_stops_interior(self, market):
+        # The first rung's path ends strictly interior, with mu <= 1e-8 and
+        # beta s = 1 to 1e-6, and the solve certifies.
+        inst, bargaining = _PD_MARKETS[market]
+        off = uniform_disagreement(inst) if bargaining else None
+        problem = NswProblem.create(inst, offsets=off)
+        st = nsw._start(problem, None)
+        V, b, c, o = st.V[st.live], st.b[st.live], st.c, st.o[st.live]
+        *_, iters, x = nsw._barrier_solve(V[None], b[None], c[None], o[None], st.x0[None],
+                                          st.mu0, 1e-8, nsw.ITERATION_CAP, None)
+        vals = nsw._pd_values(V[None], b[None], c[None], o[None], x)
+        p, s, r, d, beta, z, t, q = vals
+        assert 0 < iters[0] < 60
+        assert all(np.all(v > 0) for v in vals)
+        assert nsw._pd_mu(vals)[0] <= 1e-8
+        assert np.max(np.abs(1.0 - beta * s)) <= 1e-6
+        assert solve(problem).kkt_residual <= DEFAULT_KKT_TOL
 
     def test_small_problems_take_dense_steps(self):
         sol = solve(NswProblem.create(instances.gen_random(12, seed=0)))
@@ -585,7 +608,7 @@ class TestNewtonStep:
         assert sol.metadata["dense_steps"] == sol.metadata["iterations"]
 
     def test_large_problems_build_no_dense_hessian(self, monkeypatch):
-        # 13 x 13 = 169 pairs: every step is a dual step.
+        # 13 x 13 = 169 pairs: every step is a primal-dual step.
         def no_dense(*args):
             raise AssertionError("dense Hessian built above the crossover")
 
@@ -601,6 +624,15 @@ class TestSolveTrace:
         solve(NswProblem.create(table1), trace=trace)
         assert len(trace) > 0
         assert all(len(row) == 3 for row in trace)
+
+    def test_pd_path_writes_one_row_per_iteration(self):
+        # 13 x 13 = 169 pairs: rows of (iteration, sum log s, mu).
+        trace = []
+        sol = solve(NswProblem.create(instances.gen_random(13, seed=1)), trace=trace)
+        assert len(trace) == sol.metadata["iterations"] > 0
+        assert [row[0] for row in trace] == list(range(1, len(trace) + 1))
+        assert all(len(row) == 3 and math.isfinite(row[1]) and row[2] > 0 for row in trace)
+        assert trace[-1][2] <= 1e-8
 
 
 def _polish_system_loop(V, b, c, o, p, t, q, S, R, C):
