@@ -116,7 +116,10 @@ def cmd_solve(args) -> int:
     if args.trace and args.out:
         with open(os.path.join(args.out, "trace.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["iteration", "objective", "newton_decrement"])
+            # The primal-dual path (``structured_steps``) logs mu, not a
+            # Newton decrement, in the third column.
+            third = "mu" if sol.metadata["structured_steps"] > 0 else "newton_decrement"
+            writer.writerow(["iteration", "objective", third])
             writer.writerows(trace)
     us = ", ".join(f"{u:.6g}" for u in sol.utilities)
     print(f"solve: utilities ({us}), kkt residual {sol.kkt_residual:.2e}"

@@ -25,13 +25,16 @@ identify the optimal support.  Below 150 (agent, item) pairs it takes
 damped Newton steps on the primal log barrier in p with the explicit
 (na mk)^2 Hessian.  From there on it runs Mehrotra's primal-dual
 predictor-corrector method in (p, beta, t, q), beta = 1/s, whose Newton
-system reduces to a matrix of order 2 na + mk.  Problems of one shape (a
-mechanism's leave-one-out or subset solves, through :func:`solve_many`)
-follow the first rung of that path in lockstep, K systems solved at once.
-It then polishes primal variables and prices together on that support by
-Newton on the square stationarity system, with an active-set repair loop,
-over a short ladder of final barrier weights and support thresholds, until
-a candidate's certificate is well within tolerance.
+system reduces to a matrix of order 2 na + mk, LU-factored once per
+iteration for both of its solves.  Problems of one shape (a mechanism's
+leave-one-out or subset solves, through :func:`solve_many`) follow the
+first rung of that path in lockstep, K systems solved at once.  It then
+polishes primal variables and prices together on that support by Newton
+on the square stationarity system, whose singular Jacobian takes
+minimum-norm least-squares steps by QR with column pivoting, with an
+active-set repair loop, over a short ladder of final barrier weights and
+support thresholds, until a candidate's certificate is well within
+tolerance.
 
 Agents whose maximum achievable surplus is zero (for instance constant
 value rows under an average-value offset) cannot appear in the log
@@ -46,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
+from scipy import linalg, sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
 from .core import (
@@ -807,11 +810,14 @@ def _pd_mu(vals):
 
 
 def _pd_matrix(V, vals):
-    """The reduced Newton matrix of the perturbed KKT system in
-    (dbeta, dt, dq), scaled to a unit diagonal, and the scale.  With
-    w = p/z its blocks are beta-beta diag(s/beta + sum_j w V^2), beta-t
-    -w V, beta-q diag(-sum_j w V), t-t diag(sum_i w + d/t), t-q w^T and
-    q-q diag(sum_j w + r/q)."""
+    """LU factors of the reduced Newton matrix of the perturbed KKT system
+    in (dbeta, dt, dq), scaled to a unit diagonal, one (lu, piv) per
+    problem, and the scale.  With w = p/z its blocks are beta-beta
+    diag(s/beta + sum_j w V^2), beta-t -w V, beta-q diag(-sum_j w V), t-t
+    diag(sum_i w + d/t), t-q w^T and q-q diag(sum_j w + r/q).  The matrix
+    is symmetric, so ``dgetrf`` factors its transpose, a Fortran-order
+    view; an exactly singular matrix is regularized as in
+    :func:`_stacked_solve`."""
     p, s, r, d, beta, z, t, q = vals
     K, na, mk = V.shape
     w = p / z
@@ -830,21 +836,31 @@ def _pd_matrix(V, vals):
     dg = np.arange(2 * na + mk)
     scale = np.sqrt(M[:, dg, dg])
     M /= scale[:, :, None] * scale[:, None, :]
-    return M, scale
+    factors = []
+    for Mk in M:
+        lu, piv, info = linalg.lapack.dgetrf(Mk.T)
+        if info > 0:
+            Mk[dg, dg] += 1e-12 * np.max(np.abs(Mk))
+            lu, piv, info = linalg.lapack.dgetrf(Mk.T)
+        factors.append((lu, piv))
+    return factors, scale
 
 
-def _pd_direction(V, vals, M, scale, rz, rt, rq, rb):
+def _pd_direction(V, vals, factors, scale, rz, rt, rq, rb):
     """The Newton direction that meets the linearized equations
     z dp + p dz = rz, d dt + t dd = rt, r dq + q dr = rq and
     beta ds + s dbeta = rb, as the derivatives of ``vals``:
-    (dp, ds, dr, dd, dbeta, dz, dt, dq)."""
+    (dp, ds, dr, dd, dbeta, dz, dt, dq).  ``factors`` and ``scale`` come
+    from :func:`_pd_matrix`, so both of an iteration's directions reuse
+    one factorization."""
     p, s, r, d, beta, z, t, q = vals
     na, mk = V.shape[1:]
     a = rz / z                           # dp = a - (p/z) dz
     g = np.concatenate([rb / beta - (V * a).sum(axis=2),
                         rt / t + a.sum(axis=1),
                         rq / q + a.sum(axis=2)], axis=1)
-    dx = _stacked_solve(M, g / scale) / scale
+    dx = np.stack([linalg.lapack.dgetrs(lu, piv, gk)[0]
+                   for (lu, piv), gk in zip(factors, g / scale)]) / scale
     dbeta, dt, dq = dx[:, :na], dx[:, na:na + mk], dx[:, na + mk:]
     dz = dt[:, None, :] + dq[:, :, None] - dbeta[:, :, None] * V
     dp = a - p / z * dz
@@ -872,14 +888,14 @@ def _primal_dual_solve(V, b, c, o, x0, mu_end, budget, trace):
     The state x = (p, beta, t, q) keeps p, the surplus s = V.p - o, the
     slacks r = b - sum_j p and d = c - sum_i p, beta, z, t and q strictly
     positive, and each iteration drives (1 - beta s, p z, t d, q r) toward
-    (0, sigma mu, sigma mu, sigma mu): one reduced matrix, two solves (the
-    affine step, then the corrector with sigma = (mu_aff / mu)^3 and the
-    second-order terms of the three products), and one step length for
-    all variables, 0.99 of the largest that keeps them positive.  A
-    problem stops once :func:`_pd_done`, or when its step is shorter than
-    1e-8 or not finite, or after 60 steps, as many as the primal path
-    takes at one mu.  Each call steps only the problems still running.
-    Returns what :func:`_barrier_solve` returns.
+    (0, sigma mu, sigma mu, sigma mu): one LU of the reduced matrix, two
+    solves with it (the affine step, then the corrector with
+    sigma = (mu_aff / mu)^3 and the second-order terms of the three
+    products), and one step length for all variables, 0.99 of the largest
+    that keeps them positive.  A problem stops once :func:`_pd_done`, or
+    when its step is shorter than 1e-8 or not finite, or after 60 steps,
+    as many as the primal path takes at one mu.  Each call steps only the
+    problems still running.  Returns what :func:`_barrier_solve` returns.
     """
     K = V.shape[0]
     x = x0.copy()
@@ -896,14 +912,15 @@ def _primal_dual_solve(V, b, c, o, x0, mu_end, budget, trace):
             Vk = V[k]
             cur = tuple(v[k] for v in vals)
             p, s, r, d, beta, z, t, q = cur
-            M, scale = _pd_matrix(Vk, cur)
-            aff = _pd_direction(Vk, cur, M, scale, -p * z, -t * d, -q * r, 1.0 - beta * s)
+            factors, scale = _pd_matrix(Vk, cur)
+            aff = _pd_direction(Vk, cur, factors, scale,
+                                -p * z, -t * d, -q * r, 1.0 - beta * s)
             a_aff = np.minimum(1.0, _pd_max_step(cur, aff))
             mu_aff = _pd_mu(tuple(v + a_aff.reshape((-1,) + (1,) * (v.ndim - 1)) * dv
                                   for v, dv in zip(cur, aff)))
             target = (mu_aff / mu[k]) ** 3 * mu[k]
             dp_a, _, dr_a, dd_a, _, dz_a, dt_a, dq_a = aff
-            step = _pd_direction(Vk, cur, M, scale,
+            step = _pd_direction(Vk, cur, factors, scale,
                                  target[:, None, None] - p * z - dp_a * dz_a,
                                  target[:, None] - t * d - dt_a * dd_a,
                                  target[:, None] - q * r - dq_a * dr_a,
@@ -943,8 +960,8 @@ def _polish(V, b, c, o, p_in, support_tol, t0, q0, rounds=40):
     adding violated constraints or support pairs) and returns the best
     (p, t, q) found, with exact zeros off support.  Prices are warmstarted
     from the barrier duals so underdetermined price components stay near
-    the central-path values.  Returns None only when no usable iterate
-    exists.
+    the central-path values.  Returns the candidate, None only when no
+    usable iterate exists, and the number of least-squares steps taken.
     """
     na, mk = V.shape
     scale = max(1.0, float(np.max(V)) if V.size else 1.0)
@@ -954,8 +971,10 @@ def _polish(V, b, c, o, p_in, support_tol, t0, q0, rounds=40):
     p = np.where(p_in > support_tol, p_in, 0.0)
 
     best = None
+    steps = 0
     for _ in range(rounds):
-        out = _polish_newton(V, b, c, o, p, S, R, C, t0, q0)
+        out, taken = _polish_newton(V, b, c, o, p, S, R, C, t0, q0)
+        steps += taken
         if out is None:
             break
         p, t, q = out
@@ -1006,7 +1025,7 @@ def _polish(V, b, c, o, p_in, support_tol, t0, q0, rounds=40):
                 changed = True
         if not changed:
             break
-    return None if best is None else best[1]
+    return (None if best is None else best[1]), steps
 
 
 def _violated_pairs(V, o, p, t, q, S, R, C, threshold):
@@ -1081,7 +1100,18 @@ def _polish_jacobian(V, s, Si, Sj, rows, cols):
     return J
 
 
+def _polish_step(J, F):
+    """The minimum-norm least-squares solution of J x = -F, by QR with
+    column pivoting (``gelsy``).  J is rank deficient whenever row and
+    column sums are redundant or prices can shift along a component, so
+    its rank is cut at numpy's ``rcond=None`` rule, eps * max(J.shape)."""
+    return linalg.lstsq(J, -F, cond=np.finfo(float).eps * max(J.shape),
+                        lapack_driver="gelsy", check_finite=False)[0]
+
+
 def _polish_newton(V, b, c, o, p_in, S, R, C, t0, q0, iters=40):
+    """Damped Newton on the square system of :func:`_polish_residual`:
+    ((p, t, q) or None, the number of least-squares steps taken)."""
     na, mk = V.shape
     pairs = np.array(sorted(S), dtype=int).reshape(-1, 2)
     Si, Sj = pairs[:, 0], pairs[:, 1]
@@ -1089,7 +1119,7 @@ def _polish_newton(V, b, c, o, p_in, S, R, C, t0, q0, iters=40):
     cols = np.array(sorted(C), dtype=int)
     nS, nC = len(Si), len(cols)
     if nS + len(rows) + nC == 0:
-        return np.zeros_like(p_in), np.zeros(mk), np.zeros(na)
+        return (np.zeros_like(p_in), np.zeros(mk), np.zeros(na)), 0
 
     p = p_in.copy()
     t = np.zeros(mk)
@@ -1097,14 +1127,13 @@ def _polish_newton(V, b, c, o, p_in, S, R, C, t0, q0, iters=40):
     t[cols] = np.maximum(t0[cols], 0.0)
     q[rows] = np.maximum(q0[rows], 0.0)
 
-    for _ in range(iters):
+    for it in range(iters):
         F, s = _polish_residual(V, b, c, o, p, t, q, Si, Sj, rows, cols)
         if F is None:
-            return None
+            return None, it
         if np.max(np.abs(F)) < 1e-13 * max(1.0, float(np.max(np.abs(V / s[:, None])))):
-            return p, t, q
-        J = _polish_jacobian(V, s, Si, Sj, rows, cols)
-        step, *_ = np.linalg.lstsq(J, -F, rcond=None)
+            return (p, t, q), it
+        step = _polish_step(_polish_jacobian(V, s, Si, Sj, rows, cols), F)
 
         # Damp to keep every surplus positive.
         dp = np.zeros_like(p)
@@ -1115,14 +1144,14 @@ def _polish_newton(V, b, c, o, p_in, S, R, C, t0, q0, iters=40):
         if np.any(neg):
             alpha = min(alpha, 0.9 * float(np.min(-s[neg] / ds[neg])))
         if alpha <= 0:
-            return None
+            return None, it + 1
         p = p + alpha * dp
         t[cols] += alpha * step[nS:nS + nC]
         q[rows] += alpha * step[nS + nC:]
     # Not fully converged: hand the best iterate to the repair loop anyway.
     if _polish_residual(V, b, c, o, p, t, q, Si, Sj, rows, cols)[0] is None:
-        return None
-    return p, t, q
+        return None, iters
+    return (p, t, q), iters
 
 
 # ---------------------------------------------------------------------------
@@ -1291,7 +1320,9 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
     cannot be met inside the iteration budget.  ``metadata["polish"]`` is
     the ``(mu_end, tau)`` rung and support threshold of the winning
     candidate, ``metadata["rung_iterations"]`` the Newton steps of each
-    barrier rung that ran (they sum to ``metadata["iterations"]``), and
+    barrier rung that ran (they sum to ``metadata["iterations"]``),
+    ``metadata["polish_steps"]`` the least-squares steps of every polish
+    the solve tried, and
     ``metadata["barrier_batch"]`` the number of problems whose first
     barrier rung ran in one lockstep call (1 here; see :func:`solve_many`).
     ``trace``, when given, gets one row per Newton step of the barrier:
@@ -1322,6 +1353,7 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
     q_live = np.zeros(na_live)
     iters_used = 0
     rung_iterations = []                # Newton steps of each barrier rung that ran
+    polish_steps = 0
     winner = None
 
     if na_live > 0:
@@ -1342,7 +1374,8 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
             rung_iterations.append(it)
             mu_reached = mu_end
             for tau in taus:
-                polished = _polish(Vl, bl, c, ol, p_bar, tau, t_bar, q_bar)
+                polished, taken = _polish(Vl, bl, c, ol, p_bar, tau, t_bar, q_bar)
+                polish_steps += taken
                 if polished is None:
                     continue
                 resid = _quick_residual(Vl, bl, c, ol, *polished)
@@ -1418,6 +1451,7 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
                   "structured_steps": iters_used if structured else 0,
                   "dense_steps": 0 if structured else iters_used,
                   "polish": winner,
+                  "polish_steps": polish_steps,
                   "barrier_batch": batch,
                   "active_agents": tuple(active),
                   "offsets": offsets_full.tolist()},

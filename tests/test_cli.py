@@ -71,6 +71,16 @@ class TestSolveCommand:
         assert lines[0] == "iteration,objective,newton_decrement"
         assert len(lines) > 2
 
+    def test_trace_header_names_mu_on_the_primal_dual_path(self, tmp_path):
+        # 13 x 13 = 169 pairs: the third column holds mu.
+        out = tmp_path / "o"
+        code = main(["solve", "--gen", "random:13", "--seed", "1", "--out", str(out),
+                     "--trace"])
+        assert code == 0
+        lines = (out / "trace.csv").read_text().strip().splitlines()
+        assert lines[0] == "iteration,objective,mu"
+        assert len(lines) > 2
+
 
 class TestMechCommand:
     def test_rsd_worst_exact(self, tmp_path, capsys):

@@ -443,6 +443,21 @@ class TestSolveContracts:
         assert sol.metadata["polish"][0] == 1e-8
         assert sol.metadata["rung_iterations"] == [sol.metadata["iterations"]]
 
+    # (4, 4) is won on the second rung, so its count spans several polishes.
+    @pytest.mark.parametrize("n,seed", [(32, 0), (4, 4)])
+    def test_polish_steps_count_every_least_squares_step(self, n, seed, monkeypatch):
+        calls = []
+        lstsq = nsw.linalg.lstsq
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(nsw.linalg, "lstsq", counting)
+        sol = solve(NswProblem.create(instances.gen_random(n, seed=seed)))
+        assert sol.kkt_residual <= DEFAULT_KKT_TOL
+        assert sol.metadata["polish_steps"] == len(calls) > 0
+
 
 def _solve_in_child(n, seed):
     """Solve ``gen_random(n, seed)`` with plain offsets in a fresh
@@ -583,6 +598,43 @@ class TestNewtonStep:
             for batched, single in zip(step, alone):
                 assert np.array_equal(batched[k], single[0])
 
+    @pytest.mark.parametrize("n", [13, 32])
+    def test_pd_lu_direction_matches_dense_solve(self, n, monkeypatch):
+        # The direction from one dgetrf and dgetrs against np.linalg.solve
+        # on the same scaled matrix, at random interior states of a batch.
+        V, b, c, o, x = _pd_state(1, K=3, n=n)
+        step = _pd_step(V, b, c, o, x, 1e-6)[2]
+        monkeypatch.setattr(nsw.linalg.lapack, "dgetrf", lambda A: (A.copy(), None, 0))
+        monkeypatch.setattr(nsw.linalg.lapack, "dgetrs",
+                            lambda M, piv, g: (np.linalg.solve(M, g), 0))
+        dense = _pd_step(V, b, c, o, x, 1e-6)[2]
+        for got, want in zip(step, dense):
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_pd_singular_matrix_takes_the_diagonal_retry(self, monkeypatch):
+        # One agent and one item with w = p/z = 1 and V = 1, where s/beta,
+        # d/t and r/q vanish beside 1: the scaled matrix is exactly
+        # [[1, -1, -1], [-1, 1, 1], [-1, 1, 1]], of rank 1.
+        one, tiny = np.ones((1, 1)), np.full((1, 1), 1e-40)
+        V = np.ones((1, 1, 1))
+        vals = (V, tiny, tiny, tiny, one, V, one, one)     # (p, s, r, d, beta, z, t, q)
+        seen = []
+        dgetrf = nsw.linalg.lapack.dgetrf
+
+        def recording(A):
+            out = dgetrf(A)
+            seen.append((A.copy(), out[2]))
+            return out
+
+        monkeypatch.setattr(nsw.linalg.lapack, "dgetrf", recording)
+        factors, scale = nsw._pd_matrix(V, vals)
+        (first, info), (retry, retry_info) = seen
+        assert np.array_equal(first, [[1, -1, -1], [-1, 1, 1], [-1, 1, 1]])
+        assert info > 0 and retry_info == 0
+        assert np.array_equal(retry, first + 1e-12 * np.eye(3))
+        step = nsw._pd_direction(V, vals, factors, scale, one[:, :, None], one, one, one)
+        assert all(np.all(np.isfinite(d)) for d in step)
+
     @pytest.mark.parametrize("market", sorted(_PD_MARKETS))
     def test_pd_path_stops_interior(self, market):
         # The first rung's path ends strictly interior, with mu <= 1e-8 and
@@ -713,6 +765,38 @@ def _random_polish_state(seed):
 
 
 class TestPolishSystem:
+    def test_step_is_the_svd_minimum_norm_solution(self, monkeypatch):
+        # The QR (gelsy) step against numpy's SVD least squares on the
+        # systems of polishes that certify: n = 4-32 solves, plain and
+        # bargaining, won by their first candidate.  These systems are all
+        # singular (row and column sums are redundant, and prices can
+        # shift along a component) with the rank cut well clear of the
+        # kept singular values.  A polish that fails, such as the first
+        # ones of gen_random(4, seed=4), ends on systems whose singular
+        # values straddle the cut and whose solution is rounding noise, so
+        # no two factorizations agree there to 1e-9.
+        seen, kept = [], []
+        step = nsw._polish_step
+
+        def recording(J, F):
+            seen.append((J.copy(), F.copy()))
+            return step(J, F)
+
+        monkeypatch.setattr(nsw, "_polish_step", recording)
+        for n in (4, 5, 6, 7, 8, 10, 13, 16, 24, 32):
+            for seed in range(6):
+                inst = instances.gen_random(n, seed=seed)
+                for offsets in (None, uniform_disagreement(inst)):
+                    seen.clear()
+                    sol = solve(NswProblem.create(inst, offsets=offsets))
+                    if sol.metadata["polish"] == (1e-8, 3e-5):
+                        kept += seen
+        deficient = sum(np.linalg.matrix_rank(J) < J.shape[1] for J, _ in kept)
+        assert len(kept) >= 200 and deficient >= 50
+        for J, F in kept:
+            want = np.linalg.lstsq(J, -F, rcond=None)[0]
+            assert np.linalg.norm(step(J, F) - want) <= 1e-9 * np.linalg.norm(want)
+
     def test_residual_and_jacobian_match_pair_loops(self):
         # Same float operations in the same order: bit-identical, signed
         # zeros included.
