@@ -231,7 +231,8 @@ def _rpi_recurse(inst, remaining, supplies, depth, n0, seed, tol, out, memo):
             f"item {j} oversubscribed by {-residual.min():.3e} at depth {depth}")
     residual = np.maximum(residual, 0.0)
 
-    rest = [i for i in remaining if i not in set(sampled)]
+    chosen = set(sampled)
+    rest = [i for i in remaining if i not in chosen]
     if rest:
         _rpi_recurse(inst, rest, residual, depth + 1, n0, seed, tol, out, memo)
 

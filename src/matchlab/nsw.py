@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -358,31 +359,46 @@ def _shift_components(vhat, t, q, support, tight_rows, tight_cols):
     for node in list(parent):
         groups.setdefault(find(node), []).append(node)
 
+    # Number the free components in group order and bound every one's
+    # shift d in one pass over the off-support pairs with one endpoint
+    # inside.  A component's bounds move only when an earlier one shifts,
+    # so after the first shift only the later components are bounded again.
     n, m = q.shape[0], t.shape[0]
+    comp_r, comp_c = np.full(n, -1), np.full(m, -1)
+    free = [members for root, members in groups.items() if root not in frozen]
+    for g, members in enumerate(free):
+        for kind, idx in members:
+            (comp_r if kind == "r" else comp_c)[idx] = g
     off = np.ones((n, m), dtype=bool)
-    for (i, j) in support:
-        off[i, j] = False
-    for root, members in groups.items():
-        if find(root) in frozen:
-            continue
-        rows = np.zeros(n, dtype=bool)
-        cols = np.zeros(m, dtype=bool)
-        rows[[idx for kind, idx in members if kind == "r"]] = True
-        cols[[idx for kind, idx in members if kind == "c"]] = True
+    if len(support):
+        off[tuple(np.asarray(support, dtype=int).T)] = False
+    across = off & (comp_r[:, None] != comp_c[None, :])
+    first = 0
+    while first < len(free):
+        rows, cols = np.flatnonzero(comp_r >= first), np.flatnonzero(comp_c >= first)
         # Off-support feasibility vhat <= t + q with one endpoint inside.
-        gap = vhat - t[None, :] - q[:, None]
-        lo = max(float(np.max(-t[cols], initial=-math.inf)),     # t_j + d >= 0
-                 float(np.max(gap[off & ~rows[:, None] & cols[None, :]],
-                              initial=-math.inf)))                # d >= vhat - t - q
-        hi = min(float(np.min(q[rows], initial=math.inf)),       # q_i - d >= 0
-                 -float(np.max(gap[off & rows[:, None] & ~cols[None, :]],
-                               initial=-math.inf)))               # d <= t + q - vhat
-        if lo > hi:
-            continue
-        d = min(max(0.0, lo), hi)
-        if d != 0.0:
-            t[cols] += d
-            q[rows] -= d
+        gap = np.where(across, vhat - t[None, :] - q[:, None], -math.inf)
+        lo_t = np.full(len(free), -math.inf)                      # t_j + d >= 0
+        np.maximum.at(lo_t, comp_c[cols], -t[cols])
+        lo_gap = np.full(len(free), -math.inf)                    # d >= vhat - t - q
+        np.maximum.at(lo_gap, comp_c[cols], gap[:, cols].max(axis=0, initial=-math.inf))
+        hi_q = np.full(len(free), math.inf)                       # q_i - d >= 0
+        np.minimum.at(hi_q, comp_r[rows], q[rows])
+        hi_gap = np.full(len(free), -math.inf)                    # d <= t + q - vhat
+        np.maximum.at(hi_gap, comp_r[rows], gap[rows].max(axis=1, initial=-math.inf))
+        # Python's max(a, b) and min(a, b), which keep a unless b is beyond it.
+        lo = np.where(lo_gap > lo_t, lo_gap, lo_t)
+        hi = np.where(-hi_gap < hi_q, -hi_gap, hi_q)
+        floor = np.where(lo > 0.0, lo, 0.0)
+        d = np.where(hi < floor, hi, floor)
+        # Components before ``first`` are unbounded here, so their d is 0.
+        shifting = np.flatnonzero(~(lo > hi) & (d != 0.0))
+        if not len(shifting):
+            break
+        g = int(shifting[0])
+        t[comp_c == g] += d[g]
+        q[comp_r == g] -= d[g]
+        first = g + 1
 
 
 def _pair_incidence(n, m, pairs):
@@ -446,17 +462,20 @@ def _duals_by_lp(vhat, n, m, pairs, on_support, tight_rows, tight_cols):
 # Degeneracy screening
 # ---------------------------------------------------------------------------
 
-def _solo_max_utility(v_row: np.ndarray, budget: float, c: np.ndarray) -> float:
-    """Best utility an agent could get with the whole supply to herself."""
-    order = np.argsort(-v_row, kind="stable")
-    left, total = budget, 0.0
-    for j in order:
-        if v_row[j] <= 0 or left <= 0:
-            break
-        take = min(left, c[j])
-        total += take * v_row[j]
-        left -= take
-    return total
+def _solo_max_utilities(V, b, c):
+    """Best utility each agent could get with the whole supply to herself:
+    her items by decreasing value (a stable order), each taken up to its
+    supply until her budget b_i is spent or the values stop being positive,
+    with the budget left and the utility accumulated item by item."""
+    order = np.argsort(-V, axis=1, kind="stable")
+    v = np.take_along_axis(V, order, axis=1)
+    cs = c[order]
+    # The budget left before each item is b_i - c_1 - c_2 - ..., subtracted
+    # in turn; where the budget runs out it becomes <= 0, and stays so.
+    left = np.subtract.accumulate(np.column_stack([b, cs]), axis=1)[:, :-1]
+    taking = np.logical_and.accumulate((v > 0) & (left > 0), axis=1)
+    gain = np.where(taking, np.minimum(left, cs) * v, 0.0)
+    return np.cumsum(np.column_stack([np.zeros(len(V)), gain]), axis=1)[:, -1]
 
 
 def _screen_degenerate(V, b, c, o, deg_tol, hint):
@@ -468,15 +487,13 @@ def _screen_degenerate(V, b, c, o, deg_tol, hint):
     point gives every row non-negative surplus.
     """
     na, mk = V.shape
-    degenerate: set[int] = set()
-    for i in range(na):
-        solo = _solo_max_utility(V[i], b[i], c) - o[i]
-        if solo < -deg_tol:
-            raise Infeasible(
-                f"agent row {i} cannot reach non-negative surplus "
-                f"(deficit {solo:.3e})")
-        if solo <= deg_tol:
-            degenerate.add(i)
+    solo = _solo_max_utilities(V, b, c) - o
+    short = np.flatnonzero(solo < -deg_tol)
+    if len(short):
+        raise Infeasible(
+            f"agent row {short[0]} cannot reach non-negative surplus "
+            f"(deficit {solo[short[0]]:.3e})")
+    degenerate = set(np.flatnonzero(solo <= deg_tol).tolist())
 
     live = [i for i in range(na) if i not in degenerate]
     if not live:
@@ -789,21 +806,49 @@ def _barrier_solve(V, b, c, o, x0, mu_start, mu_end, budget, trace):
             iters, p)
 
 
+def _pd_views(buf, na, mk):
+    """The primal-dual quantities (p, s, r, d, beta, z, t, q) as views of one
+    flat (K, L) buffer.  The buffer holds the state x = (p, beta, t, q)
+    first and (s, r, d, z) after it, both na mk + 2 na + mk wide, so x is
+    the buffer's first half; a direction's derivatives use the same layout."""
+    K = len(buf)
+    n = na * mk
+    nx = n + 2 * na + mk
+    return (buf[:, :n].reshape(K, na, mk), buf[:, nx:nx + na],
+            buf[:, nx + na:nx + 2 * na], buf[:, nx + 2 * na:nx + 2 * na + mk],
+            buf[:, n:n + na], buf[:, nx + 2 * na + mk:].reshape(K, na, mk),
+            buf[:, n + na:n + na + mk], buf[:, n + na + mk:nx])
+
+
+def _pd_fill(V, b, c, o, buf):
+    """Compute (s, r, d, z) in ``buf`` from the state in its first half and
+    return the views of :func:`_pd_views`."""
+    vals = _pd_views(buf, *V.shape[1:])
+    p, s, r, d, beta, z, t, q = vals
+    np.subtract(np.einsum("kij,kij->ki", V, p), o, out=s)
+    np.subtract(b, p.sum(axis=2), out=r)
+    np.subtract(c, p.sum(axis=1), out=d)
+    np.subtract(t[:, None, :] + q[:, :, None], beta[:, :, None] * V, out=z)
+    return vals
+
+
+def _pd_buffer(x):
+    """A new flat primal-dual buffer whose first half holds the states x."""
+    buf = np.empty((len(x), 2 * x.shape[1]))
+    buf[:, :x.shape[1]] = x
+    return buf
+
+
 def _pd_values(V, b, c, o, x):
     """The quantities a primal-dual state x = (p, beta, t, q) keeps
     positive, each with the batch axis: (p, s, r, d, beta, z, t, q), with
-    z_ij = t_j + q_i - beta_i V_ij."""
-    K, na, mk = V.shape
-    n = na * mk
-    p = x[:, :n].reshape(K, na, mk)
-    beta, t, q = x[:, n:n + na], x[:, n + na:n + na + mk], x[:, n + na + mk:]
-    z = t[:, None, :] + q[:, :, None] - beta[:, :, None] * V
-    return (p, _primal_surplus(V, p, o), b - p.sum(axis=2), c - p.sum(axis=1),
-            beta, z, t, q)
+    z_ij = t_j + q_i - beta_i V_ij, as views of one new flat buffer."""
+    return _pd_fill(V, b, c, o, _pd_buffer(x))
 
 
 def _pd_mu(vals):
-    """Average complementarity (p.z + t.d + q.r) / (na mk + na + mk)."""
+    """Average complementarity (p.z + t.d + q.r) / (na mk + na + mk); s and
+    beta are not read."""
     p, s, r, d, beta, z, t, q = vals
     total = (p * z).sum(axis=(1, 2)) + (t * d).sum(axis=1) + (q * r).sum(axis=1)
     return total / (p[0].size + r.shape[1] + d.shape[1])
@@ -846,32 +891,36 @@ def _pd_matrix(V, vals):
     return factors, scale
 
 
-def _pd_direction(V, vals, factors, scale, rz, rt, rq, rb):
+def _pd_direction(V, vals, factors, scale, rz, rt, rq, rb, out=None):
     """The Newton direction that meets the linearized equations
     z dp + p dz = rz, d dt + t dd = rt, r dq + q dr = rq and
     beta ds + s dbeta = rb, as the derivatives of ``vals``:
-    (dp, ds, dr, dd, dbeta, dz, dt, dq).  ``factors`` and ``scale`` come
+    (dp, ds, dr, dd, dbeta, dz, dt, dq), views of the flat buffer ``out``
+    (a new one when None) in the layout of :func:`_pd_views`, whose first
+    half is then the state's derivative.  ``factors`` and ``scale`` come
     from :func:`_pd_matrix`, so both of an iteration's directions reuse
     one factorization."""
     p, s, r, d, beta, z, t, q = vals
-    na, mk = V.shape[1:]
+    K, na, mk = V.shape
+    n = na * mk
+    if out is None:
+        out = np.empty((K, 2 * (n + 2 * na + mk)))
+    dvals = _pd_views(out, na, mk)
+    dp, ds, dr, dd, dbeta, dz, dt, dq = dvals
     a = rz / z                           # dp = a - (p/z) dz
     g = np.concatenate([rb / beta - (V * a).sum(axis=2),
                         rt / t + a.sum(axis=1),
-                        rq / q + a.sum(axis=2)], axis=1)
-    dx = np.stack([linalg.lapack.dgetrs(lu, piv, gk)[0]
-                   for (lu, piv), gk in zip(factors, g / scale)]) / scale
-    dbeta, dt, dq = dx[:, :na], dx[:, na:na + mk], dx[:, na + mk:]
-    dz = dt[:, None, :] + dq[:, :, None] - dbeta[:, :, None] * V
-    dp = a - p / z * dz
-    return (dp, np.einsum("kij,kij->ki", V, dp), -dp.sum(axis=2), -dp.sum(axis=1),
-            dbeta, dz, dt, dq)
-
-
-def _pd_max_step(vals, dvals):
-    """:func:`_max_step` over all of the primal-dual ``vals``."""
-    return _max_step(*(np.concatenate([x.reshape(len(x), -1) for x in v], axis=1)
-                       for v in (vals, dvals)))
+                        rq / q + a.sum(axis=2)], axis=1) / scale
+    dx = out[:, n:n + 2 * na + mk]       # (dbeta, dt, dq)
+    for k, (lu, piv) in enumerate(factors):
+        dx[k] = linalg.lapack.dgetrs(lu, piv, g[k])[0]
+    dx /= scale
+    np.subtract(dt[:, None, :] + dq[:, :, None], dbeta[:, :, None] * V, out=dz)
+    np.subtract(a, p / z * dz, out=dp)
+    np.einsum("kij,kij->ki", V, dp, out=ds)
+    np.negative(dp.sum(axis=2), out=dr)
+    np.negative(dp.sum(axis=1), out=dd)
+    return dvals
 
 
 def _pd_done(vals, mu, mu_end):
@@ -892,15 +941,21 @@ def _primal_dual_solve(V, b, c, o, x0, mu_end, budget, trace):
     solves with it (the affine step, then the corrector with
     sigma = (mu_aff / mu)^3 and the second-order terms of the three
     products), and one step length for all variables, 0.99 of the largest
-    that keeps them positive.  A problem stops once :func:`_pd_done`, or
-    when its step is shorter than 1e-8 or not finite, or after 60 steps,
-    as many as the primal path takes at one mu.  Each call steps only the
-    problems still running.  Returns what :func:`_barrier_solve` returns.
+    that keeps them positive.  The eight positive quantities live in one
+    flat buffer and each direction's derivatives in a second one (see
+    :func:`_pd_views`), so a step length is one reduction over the pair.
+    A problem stops once :func:`_pd_done`, or when its step is shorter than
+    1e-8 or not finite, or after 60 steps, as many as the primal path takes
+    at one mu.  Each call steps only the problems still running.  Returns
+    what :func:`_barrier_solve` returns.
     """
-    K = V.shape[0]
-    x = x0.copy()
+    K, na, mk = V.shape
+    nx = x0.shape[1]
+    P = _pd_buffer(x0)
+    x = P[:, :nx]
+    vals = _pd_fill(V, b, c, o, P)
+    D = np.empty_like(P)
     iters = np.zeros(K, dtype=int)
-    vals = _pd_values(V, b, c, o, x)
     mu = _pd_mu(vals)
     running = ~_pd_done(vals, mu, mu_end)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -909,29 +964,37 @@ def _primal_dual_solve(V, b, c, o, x0, mu_end, budget, trace):
             if not running.any():
                 break
             k = np.flatnonzero(running)
-            Vk = V[k]
-            cur = tuple(v[k] for v in vals)
+            if len(k) == K:              # no gather while every problem runs
+                Vk, Pk, Dk, cur = V, P, D, vals
+            else:
+                Vk, Pk = V[k], P[k]
+                Dk = np.empty_like(Pk)
+                cur = _pd_views(Pk, na, mk)
             p, s, r, d, beta, z, t, q = cur
             factors, scale = _pd_matrix(Vk, cur)
-            aff = _pd_direction(Vk, cur, factors, scale,
-                                -p * z, -t * d, -q * r, 1.0 - beta * s)
-            a_aff = np.minimum(1.0, _pd_max_step(cur, aff))
-            mu_aff = _pd_mu(tuple(v + a_aff.reshape((-1,) + (1,) * (v.ndim - 1)) * dv
-                                  for v, dv in zip(cur, aff)))
-            target = (mu_aff / mu[k]) ** 3 * mu[k]
-            dp_a, _, dr_a, dd_a, _, dz_a, dt_a, dq_a = aff
-            step = _pd_direction(Vk, cur, factors, scale,
-                                 target[:, None, None] - p * z - dp_a * dz_a,
-                                 target[:, None] - t * d - dt_a * dd_a,
-                                 target[:, None] - q * r - dq_a * dr_a,
-                                 1.0 - beta * s)
-            dp, _, _, _, dbeta, _, dt, dq = step
-            dx = np.concatenate([dp.reshape(len(k), -1), dbeta, dt, dq], axis=1)
-            alpha = np.minimum(1.0, 0.99 * _pd_max_step(cur, step))
+            rb = 1.0 - beta * s
+            dp_a, _, dr_a, dd_a, _, dz_a, dt_a, dq_a = _pd_direction(
+                Vk, cur, factors, scale, -p * z, -t * d, -q * r, rb, out=Dk)
+            a_aff = np.minimum(1.0, _max_step(Pk, Dk))
+            a2, a3 = a_aff[:, None], a_aff[:, None, None]
+            mu_aff = _pd_mu((p + a3 * dp_a, None, r + a2 * dr_a, d + a2 * dd_a, None,
+                             z + a3 * dz_a, t + a2 * dt_a, q + a2 * dq_a))
+            mu_k = mu[k]
+            target = (mu_aff / mu_k) ** 3 * mu_k
+            _pd_direction(Vk, cur, factors, scale,
+                          target[:, None, None] - p * z - dp_a * dz_a,
+                          target[:, None] - t * d - dt_a * dd_a,
+                          target[:, None] - q * r - dq_a * dr_a, rb, out=Dk)
+            dx = Dk[:, :nx]
+            alpha = np.minimum(1.0, 0.99 * _max_step(Pk, Dk))
             moving = (alpha > 1e-8) & np.isfinite(dx).all(axis=1)    # false for nan
-            x[k] += np.where(moving, alpha, 0.0)[:, None] * dx
+            move = np.where(moving, alpha, 0.0)[:, None] * dx
+            if Pk is P:
+                x += move
+            else:
+                x[k] += move
             iters[k] += 1
-            vals = _pd_values(V, b, c, o, x)
+            vals = _pd_fill(V, b, c, o, P)
             mu = _pd_mu(vals)
             if trace is not None and running[0]:
                 trace.append((int(iters[0]), float(np.log(vals[1][0]).sum()), float(mu[0])))
@@ -960,8 +1023,9 @@ def _polish(V, b, c, o, p_in, support_tol, t0, q0, rounds=40):
     adding violated constraints or support pairs) and returns the best
     (p, t, q) found, with exact zeros off support.  Prices are warmstarted
     from the barrier duals so underdetermined price components stay near
-    the central-path values.  Returns the candidate, None only when no
-    usable iterate exists, and the number of least-squares steps taken.
+    the central-path values.  Returns the candidate (None only when no
+    usable iterate exists), its :func:`_quick_residual` (inf for None) and
+    the number of least-squares steps taken.
     """
     na, mk = V.shape
     scale = max(1.0, float(np.max(V)) if V.size else 1.0)
@@ -1025,7 +1089,9 @@ def _polish(V, b, c, o, p_in, support_tol, t0, q0, rounds=40):
                 changed = True
         if not changed:
             break
-    return (None if best is None else best[1]), steps
+    if best is None:
+        return None, math.inf, steps
+    return best[1], best[0], steps
 
 
 def _violated_pairs(V, o, p, t, q, S, R, C, threshold):
@@ -1102,11 +1168,14 @@ def _polish_jacobian(V, s, Si, Sj, rows, cols):
 
 def _polish_step(J, F):
     """The minimum-norm least-squares solution of J x = -F, by QR with
-    column pivoting (``gelsy``).  J is rank deficient whenever row and
-    column sums are redundant or prices can shift along a component, so
-    its rank is cut at numpy's ``rcond=None`` rule, eps * max(J.shape)."""
-    return linalg.lstsq(J, -F, cond=np.finfo(float).eps * max(J.shape),
-                        lapack_driver="gelsy", check_finite=False)[0]
+    column pivoting (LAPACK ``dgelsy``, called directly with the workspace
+    ``dgelsy_lwork`` asks for, as ``scipy.linalg.lstsq`` calls it).  J is
+    square and rank deficient whenever row and column sums are redundant or
+    prices can shift along a component, so its rank is cut at numpy's
+    ``rcond=None`` rule, eps * max(J.shape)."""
+    cond = np.finfo(float).eps * max(J.shape)
+    lwork = int(linalg.lapack.dgelsy_lwork(*J.shape, 1, cond)[0])
+    return linalg.lapack.dgelsy(J, -F, np.zeros(J.shape[1], dtype=np.int32), cond, lwork)[1]
 
 
 def _polish_newton(V, b, c, o, p_in, S, R, C, t0, q0, iters=40):
@@ -1167,14 +1236,13 @@ def _saturate_rows(V, b, c, p, tol=1e-12):
     """
     scale = max(1.0, float(np.max(V)) if V.size else 1.0)
     spare = c - p.sum(axis=0)
-    for i in range(p.shape[0]):
-        deficit = b[i] - p[i].sum()
-        if deficit <= tol:
-            continue
-        for j in range(p.shape[1]):
+    deficits = b - p.sum(axis=1)
+    for i in np.flatnonzero(deficits > tol):
+        deficit = deficits[i]
+        for j in np.flatnonzero(V[i] <= 1e-12 * scale):
             if deficit <= tol:
                 break
-            if V[i, j] > 1e-12 * scale or spare[j] <= tol:
+            if spare[j] <= tol:
                 continue
             take = min(deficit, spare[j])
             p[i, j] += take
@@ -1217,12 +1285,14 @@ class _Start:
     degenerate: set[int]
     x0: np.ndarray | None      # None when no row is live
     mu0: float                 # the primal barrier's first mu
+    seconds: float             # wall time of these stages
 
 
 def _start(problem: NswProblem, warm_start: np.ndarray | None) -> _Start:
     """The stages before the barrier: degeneracy screen and start point, an
     interior primal point, from ``_STRUCTURED_MIN_PAIRS`` live pairs on
     extended to the primal-dual state of :func:`_pd_start`."""
+    began = perf_counter()
     inst = problem.instance
     active = list(problem.active_agents)
     V_full = np.asarray(inst.values)
@@ -1248,7 +1318,8 @@ def _start(problem: NswProblem, warm_start: np.ndarray | None) -> _Start:
         if len(live) * len(keep) >= _STRUCTURED_MIN_PAIRS:
             x0 = _pd_start(V[live], o[live], x0)
     return _Start(V=V, b=b, c=c, o=o, keep=keep, live=live,
-                  degenerate=degenerate, x0=x0, mu0=5e-3 if warm else 0.05)
+                  degenerate=degenerate, x0=x0, mu0=5e-3 if warm else 0.05,
+                  seconds=perf_counter() - began)
 
 
 def _first_rungs(starts: list[_Start], max_iter: int, trace=None):
@@ -1278,7 +1349,8 @@ def solve_many(problems: Sequence[NswProblem], tol: float = DEFAULT_KKT_TOL,
     Results are those of the sequential loop, which also decides which
     exception is raised: the first failing problem's.
     ``metadata["barrier_batch"]`` counts the problems of each first-rung
-    call.
+    call, and the first entry of ``metadata["stage_s"]["rungs"]`` is that
+    call's wall time, shared by its problems.
     """
     _check_tol(tol)
     starts: list[_Start | MatchingError] = []
@@ -1291,14 +1363,17 @@ def solve_many(problems: Sequence[NswProblem], tol: float = DEFAULT_KKT_TOL,
     for k, st in enumerate(starts):
         if isinstance(st, _Start) and st.x0 is not None:
             groups.setdefault((len(st.live), len(st.keep), st.mu0), []).append(k)
-    prepared = [(st, None, 1) for st in starts]
+    prepared = [(st, None, 1, 0.0) for st in starts]
     for (na, mk, _), group in groups.items():
         order = na * mk if na * mk < _STRUCTURED_MIN_PAIRS else 2 * na + mk
         per_call = max(1, _LOCKSTEP_BYTES // (8 * order ** 2))
         for at in range(0, len(group), per_call):
             ks = group[at:at + per_call]
-            for k, rung in zip(ks, _first_rungs([starts[k] for k in ks], max_iter)):
-                prepared[k] = (starts[k], rung, len(ks))
+            began = perf_counter()
+            rungs = _first_rungs([starts[k] for k in ks], max_iter)
+            seconds = perf_counter() - began
+            for k, rung in zip(ks, rungs):
+                prepared[k] = (starts[k], rung, len(ks), seconds)
     # ``solve`` is looked up at call time, so a wrapper around nsw.solve
     # sees every problem finished.
     return [solve(problem, tol=tol, max_iter=max_iter, _prepared=prep)
@@ -1324,7 +1399,11 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
     ``metadata["polish_steps"]`` the least-squares steps of every polish
     the solve tried, and
     ``metadata["barrier_batch"]`` the number of problems whose first
-    barrier rung ran in one lockstep call (1 here; see :func:`solve_many`).
+    barrier rung ran in one lockstep call (1 here; see :func:`solve_many`),
+    and ``metadata["stage_s"]`` the ``perf_counter`` seconds of the stages:
+    ``start`` (screen and interior start), ``rungs`` (each barrier rung that
+    ran), ``polish`` (every polish tried) and ``finish`` (assembly and the
+    certificate check).
     ``trace``, when given, gets one row per Newton step of the barrier:
     (iteration, sum_i log s_i, m), where m is the Newton decrement on the
     primal path and mu on the primal-dual path.
@@ -1332,13 +1411,16 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
     _check_tol(tol)
     if _prepared is None:               # a lone problem: a batch of one
         start = _start(problem, warm_start)
+        began = perf_counter()
         first = (None if start.x0 is None
                  else _first_rungs([start], max_iter, trace)[0])
-        batch = 1
+        batch, first_s = 1, perf_counter() - began
     else:                               # from solve_many
-        start, first, batch = _prepared
+        start, first, batch, first_s = _prepared
         if isinstance(start, MatchingError):
             raise start
+    mark = perf_counter()               # the end of the last timed stage
+    stages = {"start": start.seconds, "rungs": [], "polish": 0.0}
     inst = problem.instance
     active = list(problem.active_agents)
     V_full = np.asarray(inst.values)
@@ -1365,24 +1447,30 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
                 break
             if rung == 0:
                 p_bar, t_bar, q_bar, it, x_path = first
+                stages["rungs"].append(first_s)
             else:                       # the few problems that get here go alone
                 p_bar, t_bar, q_bar, its, x_path = (x[0] for x in _barrier_solve(
                     Vl[None], bl[None], c[None], ol[None], x_path[None],
                     mu_reached, mu_end, max_iter - iters_used, trace))
                 it = int(its)
+                now = perf_counter()
+                stages["rungs"].append(now - mark)
+                mark = now
             iters_used += it
             rung_iterations.append(it)
             mu_reached = mu_end
             for tau in taus:
-                polished, taken = _polish(Vl, bl, c, ol, p_bar, tau, t_bar, q_bar)
+                polished, resid, taken = _polish(Vl, bl, c, ol, p_bar, tau, t_bar, q_bar)
                 polish_steps += taken
                 if polished is None:
                     continue
-                resid = _quick_residual(Vl, bl, c, ol, *polished)
                 if resid < best_resid:
                     best_resid, best, winner = resid, polished, (mu_end, tau)
                 if resid <= 0.5 * tol:
                     break
+            now = perf_counter()
+            stages["polish"] += now - mark
+            mark = now
             if best_resid <= 0.5 * tol:
                 break
         if best_resid > tol:
@@ -1410,7 +1498,8 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
     offsets_full[active] = problem.offsets
 
     # Dropped zero-supply columns: price them at the best unmet demand.
-    dropped = [j for j in range(m) if j not in set(keep.tolist())]
+    kept = set(keep.tolist())
+    dropped = [j for j in range(m) if j not in kept]
     if dropped and live_global:
         u_live = np.einsum("ij,ij->i", V_full[live_global], full_p[live_global])
         s_live = u_live - offsets_full[live_global]
@@ -1437,6 +1526,7 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
         raise NoConvergence(iters_used, residual)
 
     structured = na_live * len(keep) >= _STRUCTURED_MIN_PAIRS   # every step
+    stages["finish"] = perf_counter() - mark
     return NswSolution(
         problem=problem,
         assignment=assignment,
@@ -1453,6 +1543,7 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
                   "polish": winner,
                   "polish_steps": polish_steps,
                   "barrier_batch": batch,
+                  "stage_s": stages,
                   "active_agents": tuple(active),
                   "offsets": offsets_full.tolist()},
     )

@@ -4,10 +4,12 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import linalg as scipy_linalg
 from scipy.optimize import linprog
 
 from matchlab import instances, nsw
@@ -179,8 +181,9 @@ class TestRecoverDuals:
         assert kkt_check(inst, p, duals) <= 1e-12
 
     def test_component_shift_matches_pairwise_scan(self):
-        # The vectorised off-support scan takes max/min over the same
-        # values as the pair-by-pair loop, so prices agree bit for bit.
+        # The one-pass bounds take max/min over the same values as the
+        # pair-by-pair loop, and after a shift only later components are
+        # bounded again, so prices agree bit for bit.
         shifted = 0
         for seed in range(200):
             rng = np.random.default_rng(seed)
@@ -200,6 +203,33 @@ class TestRecoverDuals:
             assert np.array_equal(t, t_ref) and np.array_equal(q, q_ref)
             shifted += not np.array_equal(t, t0)
         assert shifted >= 20
+        # Markets up to 40 x 40 with a permutation support plus a few extra
+        # pairs, as a polish leaves them: one free component per matched
+        # pair.  Prices are drawn so that many cases shift two or more
+        # components, where a later component's bounds depend on the
+        # earlier shifts.
+        several = 0
+        for seed in range(40):
+            rng = np.random.default_rng(1000 + seed)
+            n, m = (int(x) for x in rng.integers(8, 41, size=2))
+            vhat = rng.uniform(0.0, 1.0, (n, m))
+            k = min(n, m)
+            support = set(zip(rng.permutation(n)[:k].tolist(), rng.permutation(m)[:k].tolist()))
+            support |= {(int(rng.integers(n)), int(rng.integers(m)))
+                        for _ in range(rng.integers(0, 4))}
+            support = sorted(support)
+            t0 = rng.uniform(-0.6, 0.4, m)
+            q0 = rng.uniform(0.8, 1.6, n)
+            rows = [i for i in range(n) if rng.uniform() < 0.95]
+            cols = [j for j in range(m) if rng.uniform() < 0.95]
+            t, q = t0.copy(), q0.copy()
+            nsw._shift_components(vhat, t, q, support, rows, cols)
+            t_ref, q_ref = t0.copy(), q0.copy()
+            _shift_components_loop(vhat, t_ref, q_ref, support, rows, cols)
+            assert np.array_equal(t, t_ref) and np.array_equal(q, q_ref)
+            # Each shifted component moves its columns by its own d.
+            several += len(np.unique(np.round((t - t0)[t != t0], 9))) >= 2
+        assert several >= 20
 
 
     def test_worst_pair_matches_pair_loop(self, monkeypatch):
@@ -231,6 +261,19 @@ class TestRecoverDuals:
             assert err.value.witness == witness and err.value.violation == worst
             zero_witness += witness == (0, 0)
         assert zero_witness >= 6
+
+
+def _solo_max_utility_loop(v_row, budget, c):
+    """Reference for ``nsw._solo_max_utilities``: one agent, item by item."""
+    order = np.argsort(-v_row, kind="stable")
+    left, total = budget, 0.0
+    for j in order:
+        if v_row[j] <= 0 or left <= 0:
+            break
+        take = min(left, c[j])
+        total += take * v_row[j]
+        left -= take
+    return total
 
 
 def _shift_components_loop(vhat, t, q, support, tight_rows, tight_cols):
@@ -358,6 +401,39 @@ class TestSolveContracts:
         with pytest.raises(Infeasible):
             solve(NswProblem.create(inst, offsets=np.array([0.9, 0.9])))
 
+    def test_solo_max_utilities_match_item_loop(self):
+        # Budgets and supplies from {1/4, 1/2, 3/4, 1} make a budget run out
+        # exactly on an item; rounded values give ties and zeros.
+        exact = 0
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            na, mk = (int(x) for x in rng.integers(1, 12, size=2))
+            V = np.round(rng.uniform(-0.2, 2.0, (na, mk)).clip(0.0), int(seed % 3))
+            grid = seed % 2 == 0
+            b = rng.choice([0.25, 0.5, 0.75, 1.0], na) if grid else rng.uniform(0.1, 1.0, na)
+            c = rng.choice([0.25, 0.5, 1.0], mk) if grid else rng.uniform(0.05, 1.0, mk)
+            got = nsw._solo_max_utilities(V, b, c)
+            want = [_solo_max_utility_loop(V[i], b[i], c) for i in range(na)]
+            assert np.array_equal(got, want)
+            exact += grid
+        assert exact >= 50
+
+    @pytest.mark.parametrize("n,seed", [(5, 0), (13, 1), (4, 4)])
+    def test_stage_times_fit_in_the_solve(self, n, seed):
+        # (4, 4) is won on its second rung, so it times two barrier rungs.
+        inst = instances.gen_random(n, seed=seed)
+        began = time.perf_counter()
+        sol = solve(NswProblem.create(inst))
+        wall = time.perf_counter() - began
+        stages = sol.metadata["stage_s"]
+        times = [stages["start"], *stages["rungs"], stages["polish"], stages["finish"]]
+        assert len(stages["rungs"]) == len(sol.metadata["rung_iterations"])
+        assert all(x >= 0 for x in times) and sum(times) <= wall
+        # A lockstep first rung is timed once for its whole call.
+        rungs = [one.metadata["stage_s"]["rungs"] for one in nsw.solve_many(
+            _loo_problems(inst)[1])]
+        assert len({r[0] for r in rungs}) == 1 and min(min(r) for r in rungs) >= 0
+
     def test_row_budget_below_one(self):
         inst = validate_instance([[1.0, 0.5], [0.5, 1.0]])
         sol = solve(NswProblem.create(inst, row_budget=0.5))
@@ -447,13 +523,13 @@ class TestSolveContracts:
     @pytest.mark.parametrize("n,seed", [(32, 0), (4, 4)])
     def test_polish_steps_count_every_least_squares_step(self, n, seed, monkeypatch):
         calls = []
-        lstsq = nsw.linalg.lstsq
+        gelsy = nsw.linalg.lapack.dgelsy
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return lstsq(*args, **kwargs)
+            return gelsy(*args, **kwargs)
 
-        monkeypatch.setattr(nsw.linalg, "lstsq", counting)
+        monkeypatch.setattr(nsw.linalg.lapack, "dgelsy", counting)
         sol = solve(NswProblem.create(instances.gen_random(n, seed=seed)))
         assert sol.kkt_residual <= DEFAULT_KKT_TOL
         assert sol.metadata["polish_steps"] == len(calls) > 0
@@ -635,6 +711,25 @@ class TestNewtonStep:
         step = nsw._pd_direction(V, vals, factors, scale, one[:, :, None], one, one, one)
         assert all(np.all(np.isfinite(d)) for d in step)
 
+    def test_max_step_over_flat_buffer_matches_concatenation(self):
+        # One reduction over the flat buffers against the max over the eight
+        # quantities concatenated in (p, s, r, d, beta, z, t, q) order, with
+        # nan, inf and zero entries scattered through values and derivatives.
+        rng = np.random.default_rng(5)
+        special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
+        for trial in range(200):
+            K, na, mk = (int(x) for x in rng.integers(1, 5, size=3))
+            width = 2 * (na * mk + 2 * na + mk)
+            P, D = rng.uniform(1e-3, 2.0, (K, width)), rng.normal(size=(K, width))
+            for buf in (P, D):
+                at = rng.uniform(size=buf.shape) < 0.2 * (trial % 3 != 0)
+                buf[at] = rng.choice(special, size=int(at.sum()))
+            flat = [np.concatenate([v.reshape(K, -1) for v in nsw._pd_views(buf, na, mk)],
+                                   axis=1) for buf in (P, D)]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                assert np.array_equal(nsw._max_step(P, D), nsw._max_step(*flat),
+                                      equal_nan=True)
+
     @pytest.mark.parametrize("market", sorted(_PD_MARKETS))
     def test_pd_path_stops_interior(self, market):
         # The first rung's path ends strictly interior, with mu <= 1e-8 and
@@ -774,13 +869,18 @@ class TestPolishSystem:
         # kept singular values.  A polish that fails, such as the first
         # ones of gen_random(4, seed=4), ends on systems whose singular
         # values straddle the cut and whose solution is rounding noise, so
-        # no two factorizations agree there to 1e-9.
-        seen, kept = [], []
+        # no two factorizations agree there to 1e-9.  Every step, failing
+        # polishes included, is bit for bit SciPy's gelsy least squares,
+        # which the direct dgelsy call replaces.
+        seen, kept, same = [], [], []
         step = nsw._polish_step
 
         def recording(J, F):
             seen.append((J.copy(), F.copy()))
-            return step(J, F)
+            x = step(J, F)
+            same.append(np.array_equal(x, scipy_linalg.lstsq(
+                J, -F, cond=np.finfo(float).eps * max(J.shape), lapack_driver="gelsy")[0]))
+            return x
 
         monkeypatch.setattr(nsw, "_polish_step", recording)
         for n in (4, 5, 6, 7, 8, 10, 13, 16, 24, 32):
@@ -793,6 +893,7 @@ class TestPolishSystem:
                         kept += seen
         deficient = sum(np.linalg.matrix_rank(J) < J.shape[1] for J, _ in kept)
         assert len(kept) >= 200 and deficient >= 50
+        assert len(same) > len(kept) and all(same)
         for J, F in kept:
             want = np.linalg.lstsq(J, -F, rcond=None)[0]
             assert np.linalg.norm(step(J, F) - want) <= 1e-9 * np.linalg.norm(want)

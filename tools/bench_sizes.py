@@ -7,8 +7,9 @@ seeds 0, 1, 2, once with plain (zero) offsets and once with bargaining
 (uniform-disagreement) offsets, on one BLAS thread.  Each solve runs three
 times and the best wall time counts.  For every solve it records the
 three times, the Newton iterations, the polish's least-squares steps
-(null for a source that does not report them), the winning polish rung
-and the KKT residual.
+and the solve's stage times (``metadata["stage_s"]`` of the best run;
+each null for a source that does not report it), the winning polish
+rung and the KKT residual.
 
 ``--src`` names the directory that holds the ``matchlab`` package to
 time (default: this repository's ``src``).  The run is stored in
@@ -42,15 +43,17 @@ REPEATS = 3
 def time_solve(nsw, problem):
     """Best of ``REPEATS`` solves of ``problem``: a record of the times
     and of the last solution's metadata."""
-    times = []
+    times, stages = [], []
     for _ in range(REPEATS):
         start = time.perf_counter()
         sol = nsw.solve(problem)
         times.append(time.perf_counter() - start)
+        stages.append(sol.metadata.get("stage_s"))
     meta = sol.metadata
     return {"best_s": min(times), "times_s": times,
             "iterations": meta["iterations"],
             "polish_steps": meta.get("polish_steps"),
+            "stage_s": stages[times.index(min(times))],
             "polish": list(meta["polish"]) if meta["polish"] else None,
             "kkt_residual": sol.kkt_residual}
 
