@@ -94,7 +94,7 @@ _PD_SURPLUS_TOL = 1e-6
 # (8 n^2 per problem of Hessian order n); a larger group of one shape is split.
 _LOCKSTEP_BYTES = 2 ** 22
 # Barrier rungs: each final mu with the support thresholds its polish tries.
-_RUNGS = ((1e-8, (3e-5, 1e-6)), (1e-10, (1e-6, 1e-4)), (1e-12, (1e-7, 3e-5)))
+_RUNGS = ((1e-8, (3e-5, 1e-6)), (1e-10, (1e-6, 1e-4)))
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,7 @@ def renormalize(inst: Instance, assignment: FractionalAssignment,
     if o.shape != (inst.n_agents,):
         raise DimensionMismatch("offsets must have one entry per agent")
     s = u - o
-    scale = max(1.0, float(np.max(inst.values))) if inst.values.size else 1.0
+    scale = _value_scale(inst.values)
     vhat = np.array(inst.values, dtype=float)
     factors = np.ones(inst.n_agents)
     for i in range(inst.n_agents):
@@ -325,10 +325,13 @@ def _shift_components(vhat, t, q, support, tight_rows, tight_cols):
     unknown prices, (t + d, q - d) solves the same equalities; pick d to
     clear sign violations and off-support feasibility where possible.
     Components touched by an equation with a pinned (zero) side are frozen.
-    Mutates ``t`` and ``q`` in place.
+    ``support`` is an (n, m) bool mask, and ``tight_rows`` and ``tight_cols``
+    are (n,) and (m,) masks of the unknown prices.  Mutates ``t`` and ``q``
+    in place.
     """
-    R = set(tight_rows)
-    C = set(tight_cols)
+    # The groups are numbered in the iteration order of these sets.
+    R = set(np.flatnonzero(tight_rows).tolist())
+    C = set(np.flatnonzero(tight_cols).tolist())
     parent: dict[tuple[str, int], tuple[str, int]] = {}
 
     def find(node):
@@ -345,15 +348,14 @@ def _shift_components(vhat, t, q, support, tight_rows, tight_cols):
         parent.setdefault(("r", i), ("r", i))
     for j in C:
         parent.setdefault(("c", j), ("c", j))
-    frozen = set()
-    for (i, j) in support:
-        if i in R and j in C:
-            union(("r", i), ("c", j))
-        elif i in R:
-            frozen.add(find(("r", i)))       # equation pins q_i = vhat_ij
-        elif j in C:
-            frozen.add(find(("c", j)))
-    frozen = {find(node) for node in frozen}
+    for i, j in np.argwhere(support & tight_rows[:, None] & tight_cols).tolist():
+        union(("r", i), ("c", j))
+    # A support equation with one unknown price pins it: q_i = vhat_ij or
+    # t_j = vhat_ij.
+    frozen = ({find(("r", i)) for i in np.flatnonzero(
+                  tight_rows & (support & ~tight_cols).any(axis=1)).tolist()}
+              | {find(("c", j)) for j in np.flatnonzero(
+                  tight_cols & (support & ~tight_rows[:, None]).any(axis=0)).tolist()})
 
     groups: dict[tuple[str, int], list] = {}
     for node in list(parent):
@@ -369,10 +371,7 @@ def _shift_components(vhat, t, q, support, tight_rows, tight_cols):
     for g, members in enumerate(free):
         for kind, idx in members:
             (comp_r if kind == "r" else comp_c)[idx] = g
-    off = np.ones((n, m), dtype=bool)
-    if len(support):
-        off[tuple(np.asarray(support, dtype=int).T)] = False
-    across = off & (comp_r[:, None] != comp_c[None, :])
+    across = ~support & (comp_r[:, None] != comp_c[None, :])
     first = 0
     while first < len(free):
         rows, cols = np.flatnonzero(comp_r >= first), np.flatnonzero(comp_c >= first)
@@ -426,7 +425,10 @@ def _duals_from_support(vhat, n, m, support, tight_rows, tight_cols):
     q = np.zeros(n)
     t[tight_cols] = sol[:len(tight_cols)]
     q[tight_rows] = sol[len(tight_cols):]
-    _shift_components(vhat, t, q, support.tolist(), tight_rows, tight_cols)
+    on = np.zeros((n, m), dtype=bool)
+    on[support[:, 0], support[:, 1]] = True
+    _shift_components(vhat, t, q, on, np.isin(np.arange(n), tight_rows),
+                      np.isin(np.arange(m), tight_cols))
     return Duals(t, q)
 
 
@@ -547,7 +549,13 @@ def _screen_degenerate(V, b, c, o, deg_tol, hint):
 
 
 def _surplus(V, p, o):
-    return np.einsum("ij,ij->i", V, p) - o
+    """The surpluses V_i . p_i - o_i, with any leading batch axes."""
+    return np.einsum("...ij,...ij->...i", V, p) - o
+
+
+def _value_scale(V):
+    """The largest value, or 1 when that is smaller or there is none."""
+    return max(1.0, float(np.max(V)) if V.size else 1.0)
 
 
 def _capped_assignment(V, b, c):
@@ -572,7 +580,7 @@ def _heuristic_positive_point(V, b, c, o, deg_tol):
     if match is None:
         return None
     prop = _proportional_point(b, c)
-    scale = max(1.0, float(np.max(V)) if V.size else 1.0)
+    scale = _value_scale(V)
     floor = max(1e-6 * scale, 10 * deg_tol)
     for lam in (0.3, 0.1, 0.03, 0.01):
         p0 = (1 - lam) * match + lam * prop
@@ -695,15 +703,11 @@ def _stacked_solve(H, g):
     return x.reshape(K, n)
 
 
-def _primal_surplus(V, p, o):
-    return np.einsum("kij,kij->ki", V, p) - o
-
-
 def _primal_phi(V, b, c, o, p, mu):
     """The primal barrier sum_i log s_i + mu (sum log p + sum log r +
     sum log d), with the batch axis; -inf or nan outside the domain (a log
     of a value <= 0), and no comparison accepts either."""
-    return (np.log(_primal_surplus(V, p, o)).sum(axis=1)
+    return (np.log(_surplus(V, p, o)).sum(axis=1)
             + mu * (np.log(p).sum(axis=(1, 2)) + np.log(b - p.sum(axis=2)).sum(axis=1)
                     + np.log(c - p.sum(axis=1)).sum(axis=1)))
 
@@ -713,7 +717,7 @@ def _primal_newton(V, b, c, o, p, mu):
     derivatives along the step) of the primal barrier, each with the batch
     axis; r and d are the row and column slacks."""
     K = p.shape[0]
-    s = _primal_surplus(V, p, o)
+    s = _surplus(V, p, o)
     r = b - p.sum(axis=2)
     d = c - p.sum(axis=1)
     g = (V / s[:, :, None] + mu / p - mu / r[:, :, None]
@@ -792,7 +796,7 @@ def _barrier_solve(V, b, c, o, x0, mu_start, mu_end, budget, trace):
                 phi_p = np.where(alpha > 1e-14, trial, np.nan)
                 if trace is not None and centering[0]:
                     trace.append((int(iters[0]),
-                                  float(np.log(_primal_surplus(V, p, o)).sum(axis=1)[0]),
+                                  float(np.log(_surplus(V, p, o)).sum(axis=1)[0]),
                                   float(decrement[0])))
                 loose = 1.0 if mu > mu_end else 0.3
                 centering &= ~(decrement < max(loose * mu, 1e-16))
@@ -837,13 +841,6 @@ def _pd_buffer(x):
     buf = np.empty((len(x), 2 * x.shape[1]))
     buf[:, :x.shape[1]] = x
     return buf
-
-
-def _pd_values(V, b, c, o, x):
-    """The quantities a primal-dual state x = (p, beta, t, q) keeps
-    positive, each with the batch axis: (p, s, r, d, beta, z, t, q), with
-    z_ij = t_j + q_i - beta_i V_ij, as views of one new flat buffer."""
-    return _pd_fill(V, b, c, o, _pd_buffer(x))
 
 
 def _pd_mu(vals):
@@ -988,7 +985,9 @@ def _primal_dual_solve(V, b, c, o, x0, mu_end, budget, trace):
             dx = Dk[:, :nx]
             alpha = np.minimum(1.0, 0.99 * _max_step(Pk, Dk))
             moving = (alpha > 1e-8) & np.isfinite(dx).all(axis=1)    # false for nan
-            move = np.where(moving, alpha, 0.0)[:, None] * dx
+            # Only where moving: a stopped problem's direction may not be
+            # finite, and 0 * inf would write nan into its state.
+            move = np.where(moving[:, None], alpha[:, None] * dx, 0.0)
             if Pk is P:
                 x += move
             else:
@@ -1019,20 +1018,21 @@ def _pd_start(V, o, p):
 def _polish(V, b, c, o, p_in, support_tol, t0, q0, rounds=40):
     """Newton on the stationarity system of a guessed active set.
 
-    Iteratively repairs the guess (dropping negative variables or prices,
-    adding violated constraints or support pairs) and returns the best
-    (p, t, q) found, with exact zeros off support.  Prices are warmstarted
-    from the barrier duals so underdetermined price components stay near
-    the central-path values.  Returns the candidate (None only when no
-    usable iterate exists), its :func:`_quick_residual` (inf for None) and
-    the number of least-squares steps taken.
+    The guess is three bool masks: the support S (na, mk), the tight rows
+    R (na,) and the tight columns C (mk,).  Iteratively repairs it
+    (dropping negative variables or prices, adding violated constraints or
+    support pairs) and returns the best (p, t, q) found, with exact zeros
+    off support.  Prices are warmstarted from the barrier duals so
+    underdetermined price components stay near the central-path values.
+    Returns the candidate (None only when no usable iterate exists), its
+    :func:`_quick_residual` (inf for None) and the number of least-squares
+    steps taken.
     """
-    na, mk = V.shape
-    scale = max(1.0, float(np.max(V)) if V.size else 1.0)
-    S = set(zip(*(idx.tolist() for idx in np.nonzero(p_in > support_tol))))
-    R = set(np.flatnonzero(b - p_in.sum(axis=1) < support_tol).tolist())
-    C = set(np.flatnonzero(c - _column_sums(p_in) < support_tol).tolist())
-    p = np.where(p_in > support_tol, p_in, 0.0)
+    scale = _value_scale(V)
+    S = p_in > support_tol
+    R = b - p_in.sum(axis=1) < support_tol
+    C = c - _column_sums(p_in) < support_tol
+    p = np.where(S, p_in, 0.0)
 
     best = None
     steps = 0
@@ -1043,10 +1043,9 @@ def _polish(V, b, c, o, p_in, support_tol, t0, q0, rounds=40):
             break
         p, t, q = out
         t0, q0 = t, q
-        s_cur = np.einsum("ij,ij->i", V, p) - o
+        s_cur = _surplus(V, p, o)
         if np.all(s_cur > 0):
-            _shift_components(V / s_cur[:, None], t, q, sorted(S), sorted(R),
-                              sorted(C))
+            _shift_components(V / s_cur[:, None], t, q, S, R, C)
         cand = (np.maximum(p, 0.0), np.maximum(t, 0.0), np.maximum(q, 0.0))
         resid = _quick_residual(V, b, c, o, *cand)
         if best is None or resid < best[0]:
@@ -1054,39 +1053,30 @@ def _polish(V, b, c, o, p_in, support_tol, t0, q0, rounds=40):
         if resid < 1e-12 * scale:
             break
 
-        changed = False
         # Negative or collapsed support pairs (degenerate complementarity
-        # leaves pairs hovering at zero; their equality constraint must go).
-        drop_p = [(i, j) for (i, j) in S if p[i, j] < 1e-11]
-        if drop_p:
-            worst = min(drop_p, key=lambda ij: p[ij])
-            S.discard(worst)
-            p[worst] = 0.0
-            changed = True
-        for j in list(C):
-            if t[j] < -1e-11:
-                C.discard(j)
-                changed = True
-        for i in list(R):
-            if q[i] < -1e-11:
-                R.discard(i)
-                changed = True
+        # leaves pairs hovering at zero; their equality constraint must go):
+        # drop the smallest, the first in row-major order on a tie.
+        collapsed = S & (p < 1e-11)
+        changed = bool(collapsed.any())
+        if changed:
+            worst = np.argmin(np.where(collapsed, p, math.inf))
+            S.flat[worst] = False
+            p.flat[worst] = 0.0
+        negative_t, negative_q = C & (t < -1e-11), R & (q < -1e-11)
+        C &= ~negative_t
+        R &= ~negative_q
+        changed |= bool(negative_t.any() or negative_q.any())
         if not changed:
-            rs = p.sum(axis=1)
-            cs = p.sum(axis=0)
-            for i in range(na):
-                if i not in R and rs[i] > b[i] + 1e-11:
-                    R.add(i)
-                    changed = True
-            for j in range(mk):
-                if j not in C and cs[j] > c[j] + 1e-11:
-                    C.add(j)
-                    changed = True
+            over_r = ~R & (p.sum(axis=1) > b + 1e-11)
+            over_c = ~C & (p.sum(axis=0) > c + 1e-11)
+            R |= over_r
+            C |= over_c
+            changed = bool(over_r.any() or over_c.any())
         if not changed:
-            for pair in _violated_pairs(V, o, p, t, q, S, R, C, 1e-10 * scale):
-                S.add(pair)
-                p[pair] = 0.0
-                changed = True
+            violated = _violated_pairs(V, o, p, t, q, S, R, C, 1e-10 * scale)
+            S[violated] = True
+            p[violated] = 0.0
+            changed = len(violated[0]) > 0
         if not changed:
             break
     if best is None:
@@ -1094,43 +1084,36 @@ def _polish(V, b, c, o, p_in, support_tol, t0, q0, rounds=40):
     return best[1], best[0], steps
 
 
+def _price_gap(V, s, t, q, R, C):
+    """V_ij / s_i - t_j - q_i over every pair, with prices counted on the
+    tight columns C and rows R only."""
+    return (V / s[:, None] - np.where(C, t, 0.0)) - np.where(R, q, 0.0)[:, None]
+
+
 def _violated_pairs(V, o, p, t, q, S, R, C, threshold):
-    """Up to three off-support pairs whose price gap V_ij / s_i - t_j - q_i
-    (prices counted on C and R only) exceeds ``threshold``: the largest
-    gaps first, ties to the larger pair."""
+    """The (rows, cols) of up to three pairs off the support S whose
+    :func:`_price_gap` exceeds ``threshold``: the largest gaps first, ties
+    to the larger pair."""
     mk = V.shape[1]
-    s = np.einsum("ij,ij->i", V, p) - o
-    gap = (V / s[:, None] - _on(t, C)[None, :]) - _on(q, R)[:, None]
-    if S:
-        gap[tuple(np.array(sorted(S)).T)] = -math.inf
+    gap = np.where(S, -math.inf, _price_gap(V, _surplus(V, p, o), t, q, R, C))
     gi, gj = np.nonzero(gap > threshold)
     order = np.lexsort((gi * mk + gj, gap[gi, gj]))[::-1][:3]
-    return list(zip(gi[order].tolist(), gj[order].tolist()))
+    return gi[order], gj[order]
 
 
-def _on(x, index_set):
-    """``x`` on ``index_set`` and 0.0 elsewhere."""
-    out = np.zeros_like(x)
-    keep = list(index_set)
-    out[keep] = x[keep]
-    return out
-
-
-def _polish_residual(V, b, c, o, p, t, q, Si, Sj, rows, cols):
+def _polish_residual(V, b, c, o, p, t, q, S, R, C):
     """Residual F of the polish's square system and the surpluses s, or
     (None, s) when a surplus is not positive.
 
-    F stacks the support equalities V_ij / s_i - t_j - q_i (prices counted
-    only on the tight ``cols`` and ``rows``), the tight row sums minus
-    their budgets and the tight column sums minus their supplies.  The
-    support is the pairs (Si[k], Sj[k]) in sorted order.
+    F stacks the :func:`_price_gap` of the support pairs, in row-major
+    order, the tight row sums minus their budgets and the tight column
+    sums minus their supplies.
     """
-    s = np.einsum("ij,ij->i", V, p) - o
+    s = _surplus(V, p, o)
     if np.any(s <= 0):
         return None, s
-    F = np.concatenate([(V[Si, Sj] / s[Si] - _on(t, cols)[Sj]) - _on(q, rows)[Si],
-                        p[rows].sum(axis=1) - b[rows],
-                        _column_sums(p)[cols] - c[cols]])
+    F = np.concatenate([_price_gap(V, s, t, q, R, C)[S], p[R].sum(axis=1) - b[R],
+                        _column_sums(p)[C] - c[C]])
     return F, s
 
 
@@ -1140,15 +1123,12 @@ def _column_sums(p):
     return np.ascontiguousarray(p.T).sum(axis=1)
 
 
-def _polish_jacobian(V, s, Si, Sj, rows, cols):
-    """Jacobian of :func:`_polish_residual` in (p on the support, t on
-    ``cols``, q on ``rows``)."""
-    na, mk = V.shape
-    nS, nR, nC = len(Si), len(rows), len(cols)
-    r_at = np.full(na, -1)
-    r_at[rows] = np.arange(nR)
-    c_at = np.full(mk, -1)
-    c_at[cols] = np.arange(nC)
+def _polish_jacobian(V, s, S, R, C):
+    """Jacobian of :func:`_polish_residual` in (p on the support S, t on
+    the tight columns C, q on the tight rows R)."""
+    Si, Sj = np.nonzero(S)
+    nS, nR, nC = len(Si), np.count_nonzero(R), np.count_nonzero(C)
+    r_at, c_at = np.cumsum(R) - 1, np.cumsum(C) - 1    # positions within R and C
     J = np.zeros((nS + nR + nC, nS + nC + nR))
     v = V[Si, Sj]
     # s_i ** 2 by the scalar operator (C pow): the array square x * x
@@ -1158,7 +1138,7 @@ def _polish_jacobian(V, s, Si, Sj, rows, cols):
     same_agent = Si[:, None] == Si[None, :]
     J[:nS, :nS] += np.where(same_agent, -v[:, None] * v[None, :] / s2[Si][:, None], 0.0)
     k = np.arange(nS)
-    on_c, on_r = c_at[Sj] >= 0, r_at[Si] >= 0
+    on_c, on_r = C[Sj], R[Si]
     J[k[on_c], nS + c_at[Sj[on_c]]] = -1.0
     J[k[on_r], nS + nC + r_at[Si[on_r]]] = -1.0
     J[nS + r_at[Si[on_r]], k[on_r]] = 1.0
@@ -1182,31 +1162,27 @@ def _polish_newton(V, b, c, o, p_in, S, R, C, t0, q0, iters=40):
     """Damped Newton on the square system of :func:`_polish_residual`:
     ((p, t, q) or None, the number of least-squares steps taken)."""
     na, mk = V.shape
-    pairs = np.array(sorted(S), dtype=int).reshape(-1, 2)
-    Si, Sj = pairs[:, 0], pairs[:, 1]
-    rows = np.array(sorted(R), dtype=int)
-    cols = np.array(sorted(C), dtype=int)
-    nS, nC = len(Si), len(cols)
-    if nS + len(rows) + nC == 0:
+    nS, nC = np.count_nonzero(S), np.count_nonzero(C)
+    if nS + np.count_nonzero(R) + nC == 0:
         return (np.zeros_like(p_in), np.zeros(mk), np.zeros(na)), 0
 
     p = p_in.copy()
     t = np.zeros(mk)
     q = np.zeros(na)
-    t[cols] = np.maximum(t0[cols], 0.0)
-    q[rows] = np.maximum(q0[rows], 0.0)
+    t[C] = np.maximum(t0[C], 0.0)
+    q[R] = np.maximum(q0[R], 0.0)
 
     for it in range(iters):
-        F, s = _polish_residual(V, b, c, o, p, t, q, Si, Sj, rows, cols)
+        F, s = _polish_residual(V, b, c, o, p, t, q, S, R, C)
         if F is None:
             return None, it
         if np.max(np.abs(F)) < 1e-13 * max(1.0, float(np.max(np.abs(V / s[:, None])))):
             return (p, t, q), it
-        step = _polish_step(_polish_jacobian(V, s, Si, Sj, rows, cols), F)
+        step = _polish_step(_polish_jacobian(V, s, S, R, C), F)
 
         # Damp to keep every surplus positive.
         dp = np.zeros_like(p)
-        dp[Si, Sj] = step[:nS]
+        dp[S] = step[:nS]
         ds = np.einsum("ij,ij->i", V, dp)
         alpha = 1.0
         neg = ds < 0
@@ -1215,10 +1191,10 @@ def _polish_newton(V, b, c, o, p_in, S, R, C, t0, q0, iters=40):
         if alpha <= 0:
             return None, it + 1
         p = p + alpha * dp
-        t[cols] += alpha * step[nS:nS + nC]
-        q[rows] += alpha * step[nS + nC:]
+        t[C] += alpha * step[nS:nS + nC]
+        q[R] += alpha * step[nS + nC:]
     # Not fully converged: hand the best iterate to the repair loop anyway.
-    if _polish_residual(V, b, c, o, p, t, q, Si, Sj, rows, cols)[0] is None:
+    if _polish_residual(V, b, c, o, p, t, q, S, R, C)[0] is None:
         return None, iters
     return (p, t, q), iters
 
@@ -1234,7 +1210,7 @@ def _saturate_rows(V, b, c, p, tol=1e-12):
     price certificate are unchanged; at an optimum any residual capacity
     facing an under-filled row is worthless to it.
     """
-    scale = max(1.0, float(np.max(V)) if V.size else 1.0)
+    scale = _value_scale(V)
     spare = c - p.sum(axis=0)
     deficits = b - p.sum(axis=1)
     for i in np.flatnonzero(deficits > tol):
@@ -1296,7 +1272,7 @@ def _start(problem: NswProblem, warm_start: np.ndarray | None) -> _Start:
     inst = problem.instance
     active = list(problem.active_agents)
     V_full = np.asarray(inst.values)
-    scale = max(1.0, float(np.max(V_full)) if V_full.size else 1.0)
+    scale = _value_scale(V_full)
     deg_tol = 1e-9 * scale
 
     c_full = np.asarray(inst.supplies, dtype=float)
@@ -1501,8 +1477,7 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
     kept = set(keep.tolist())
     dropped = [j for j in range(m) if j not in kept]
     if dropped and live_global:
-        u_live = np.einsum("ij,ij->i", V_full[live_global], full_p[live_global])
-        s_live = u_live - offsets_full[live_global]
+        s_live = _surplus(V_full[live_global], full_p[live_global], offsets_full[live_global])
         for j in dropped:
             t_full[j] = max(0.0, float(np.max(
                 V_full[live_global, j] / s_live - q_full[live_global])))

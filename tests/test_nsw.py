@@ -197,7 +197,7 @@ class TestRecoverDuals:
             rows = sorted(rng.choice(n, size=rng.integers(0, n + 1), replace=False))
             cols = sorted(rng.choice(m, size=rng.integers(0, m + 1), replace=False))
             t, q = t0.copy(), q0.copy()
-            nsw._shift_components(vhat, t, q, support, rows, cols)
+            nsw._shift_components(vhat, t, q, *_masks((n, m), support, rows, cols))
             t_ref, q_ref = t0.copy(), q0.copy()
             _shift_components_loop(vhat, t_ref, q_ref, support, rows, cols)
             assert np.array_equal(t, t_ref) and np.array_equal(q, q_ref)
@@ -223,7 +223,7 @@ class TestRecoverDuals:
             rows = [i for i in range(n) if rng.uniform() < 0.95]
             cols = [j for j in range(m) if rng.uniform() < 0.95]
             t, q = t0.copy(), q0.copy()
-            nsw._shift_components(vhat, t, q, support, rows, cols)
+            nsw._shift_components(vhat, t, q, *_masks((n, m), support, rows, cols))
             t_ref, q_ref = t0.copy(), q0.copy()
             _shift_components_loop(vhat, t_ref, q_ref, support, rows, cols)
             assert np.array_equal(t, t_ref) and np.array_equal(q, q_ref)
@@ -274,6 +274,15 @@ def _solo_max_utility_loop(v_row, budget, c):
         total += take * v_row[j]
         left -= take
     return total
+
+
+def _masks(shape, support, rows, cols):
+    """The bool masks (support, tight rows, tight columns) of an (n, m)
+    market, from a collection of pairs and two of indices."""
+    n, m = shape
+    S = np.zeros((n, m), dtype=bool)
+    S[tuple(np.array(sorted(support), dtype=int).reshape(-1, 2).T)] = True
+    return S, np.isin(np.arange(n), sorted(rows)), np.isin(np.arange(m), sorted(cols))
 
 
 def _shift_components_loop(vhat, t, q, support, tight_rows, tight_cols):
@@ -495,22 +504,26 @@ class TestSolveContracts:
         assert record["seconds"] <= 20.0
 
     # Each of these is certified only after the first polish of the first
-    # barrier rung, (mu_end, tau) = (1e-8, 3e-5), has failed; they keep
-    # the rest of the ladder from being trimmed unnoticed.
-    @pytest.mark.parametrize("n,seed,bargaining", [
-        (4, 4, False), (4, 4, True), (4, 62, True), (6, 98, True)])
-    def test_won_past_the_first_rung(self, n, seed, bargaining):
+    # barrier rung, (mu_end, tau) = (1e-8, 3e-5), has failed.  With the
+    # first-rung wins they pin every (mu_end, tau) of the ladder, so that
+    # none is trimmed unnoticed.  The last case is one of rho_exact's
+    # subset solves: agents 2-4 of a 5 x 5 market.
+    @pytest.mark.parametrize("n,seed,bargaining,agents,winner", [
+        pytest.param(4, 4, False, None, (1e-10, 1e-4), id="4-4-False"),
+        pytest.param(4, 4, True, None, (1e-10, 1e-4), id="4-4-True"),
+        pytest.param(4, 62, True, None, (1e-10, 1e-4), id="4-62-True"),
+        pytest.param(6, 98, True, None, (1e-8, 1e-6), id="6-98-True"),
+        pytest.param(5, 100007, False, (2, 3, 4), (1e-10, 1e-6), id="5-100007-agents234")])
+    def test_won_past_the_first_rung(self, n, seed, bargaining, agents, winner):
         inst = instances.gen_random(n, seed=seed)
         sol = (benchmark(inst).solution if bargaining
-               else solve(NswProblem.create(inst)))
+               else solve(NswProblem.create(inst, agents)))
         assert sol.kkt_residual <= DEFAULT_KKT_TOL
-        assert sol.metadata["polish"] != (1e-8, 3e-5)
-        # One count per rung run, up to the winning one: two or more for
-        # the three won on the 1e-10 rung, one for (6, 98), won on the
-        # first rung's second threshold.
+        assert sol.metadata["polish"] == winner
+        # One count per rung run, up to the winning one.
         rungs = sol.metadata["rung_iterations"]
         mu_ends = [mu_end for mu_end, _ in nsw._RUNGS]
-        assert len(rungs) == mu_ends.index(sol.metadata["polish"][0]) + 1
+        assert len(rungs) == mu_ends.index(winner[0]) + 1
         assert sum(rungs) == sol.metadata["iterations"]
 
     @pytest.mark.parametrize("n,seed", [(5, 0), (13, 1)])
@@ -613,7 +626,7 @@ def _pd_state(seed, K, n=13):
 def _pd_step(V, b, c, o, x, mu):
     """The primal-dual values at x and the direction toward mu, as the
     path computes them: (values, targets, direction)."""
-    vals = nsw._pd_values(V, b, c, o, x)
+    vals = nsw._pd_fill(V, b, c, o, nsw._pd_buffer(x))
     p, s, r, d, beta, z, t, q = vals
     targets = (mu - p * z, mu - t * d, mu - q * r, 1.0 - beta * s)
     M, scale = nsw._pd_matrix(V, vals)
@@ -741,7 +754,7 @@ class TestNewtonStep:
         V, b, c, o = st.V[st.live], st.b[st.live], st.c, st.o[st.live]
         *_, iters, x = nsw._barrier_solve(V[None], b[None], c[None], o[None], st.x0[None],
                                           st.mu0, 1e-8, nsw.ITERATION_CAP, None)
-        vals = nsw._pd_values(V[None], b[None], c[None], o[None], x)
+        vals = nsw._pd_fill(V[None], b[None], c[None], o[None], nsw._pd_buffer(x))
         p, s, r, d, beta, z, t, q = vals
         assert 0 < iters[0] < 60
         assert all(np.all(v > 0) for v in vals)
@@ -903,21 +916,40 @@ class TestPolishSystem:
         # zeros included.
         for seed in range(300):
             V, b, c, o, p, t, q, S, R, C = _random_polish_state(seed)
-            pairs = np.array(sorted(S), dtype=int).reshape(-1, 2)
-            rows, cols = np.array(sorted(R), dtype=int), np.array(sorted(C), dtype=int)
-            F, s = nsw._polish_residual(V, b, c, o, p, t, q, pairs[:, 0], pairs[:, 1],
-                                        rows, cols)
-            J = nsw._polish_jacobian(V, s, pairs[:, 0], pairs[:, 1], rows, cols)
+            masks = _masks(V.shape, S, R, C)
+            F, s = nsw._polish_residual(V, b, c, o, p, t, q, *masks)
+            J = nsw._polish_jacobian(V, s, *masks)
             F_ref, J_ref = _polish_system_loop(V, b, c, o, p, t, q, S, R, C)
             assert F.tobytes() == F_ref.tobytes()
             assert J.shape == J_ref.shape and J.tobytes() == J_ref.tobytes()
+
+    def test_collapsed_tie_drops_the_row_major_first(self, monkeypatch):
+        # Support pairs (0, 0) and (1, 1) collapse to exactly the same p:
+        # the repair drops the first of them in row-major order, (0, 0),
+        # and the next Newton call sees the rest of the support.
+        seen = []
+
+        def newton(V, b, c, o, p, S, R, C, t0, q0):
+            seen.append(S.copy())
+            if len(seen) > 1:
+                return None, 0
+            return (np.array([[0.0, 0.5], [0.5, 0.0]]), np.zeros(2), np.zeros(2)), 1
+
+        monkeypatch.setattr(nsw, "_polish_newton", newton)
+        V = np.array([[1.0, 2.0], [2.0, 1.0]])
+        nsw._polish(V, np.ones(2), np.ones(2), np.zeros(2), np.full((2, 2), 0.25),
+                    1e-9, np.zeros(2), np.zeros(2))
+        assert len(seen) == 2 and seen[0].all()
+        assert seen[1].tolist() == [[False, True], [True, True]]
 
     def test_violated_pairs_match_pair_loop(self):
         found = 0
         for seed in range(300):
             V, b, c, o, p, t, q, S, R, C = _random_polish_state(seed)
             for threshold in (1e-10, 0.5):
-                got = nsw._violated_pairs(V, o, p, t, q, S, R, C, threshold)
+                gi, gj = nsw._violated_pairs(V, o, p, t, q, *_masks(V.shape, S, R, C),
+                                             threshold)
+                got = list(zip(gi.tolist(), gj.tolist()))
                 assert got == _violated_pairs_loop(V, o, p, t, q, S, R, C, threshold)
                 found += len(got)
         assert found > 300
@@ -977,6 +1009,15 @@ class TestSolveMany:
             assert len(set(shapes)) == 2
         if case == "structured":
             assert all(sol.metadata["structured_steps"] > 0 for sol in many)
+
+    def test_stopped_problem_keeps_a_finite_state(self):
+        # A leave-one-out problem here stops on a direction that is not
+        # finite, and its state must stay as it was: a step of 0 times
+        # that direction would be nan.
+        inst = instances.gen_random(16, seed=1)
+        out = pa_run(inst, offsets=uniform_disagreement(inst))
+        assert out.base.kkt_residual <= DEFAULT_KKT_TOL
+        assert np.all((out.fractions >= 0) & (out.fractions <= 1 + 1e-9))
 
     def test_groups_split_by_hessian_bytes(self, monkeypatch):
         # Six problems of 5 x 6 pairs with room for the Hessians of two
@@ -1158,7 +1199,7 @@ def _duals_from_support_loop(vhat, n, m, support, tight_rows, tight_cols):
     t, q = np.zeros(m), np.zeros(n)
     t[tight_cols] = sol[:len(tight_cols)]
     q[tight_rows] = sol[len(tight_cols):]
-    nsw._shift_components(vhat, t, q, support, tight_rows, tight_cols)
+    nsw._shift_components(vhat, t, q, *_masks((n, m), support, tight_rows, tight_cols))
     return Duals(t, q)
 
 
