@@ -68,7 +68,7 @@ def benchmark(inst: Instance, tol: float = 1e-7) -> BenchmarkResult:
     """Nash bargaining benchmark of a square, unit-supply market."""
     if not inst.is_square:
         raise DimensionMismatch("benchmark needs a square market")
-    if not np.allclose(np.asarray(inst.supplies), 1.0, atol=1e-12):
+    if not inst.has_unit_supplies:
         raise DimensionMismatch("benchmark needs unit supplies")
     o = uniform_disagreement(inst)
     sol = solve(NswProblem.create(inst, offsets=o), tol=tol)
@@ -289,6 +289,8 @@ def truthfulness_audit(inst: Instance, mechanism: str, misreports: int = 20,
     """
     if mechanism not in MECHANISMS:
         raise DimensionMismatch(f"unknown mechanism {mechanism!r}")
+    if misreports < 1:
+        raise DimensionMismatch("misreports must be at least 1")
     sampler = misreport_sampler or _default_misreport
     truthful = run_mechanism(mechanism, inst, seed=seed, **mech_opts)
     true_u = core_utilities(inst, truthful)
@@ -328,8 +330,11 @@ def _replace_row(values: np.ndarray, i: int, row: np.ndarray) -> np.ndarray:
 def rpi_expected_utilities(inst: Instance, reps: int = 200, seed: int = 0,
                            n0: int = 4, tol: float = 1e-7
                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Monte-Carlo mean and standard error of per-agent RPI utilities;
-    ``tol`` is each welfare solve's certificate tolerance."""
+    """Monte-Carlo mean and standard error of per-agent RPI utilities over
+    ``reps`` >= 2 draws; ``tol`` is each welfare solve's certificate
+    tolerance."""
+    if reps < 2:
+        raise DimensionMismatch("reps must be at least 2 for a standard error")
     rep_seeds = rng_from_seed(seed, stream=2).integers(0, 2 ** 62, size=reps)
     memo: dict = {}
     samples = np.empty((reps, inst.n_agents))

@@ -116,9 +116,9 @@ def cmd_solve(args) -> int:
     if args.trace and args.out:
         with open(os.path.join(args.out, "trace.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
-            # The primal-dual path (``structured_steps``) logs mu, not a
-            # Newton decrement, in the third column.
-            third = "mu" if sol.metadata["structured_steps"] > 0 else "newton_decrement"
+            # The primal-dual path logs mu, not a Newton decrement, in the
+            # third column.
+            third = "mu" if sol.metadata["barrier"] == "primal-dual" else "newton_decrement"
             writer.writerow(["iteration", "objective", third])
             writer.writerows(trace)
     us = ", ".join(f"{u:.6g}" for u in sol.utilities)
@@ -157,7 +157,7 @@ def cmd_mech(args) -> int:
         mechanism=args.mechanism, seed=seed,
         probs=np.asarray(assignment.probs),
         utilities=np.asarray(mech_utils), metadata=meta)
-    if inst.is_square and np.allclose(np.asarray(inst.supplies), 1.0):
+    if inst.is_square and inst.has_unit_supplies:
         bench = benchmark(inst, tol=tol)
         report.benchmark_utilities = bench.benchmark_utilities
         report.ratios = utility_ratio(bench, mech_utils).ratios.tolist()

@@ -172,6 +172,11 @@ class Instance:
     def is_square(self) -> bool:
         return self.n_agents == self.n_items
 
+    @property
+    def has_unit_supplies(self) -> bool:
+        """Every item's supply is 1 to within 1e-12."""
+        return bool(np.all(np.abs(np.asarray(self.supplies) - 1.0) <= 1e-12))
+
     def agent_index(self, label: str) -> int:
         if self.agent_labels is not None and label in self.agent_labels:
             return self.agent_labels.index(label)

@@ -159,10 +159,8 @@ def decompose(p: FractionalAssignment | np.ndarray, tol: float = 1e-9) -> Lotter
     col_ok = n == m and np.allclose(work.sum(axis=0), 1.0, atol=tol)
     if row_ok and col_ok:
         square = work.copy()
-        real_n, real_m = n, m
     else:
         square = _pad_to_doubly_stochastic(work, tol)
-        real_n, real_m = n, m
     size = square.shape[0]
 
     terms: list[tuple[float, tuple[int, ...]]] = []
@@ -177,8 +175,7 @@ def decompose(p: FractionalAssignment | np.ndarray, tol: float = 1e-9) -> Lotter
         if weight <= 0:
             break
         weight = min(weight, 1.0 - extracted)
-        real = tuple(matching[i] if matching[i] < real_m else -1
-                     for i in range(real_n))
+        real = tuple(matching[i] if matching[i] < m else -1 for i in range(n))
         terms.append((weight, real))
         remaining[cells] -= weight
         remaining[remaining < _ZERO_CLIP] = 0.0
@@ -186,7 +183,7 @@ def decompose(p: FractionalAssignment | np.ndarray, tol: float = 1e-9) -> Lotter
     if not terms:
         raise NotDecomposable("no perfect matching on the positive support")
     residual = max(0.0, 1.0 - extracted)
-    return Lottery(terms=terms, residual=residual, n_agents=real_n, n_items=real_m)
+    return Lottery(terms=terms, residual=residual, n_agents=n, n_items=m)
 
 
 def sample(lottery: Lottery, seed: int) -> tuple[int, ...]:

@@ -183,7 +183,7 @@ def rpi_run(inst: Instance, n0: int = 4, seed: int = 0,
         raise DimensionMismatch("needs equal numbers of agents and items")
     if n0 < 4:
         raise DimensionMismatch("n0 must be at least 4")
-    if not np.allclose(np.asarray(inst.supplies), 1.0, atol=1e-12):
+    if not inst.has_unit_supplies:
         raise DimensionMismatch("needs unit supplies")
     n = inst.n_agents
     probs = np.zeros((n, n))
@@ -297,7 +297,8 @@ def rsd_exact_matrix(inst: Instance) -> list[list[Fraction]]:
 
 def rsd_run(inst: Instance, mode: str = "exact", samples: int = 1000,
             seed: int = 0) -> FractionalAssignment:
-    """RSD marginals, exact (all n! orders) or sampled (seeded orders).
+    """RSD marginals, exact (all n! orders) or sampled (``samples`` >= 1
+    seeded orders), of a unit-supply market.
 
     Within a draw, each agent in turn takes her highest-value available
     item, ties broken by smallest item index.
@@ -305,10 +306,14 @@ def rsd_run(inst: Instance, mode: str = "exact", samples: int = 1000,
     n, m = inst.n_agents, inst.n_items
     if n > m:
         raise DimensionMismatch("more agents than items")
+    if not inst.has_unit_supplies:
+        raise DimensionMismatch("needs unit supplies")
     if mode == "exact":
         exact = rsd_exact_matrix(inst)
         probs = np.array([[float(x) for x in row] for row in exact])
     elif mode == "sampled":
+        if samples < 1:
+            raise DimensionMismatch("samples must be at least 1")
         rng = rng_from_seed(seed)
         probs = np.zeros((n, m))
         values = np.asarray(inst.values)
@@ -379,7 +384,10 @@ def ps_exact_matrix(inst: Instance) -> list[list[Fraction]]:
 
 
 def ps_run(inst: Instance) -> FractionalAssignment:
-    """Probabilistic serial marginals (exact internally, floats out)."""
+    """Probabilistic serial marginals of a unit-supply market (exact
+    internally, floats out)."""
+    if not inst.has_unit_supplies:
+        raise DimensionMismatch("needs unit supplies")
     eaten = ps_exact_matrix(inst)
     probs = np.array([[float(x) for x in row] for row in eaten])
     return FractionalAssignment.from_probs(probs, row_budget=1.0,

@@ -27,14 +27,15 @@ damped Newton steps on the primal log barrier in p with the explicit
 predictor-corrector method in (p, beta, t, q), beta = 1/s, whose Newton
 system reduces to a matrix of order 2 na + mk, LU-factored once per
 iteration for both of its solves.  Problems of one shape (a mechanism's
-leave-one-out or subset solves, through :func:`solve_many`) follow the
-first rung of that path in lockstep, K systems solved at once.  It then
+leave-one-out or subset solves, through :func:`solve_many`) follow that
+path in lockstep, K systems solved at once, down to mu = 1e-8.  It then
 polishes primal variables and prices together on that support by Newton
 on the square stationarity system, whose singular Jacobian takes
 minimum-norm least-squares steps by QR with column pivoting, with an
-active-set repair loop, over a short ladder of final barrier weights and
-support thresholds, until a candidate's certificate is well within
-tolerance.
+active-set repair loop.  The polish tries four support thresholds in
+turn until a candidate's certificate is well within tolerance; a
+warm-started problem that none of them certifies is started once more,
+cold.
 
 Agents whose maximum achievable surplus is zero (for instance constant
 value rows under an average-value offset) cannot appear in the log
@@ -87,14 +88,19 @@ _SUPPORT_TOL = 1e-9
 
 # Barrier Newton steps.  From this many (agent, item) pairs on, the barrier
 # is a primal-dual path whose Newton matrix has 2 na + mk rows instead of na mk.
-_STRUCTURED_MIN_PAIRS = 150
+_PD_MIN_PAIRS = 150
 # The primal-dual path stops a problem only once max |1 - beta s| is this small.
 _PD_SURPLUS_TOL = 1e-6
 # One lockstep barrier call holds at most this many bytes of Hessians
 # (8 n^2 per problem of Hessian order n); a larger group of one shape is split.
 _LOCKSTEP_BYTES = 2 ** 22
-# Barrier rungs: each final mu with the support thresholds its polish tries.
-_RUNGS = ((1e-8, (3e-5, 1e-6)), (1e-10, (1e-6, 1e-4)))
+# The barrier's final mu, and the support thresholds the polish tries there,
+# in order: a pair counts as support when its mass exceeds the threshold.
+_MU_END = 1e-8
+_TAUS = (3e-5, 1e-6, 1e-3, 1e-7)
+# Repair rounds of one polish, and Newton steps of one round.
+_POLISH_ROUNDS = 40
+_POLISH_NEWTON_ITERS = 40
 
 
 @dataclass(frozen=True)
@@ -737,27 +743,27 @@ def _max_step(vals, dvals):
     return -(vals / np.minimum(dvals, -0.0)).max(axis=1)
 
 
-def _barrier_solve(V, b, c, o, x0, mu_start, mu_end, budget, trace):
-    """Follow the barrier central path from ``mu_start`` to ``mu_end``.
+def _barrier_solve(V, b, c, o, x0, warm, budget, trace):
+    """Follow the barrier central path down to ``_MU_END``.
 
     Every argument but the scalars carries a leading batch axis: K problems
     of one shape follow the same mu schedule in lockstep, and a problem
     that has finished centering at the current mu is masked (step length
-    0) until mu moves on.  Problems below ``_STRUCTURED_MIN_PAIRS`` pairs
-    take damped primal Newton steps from p = ``x0``, all K Hessians solved
-    in one stacked solve; larger ones follow the primal-dual path of
+    0) until mu moves on.  Problems below ``_PD_MIN_PAIRS`` pairs take
+    damped primal Newton steps from p = ``x0``, starting at mu = 5e-3 when
+    ``warm`` and 0.05 otherwise, all K Hessians solved in one stacked
+    solve; larger ones follow the primal-dual path of
     :func:`_primal_dual_solve` from its state ``x0``.  Returns
-    (p, t, q, iterations, x), each with the batch axis, where x is the
-    state a later rung continues from.  ``trace``, when given, gets one
-    row per Newton step of a lone problem.
+    (p, t, q, iterations), each with the batch axis.  ``trace``, when
+    given, gets one row per Newton step of a lone problem.
     """
     K, na, mk = V.shape
-    if na * mk >= _STRUCTURED_MIN_PAIRS:
-        return _primal_dual_solve(V, b, c, o, x0, mu_end, budget, trace)
+    if na * mk >= _PD_MIN_PAIRS:
+        return _primal_dual_solve(V, b, c, o, x0, budget, trace)
     p = x0.copy()
     iters = np.zeros(K, dtype=int)
-    mu = mu_start
-    mu_last = np.full(K, mu_start)     # the mu at which each problem stopped
+    mu = 5e-3 if warm else 0.05
+    mu_last = np.full(K, mu)           # the mu at which each problem stopped
     running = np.ones(K, dtype=bool)
 
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -798,16 +804,16 @@ def _barrier_solve(V, b, c, o, x0, mu_start, mu_end, budget, trace):
                     trace.append((int(iters[0]),
                                   float(np.log(_surplus(V, p, o)).sum(axis=1)[0]),
                                   float(decrement[0])))
-                loose = 1.0 if mu > mu_end else 0.3
+                loose = 1.0 if mu > _MU_END else 0.3
                 centering &= ~(decrement < max(loose * mu, 1e-16))
             mu_last[running] = mu
             running &= iters < budget
-            if mu <= mu_end or not running.any():
+            if mu <= _MU_END or not running.any():
                 break
-            mu = max(mu * 0.02, mu_end)
+            mu = max(mu * 0.02, _MU_END)
 
     return (p, mu_last[:, None] / (c - p.sum(axis=1)), mu_last[:, None] / (b - p.sum(axis=2)),
-            iters, p)
+            iters)
 
 
 def _pd_views(buf, na, mk):
@@ -920,16 +926,16 @@ def _pd_direction(V, vals, factors, scale, rz, rt, rq, rb, out=None):
     return dvals
 
 
-def _pd_done(vals, mu, mu_end):
-    """Problems whose mu is at most ``mu_end`` and whose surpluses meet
+def _pd_done(vals, mu):
+    """Problems whose mu is at most ``_MU_END`` and whose surpluses meet
     beta s = 1 to ``_PD_SURPLUS_TOL``."""
     p, s, r, d, beta, z, t, q = vals
-    return (mu <= mu_end) & (np.abs(1.0 - beta * s).max(axis=1) <= _PD_SURPLUS_TOL)
+    return (mu <= _MU_END) & (np.abs(1.0 - beta * s).max(axis=1) <= _PD_SURPLUS_TOL)
 
 
-def _primal_dual_solve(V, b, c, o, x0, mu_end, budget, trace):
+def _primal_dual_solve(V, b, c, o, x0, budget, trace):
     """Mehrotra's predictor-corrector path for problems of
-    ``_STRUCTURED_MIN_PAIRS`` pairs or more, with the batch axis.
+    ``_PD_MIN_PAIRS`` pairs or more, with the batch axis.
 
     The state x = (p, beta, t, q) keeps p, the surplus s = V.p - o, the
     slacks r = b - sum_j p and d = c - sum_i p, beta, z, t and q strictly
@@ -954,7 +960,7 @@ def _primal_dual_solve(V, b, c, o, x0, mu_end, budget, trace):
     D = np.empty_like(P)
     iters = np.zeros(K, dtype=int)
     mu = _pd_mu(vals)
-    running = ~_pd_done(vals, mu, mu_end)
+    running = ~_pd_done(vals, mu)
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
             running &= iters < min(budget, 60)
@@ -998,9 +1004,9 @@ def _primal_dual_solve(V, b, c, o, x0, mu_end, budget, trace):
             if trace is not None and running[0]:
                 trace.append((int(iters[0]), float(np.log(vals[1][0]).sum()), float(mu[0])))
             running[k[~moving]] = False
-            running &= ~_pd_done(vals, mu, mu_end)
+            running &= ~_pd_done(vals, mu)
     p, _, _, _, _, _, t, q = vals
-    return p, t, q, iters, x
+    return p, t, q, iters
 
 
 def _pd_start(V, o, p):
@@ -1015,7 +1021,7 @@ def _pd_start(V, o, p):
 # Active-set polish
 # ---------------------------------------------------------------------------
 
-def _polish(V, b, c, o, p_in, support_tol, t0, q0, rounds=40):
+def _polish(V, b, c, o, p_in, support_tol, t0, q0):
     """Newton on the stationarity system of a guessed active set.
 
     The guess is three bool masks: the support S (na, mk), the tight rows
@@ -1036,7 +1042,7 @@ def _polish(V, b, c, o, p_in, support_tol, t0, q0, rounds=40):
 
     best = None
     steps = 0
-    for _ in range(rounds):
+    for _ in range(_POLISH_ROUNDS):
         out, taken = _polish_newton(V, b, c, o, p, S, R, C, t0, q0)
         steps += taken
         if out is None:
@@ -1158,7 +1164,7 @@ def _polish_step(J, F):
     return linalg.lapack.dgelsy(J, -F, np.zeros(J.shape[1], dtype=np.int32), cond, lwork)[1]
 
 
-def _polish_newton(V, b, c, o, p_in, S, R, C, t0, q0, iters=40):
+def _polish_newton(V, b, c, o, p_in, S, R, C, t0, q0):
     """Damped Newton on the square system of :func:`_polish_residual`:
     ((p, t, q) or None, the number of least-squares steps taken)."""
     na, mk = V.shape
@@ -1172,7 +1178,7 @@ def _polish_newton(V, b, c, o, p_in, S, R, C, t0, q0, iters=40):
     t[C] = np.maximum(t0[C], 0.0)
     q[R] = np.maximum(q0[R], 0.0)
 
-    for it in range(iters):
+    for it in range(_POLISH_NEWTON_ITERS):
         F, s = _polish_residual(V, b, c, o, p, t, q, S, R, C)
         if F is None:
             return None, it
@@ -1195,8 +1201,8 @@ def _polish_newton(V, b, c, o, p_in, S, R, C, t0, q0, iters=40):
         q[R] += alpha * step[nS + nC:]
     # Not fully converged: hand the best iterate to the repair loop anyway.
     if _polish_residual(V, b, c, o, p, t, q, S, R, C)[0] is None:
-        return None, iters
-    return (p, t, q), iters
+        return None, _POLISH_NEWTON_ITERS
+    return (p, t, q), _POLISH_NEWTON_ITERS
 
 
 # ---------------------------------------------------------------------------
@@ -1260,13 +1266,13 @@ class _Start:
     live: list[int]
     degenerate: set[int]
     x0: np.ndarray | None      # None when no row is live
-    mu0: float                 # the primal barrier's first mu
+    warm: bool                 # x0 comes from the warm start
     seconds: float             # wall time of these stages
 
 
 def _start(problem: NswProblem, warm_start: np.ndarray | None) -> _Start:
     """The stages before the barrier: degeneracy screen and start point, an
-    interior primal point, from ``_STRUCTURED_MIN_PAIRS`` live pairs on
+    interior primal point, from ``_PD_MIN_PAIRS`` live pairs on
     extended to the primal-dual state of :func:`_pd_start`."""
     began = perf_counter()
     inst = problem.instance
@@ -1291,21 +1297,47 @@ def _start(problem: NswProblem, warm_start: np.ndarray | None) -> _Start:
         x0 = _interior_start(V[live], b[live], c, o[live], base)
         if x0 is None:
             raise Infeasible("no strictly interior point with positive surplus")
-        if len(live) * len(keep) >= _STRUCTURED_MIN_PAIRS:
+        if len(live) * len(keep) >= _PD_MIN_PAIRS:
             x0 = _pd_start(V[live], o[live], x0)
-    return _Start(V=V, b=b, c=c, o=o, keep=keep, live=live,
-                  degenerate=degenerate, x0=x0, mu0=5e-3 if warm else 0.05,
-                  seconds=perf_counter() - began)
+    return _Start(V=V, b=b, c=c, o=o, keep=keep, live=live, degenerate=degenerate,
+                  x0=x0, warm=warm, seconds=perf_counter() - began)
 
 
-def _first_rungs(starts: list[_Start], max_iter: int, trace=None):
-    """The first barrier rung of problems with one live shape and one
-    ``mu0``, in lockstep; one (p, t, q, iterations, state) per problem."""
+def _barriers(starts: list[_Start], max_iter: int, trace=None):
+    """The barrier paths of problems with one live shape and one warm flag,
+    in lockstep; one (p, t, q, iterations) per problem."""
     V, b, c, o, x0 = (np.stack(x) for x in zip(*[
         (st.V[st.live], st.b[st.live], st.c, st.o[st.live], st.x0) for st in starts]))
-    p, t, q, iters, x = _barrier_solve(V, b, c, o, x0, starts[0].mu0, _RUNGS[0][0],
-                                       max_iter, trace)
-    return [(p[k], t[k], q[k], int(iters[k]), x[k]) for k in range(len(starts))]
+    p, t, q, iters = _barrier_solve(V, b, c, o, x0, starts[0].warm, max_iter, trace)
+    return [(p[k], t[k], q[k], int(iters[k])) for k in range(len(starts))]
+
+
+def _lone_barrier(start: _Start, max_iter: int, trace):
+    """One problem's barrier path (None when no row is live) and its seconds."""
+    began = perf_counter()
+    path = None if start.x0 is None else _barriers([start], max_iter, trace)[0]
+    return path, perf_counter() - began
+
+
+def _best_polish(start: _Start, path, tol):
+    """Polish the barrier point ``path`` at each support threshold of
+    ``_TAUS`` in turn, until a candidate's residual is at most tol / 2.
+    Returns the best candidate's (residual, (p, t, q), tau), which is
+    (inf, None, None) when no polish gave one, and the least-squares steps
+    taken."""
+    live = start.live
+    Vl, bl, ol = start.V[live], start.b[live], start.o[live]
+    p_bar, t_bar, q_bar, _ = path
+    best = (math.inf, None, None)
+    steps = 0
+    for tau in _TAUS:
+        polished, resid, taken = _polish(Vl, bl, start.c, ol, p_bar, tau, t_bar, q_bar)
+        steps += taken
+        if polished is not None and resid < best[0]:
+            best = (resid, polished, tau)
+        if best[0] <= 0.5 * tol:
+            break
+    return best, steps
 
 
 def _check_tol(tol):
@@ -1319,14 +1351,14 @@ def solve_many(problems: Sequence[NswProblem], tol: float = DEFAULT_KKT_TOL,
     """``[solve(problem, tol, max_iter, warm_start) for problem in problems]``, faster.
 
     Each problem is screened and started on its own; then problems of one
-    live shape and one warm flag run their first barrier rung in one
-    lockstep call (several when their Hessians would pass
-    ``_LOCKSTEP_BYTES``), and :func:`solve` finishes each from there.
-    Results are those of the sequential loop, which also decides which
-    exception is raised: the first failing problem's.
-    ``metadata["barrier_batch"]`` counts the problems of each first-rung
-    call, and the first entry of ``metadata["stage_s"]["rungs"]`` is that
-    call's wall time, shared by its problems.
+    live shape and one warm flag run their barrier in one lockstep call
+    (several when their Hessians would pass ``_LOCKSTEP_BYTES``), and
+    :func:`solve` finishes each from there.  Results are those of the
+    sequential loop, which also decides which exception is raised: the
+    first failing problem's.  ``metadata["barrier_batch"]`` counts the
+    problems of each lockstep call, and ``metadata["stage_s"]["barrier"]``
+    is that call's wall time, shared by its problems (plus a cold
+    restart's own barrier, if one ran).
     """
     _check_tol(tol)
     starts: list[_Start | MatchingError] = []
@@ -1338,18 +1370,18 @@ def solve_many(problems: Sequence[NswProblem], tol: float = DEFAULT_KKT_TOL,
     groups: dict[tuple, list[int]] = {}
     for k, st in enumerate(starts):
         if isinstance(st, _Start) and st.x0 is not None:
-            groups.setdefault((len(st.live), len(st.keep), st.mu0), []).append(k)
+            groups.setdefault((len(st.live), len(st.keep), st.warm), []).append(k)
     prepared = [(st, None, 1, 0.0) for st in starts]
     for (na, mk, _), group in groups.items():
-        order = na * mk if na * mk < _STRUCTURED_MIN_PAIRS else 2 * na + mk
+        order = na * mk if na * mk < _PD_MIN_PAIRS else 2 * na + mk
         per_call = max(1, _LOCKSTEP_BYTES // (8 * order ** 2))
         for at in range(0, len(group), per_call):
             ks = group[at:at + per_call]
             began = perf_counter()
-            rungs = _first_rungs([starts[k] for k in ks], max_iter)
+            paths = _barriers([starts[k] for k in ks], max_iter)
             seconds = perf_counter() - began
-            for k, rung in zip(ks, rungs):
-                prepared[k] = (starts[k], rung, len(ks), seconds)
+            for k, path in zip(ks, paths):
+                prepared[k] = (starts[k], path, len(ks), seconds)
     # ``solve`` is looked up at call time, so a wrapper around nsw.solve
     # sees every problem finished.
     return [solve(problem, tol=tol, max_iter=max_iter, _prepared=prep)
@@ -1365,110 +1397,83 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
     The returned solution satisfies ``kkt_residual <= tol``; by concavity
     plus the certificate its objective is within ``tol`` of optimal.
     ``warm_start`` (a full n_agents-by-n_items matrix, for instance the
-    solution of a nearby problem) only speeds up the search.  Raises
-    :class:`Infeasible` when an active agent cannot reach non-negative
-    surplus, and :class:`NoConvergence` when the certificate tolerance
-    cannot be met inside the iteration budget.  ``metadata["polish"]`` is
-    the ``(mu_end, tau)`` rung and support threshold of the winning
-    candidate, ``metadata["rung_iterations"]`` the Newton steps of each
-    barrier rung that ran (they sum to ``metadata["iterations"]``),
-    ``metadata["polish_steps"]`` the least-squares steps of every polish
-    the solve tried, and
-    ``metadata["barrier_batch"]`` the number of problems whose first
-    barrier rung ran in one lockstep call (1 here; see :func:`solve_many`),
-    and ``metadata["stage_s"]`` the ``perf_counter`` seconds of the stages:
-    ``start`` (screen and interior start), ``rungs`` (each barrier rung that
-    ran), ``polish`` (every polish tried) and ``finish`` (assembly and the
-    certificate check).
+    solution of a nearby problem) only speeds up the search: when no
+    polish of the warm-started path is certified, the problem is started
+    once more without it.  Raises :class:`Infeasible` when an active agent
+    cannot reach non-negative surplus, and :class:`NoConvergence` when the
+    certificate tolerance cannot be met inside the iteration budget.
+    ``metadata["barrier"]`` names the barrier path, ``"primal"`` or
+    ``"primal-dual"``; ``metadata["iterations"]`` counts its Newton steps
+    and ``metadata["polish_steps"]`` the least-squares steps of every
+    polish the solve tried, both over the cold restart too;
+    ``metadata["polish"]`` is the support threshold tau of the winning
+    candidate (None when no row is live); ``metadata["barrier_batch"]`` is
+    the number of problems whose barrier ran in one lockstep call (1 here;
+    see :func:`solve_many`); and ``metadata["stage_s"]`` holds the
+    ``perf_counter`` seconds of the stages: ``start`` (screen and interior
+    start), ``barrier``, ``polish`` (every polish tried) and ``finish``
+    (assembly and the certificate check).
     ``trace``, when given, gets one row per Newton step of the barrier:
     (iteration, sum_i log s_i, m), where m is the Newton decrement on the
-    primal path and mu on the primal-dual path.
+    primal path and mu on the primal-dual path; a cold restart appends the
+    rows of its own path.
     """
     _check_tol(tol)
     if _prepared is None:               # a lone problem: a batch of one
         start = _start(problem, warm_start)
-        began = perf_counter()
-        first = (None if start.x0 is None
-                 else _first_rungs([start], max_iter, trace)[0])
-        batch, first_s = 1, perf_counter() - began
+        path, barrier_s = _lone_barrier(start, max_iter, trace)
+        batch = 1
     else:                               # from solve_many
-        start, first, batch, first_s = _prepared
+        start, path, batch, barrier_s = _prepared
         if isinstance(start, MatchingError):
             raise start
-    mark = perf_counter()               # the end of the last timed stage
-    stages = {"start": start.seconds, "rungs": [], "polish": 0.0}
-    inst = problem.instance
-    active = list(problem.active_agents)
-    V_full = np.asarray(inst.values)
-    V, b, c, o, keep = start.V, start.b, start.c, start.o, start.keep
-    live_local = start.live
-    degenerate = frozenset(active[i] for i in start.degenerate)
-    c_full = np.asarray(inst.supplies, dtype=float)
-
-    na_live = len(live_local)
-    p_live = np.zeros((na_live, len(keep)))
-    t_kept = np.zeros(len(keep))
-    q_live = np.zeros(na_live)
+    stages = {"start": start.seconds, "barrier": barrier_s, "polish": 0.0}
     iters_used = 0
-    rung_iterations = []                # Newton steps of each barrier rung that ran
     polish_steps = 0
     winner = None
 
-    if na_live > 0:
-        Vl, bl, ol = V[live_local], b[live_local], o[live_local]
-        best_resid, best = math.inf, None
-        mu_reached = start.mu0
-        for rung, (mu_end, taus) in enumerate(_RUNGS):
-            if iters_used >= max_iter:
+    if start.live:
+        while True:
+            mark = perf_counter()
+            iters_used += path[3]
+            (best_resid, best, winner), taken = _best_polish(start, path, tol)
+            polish_steps += taken
+            stages["polish"] += perf_counter() - mark
+            if best_resid <= tol or not start.warm or iters_used >= max_iter:
                 break
-            if rung == 0:
-                p_bar, t_bar, q_bar, it, x_path = first
-                stages["rungs"].append(first_s)
-            else:                       # the few problems that get here go alone
-                p_bar, t_bar, q_bar, its, x_path = (x[0] for x in _barrier_solve(
-                    Vl[None], bl[None], c[None], ol[None], x_path[None],
-                    mu_reached, mu_end, max_iter - iters_used, trace))
-                it = int(its)
-                now = perf_counter()
-                stages["rungs"].append(now - mark)
-                mark = now
-            iters_used += it
-            rung_iterations.append(it)
-            mu_reached = mu_end
-            for tau in taus:
-                polished, resid, taken = _polish(Vl, bl, c, ol, p_bar, tau, t_bar, q_bar)
-                polish_steps += taken
-                if polished is None:
-                    continue
-                if resid < best_resid:
-                    best_resid, best, winner = resid, polished, (mu_end, tau)
-                if resid <= 0.5 * tol:
-                    break
-            now = perf_counter()
-            stages["polish"] += now - mark
-            mark = now
-            if best_resid <= 0.5 * tol:
-                break
+            # The warm-started path ended where no threshold polishes: start
+            # once more from the cold start point.
+            start = _start(problem, None)
+            path, seconds = _lone_barrier(start, max_iter - iters_used, trace)
+            stages["start"] += start.seconds
+            stages["barrier"] += seconds
         if best_resid > tol:
             # The best candidate is not certified and may not even be
             # feasible, so it is never assembled or validated.
             raise NoConvergence(iters_used, best_resid)
         p_live, t_kept, q_live = best
+    mark = perf_counter()               # the end of the last timed stage
 
     # Assemble the full assignment.
+    inst = problem.instance
+    active = list(problem.active_agents)
+    V_full = np.asarray(inst.values)
+    V, b, c, keep, live_local = start.V, start.b, start.c, start.keep, start.live
+    degenerate = frozenset(active[i] for i in start.degenerate)
+    c_full = np.asarray(inst.supplies, dtype=float)
     n, m = inst.n_agents, inst.n_items
     live_global = [active[i] for i in live_local]
     full_p = np.zeros((n, m))
-    full_p[np.ix_(live_global, keep)] = _saturate_rows(
-        V[live_local], b[live_local], c, np.maximum(p_live, 0.0))
+    t_full = np.zeros(m)
+    q_full = np.zeros(n)
+    if live_local:
+        full_p[np.ix_(live_global, keep)] = _saturate_rows(
+            V[live_local], b[live_local], c, np.maximum(p_live, 0.0))
+        t_full[keep] = np.maximum(t_kept, 0.0)
+        q_full[live_global] = np.maximum(q_live, 0.0)
     budgets_full = np.zeros(n)
     budgets_full[active] = problem.row_budget
     full_p = _degenerate_fill(full_p, degenerate, budgets_full, c_full)
-
-    t_full = np.zeros(m)
-    t_full[keep] = np.maximum(t_kept, 0.0)
-    q_full = np.zeros(n)
-    q_full[live_global] = np.maximum(q_live, 0.0)
 
     offsets_full = np.zeros(n)
     offsets_full[active] = problem.offsets
@@ -1500,7 +1505,6 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
     if residual > tol:
         raise NoConvergence(iters_used, residual)
 
-    structured = na_live * len(keep) >= _STRUCTURED_MIN_PAIRS   # every step
     stages["finish"] = perf_counter() - mark
     return NswSolution(
         problem=problem,
@@ -1512,9 +1516,8 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
         kkt_residual=residual,
         degenerate_agents=degenerate,
         metadata={"iterations": iters_used,
-                  "rung_iterations": rung_iterations,
-                  "structured_steps": iters_used if structured else 0,
-                  "dense_steps": 0 if structured else iters_used,
+                  "barrier": ("primal-dual" if len(live_local) * len(keep) >= _PD_MIN_PAIRS
+                              else "primal"),
                   "polish": winner,
                   "polish_steps": polish_steps,
                   "barrier_batch": batch,
@@ -1522,4 +1525,3 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
                   "active_agents": tuple(active),
                   "offsets": offsets_full.tolist()},
     )
-

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from matchlab.core import uniform_disagreement, validate_instance
+from matchlab.core import DimensionMismatch, uniform_disagreement, validate_instance
 from matchlab.analysis import (
     approx_ratio,
     benchmark,
@@ -221,6 +221,10 @@ class TestAudits:
                 out = rsd_run(inst.with_values(w), mode="exact")
                 assert float(values[agent] @ out.probs[agent]) <= true_u + 1e-12
 
+    def test_no_misreports_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            truthfulness_audit(gen_random(3, seed=3), "pa", misreports=0)
+
     def test_rpi_audit_shares_realization(self):
         rep = truthfulness_audit(gen_random(4, seed=5), "rpi", misreports=4,
                                  seed=2)
@@ -235,6 +239,11 @@ class TestRpiEstimates:
         m2, _ = rpi_expected_utilities(inst, reps=30, seed=7)
         assert np.array_equal(m1, m2)
         assert np.all(s1 >= 0)
+
+    def test_one_rep_rejected(self):
+        # One draw has no standard error.
+        with pytest.raises(DimensionMismatch):
+            rpi_expected_utilities(gen_random(5, seed=4), reps=1)
 
 
 class TestAsymptoticBounds:

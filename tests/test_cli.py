@@ -92,6 +92,13 @@ class TestMechCommand:
         assert rep.ratios is not None
         assert max(rep.ratios) == pytest.approx(5.0, rel=0.02)
 
+    def test_rsd_zero_samples_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["mech", "rsd", "--gen", "random:4", "--seed", "0",
+                     "--samples", "0", "--out", str(out)])
+        assert code == 1
+        assert not (out / "mech_rsd.json").exists()
+
     def test_ps_single_agent(self, capsys):
         code = main(["mech", "ps", "--gen", "random:1", "--seed", "0"])
         assert code == 0
@@ -159,6 +166,13 @@ class TestAuditCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "worst gain" in out
+
+    def test_zero_misreports_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["audit", "pa", "--gen", "random:3", "--seed", "3",
+                     "--misreports", "0", "--out", str(out)])
+        assert code == 1
+        assert not (out / "audit_pa.json").exists()
 
 
 class TestLowerboundCommand:

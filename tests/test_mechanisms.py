@@ -26,6 +26,10 @@ from matchlab.mechanisms import (
 INV_E = math.exp(-1)
 
 
+def _with_supplies(inst, supplies):
+    return validate_instance({"values": np.asarray(inst.values), "supplies": supplies})
+
+
 class TestPartialAllocation:
     def test_no_externality_identity(self):
         inst = validate_instance([[1, 0], [0, 1]])
@@ -68,9 +72,9 @@ class TestPartialAllocation:
                 assert u_lie <= u_true + 1e-5
 
     def test_leave_one_out_barriers_run_in_one_batch(self, monkeypatch):
-        # The n leave-one-out solves share a shape: their first barrier rung
-        # is one lockstep call of n problems, and each solution still comes
-        # back through nsw.solve.
+        # The n leave-one-out solves share a shape: their barrier is one
+        # lockstep call of n problems, and each solution still comes back
+        # through nsw.solve.
         from matchlab import nsw
         loo = []
         real = nsw.solve
@@ -150,6 +154,9 @@ class TestRpi:
         with pytest.raises(DimensionMismatch):
             rpi_run(validate_instance({"values": np.ones((2, 2)),
                                        "supplies": [1.0, 0.5]}))
+        # Within numpy's default relative tolerance of 1, but not a unit.
+        with pytest.raises(DimensionMismatch):
+            rpi_run(_with_supplies(gen_random(4, seed=0), [1.0 - 1e-6, 1.0, 1.0, 1.0]))
 
 
 class TestRsd:
@@ -177,6 +184,18 @@ class TestRsd:
         with pytest.raises(TooLargeForExact):
             rsd_exact_matrix(gen_random(11, seed=0))
 
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_rejects_fractional_supplies(self, mode):
+        # Every draw hands out whole items, so a half supply would be
+        # overspent.
+        inst = _with_supplies(gen_random(4, seed=0), [0.5, 1.0, 1.0, 1.0])
+        with pytest.raises(DimensionMismatch):
+            rsd_run(inst, mode=mode)
+
+    def test_rejects_zero_samples(self):
+        with pytest.raises(DimensionMismatch):
+            rsd_run(gen_random(4, seed=0), mode="sampled", samples=0)
+
     def test_ordinal_invariance(self):
         inst = gen_random(5, seed=12)
         transformed = inst.with_values(np.asarray(inst.values) ** 3 * 7 + 0.0)
@@ -201,6 +220,11 @@ class TestPs:
                 assert sum(row) == 1
             for j in range(5):
                 assert sum(row[j] for row in eaten) == 1
+
+    def test_rejects_fractional_supplies(self):
+        inst = _with_supplies(gen_random(4, seed=0), [0.5, 1.0, 1.0, 1.0])
+        with pytest.raises(DimensionMismatch):
+            ps_run(inst)
 
     def test_ordinal_worst_top_share(self):
         inst = gen_ordinal_worst(4, 0.01)

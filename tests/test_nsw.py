@@ -429,19 +429,18 @@ class TestSolveContracts:
 
     @pytest.mark.parametrize("n,seed", [(5, 0), (13, 1), (4, 4)])
     def test_stage_times_fit_in_the_solve(self, n, seed):
-        # (4, 4) is won on its second rung, so it times two barrier rungs.
+        # (4, 4) is won only at tau = 1e-3, after two failed polishes.
         inst = instances.gen_random(n, seed=seed)
         began = time.perf_counter()
         sol = solve(NswProblem.create(inst))
         wall = time.perf_counter() - began
         stages = sol.metadata["stage_s"]
-        times = [stages["start"], *stages["rungs"], stages["polish"], stages["finish"]]
-        assert len(stages["rungs"]) == len(sol.metadata["rung_iterations"])
-        assert all(x >= 0 for x in times) and sum(times) <= wall
-        # A lockstep first rung is timed once for its whole call.
-        rungs = [one.metadata["stage_s"]["rungs"] for one in nsw.solve_many(
-            _loo_problems(inst)[1])]
-        assert len({r[0] for r in rungs}) == 1 and min(min(r) for r in rungs) >= 0
+        assert set(stages) == {"start", "barrier", "polish", "finish"}
+        assert all(x >= 0 for x in stages.values()) and sum(stages.values()) <= wall
+        # A lockstep barrier is timed once for its whole call.
+        barriers = {one.metadata["stage_s"]["barrier"] for one in nsw.solve_many(
+            _loo_problems(inst)[1])}
+        assert len(barriers) == 1 and min(barriers) >= 0
 
     def test_row_budget_below_one(self):
         inst = validate_instance([[1.0, 0.5], [0.5, 1.0]])
@@ -503,36 +502,37 @@ class TestSolveContracts:
         assert record["kkt_residual"] <= DEFAULT_KKT_TOL
         assert record["seconds"] <= 20.0
 
-    # Each of these is certified only after the first polish of the first
-    # barrier rung, (mu_end, tau) = (1e-8, 3e-5), has failed.  With the
-    # first-rung wins they pin every (mu_end, tau) of the ladder, so that
-    # none is trimmed unnoticed.  The last case is one of rho_exact's
-    # subset solves: agents 2-4 of a 5 x 5 market.
-    @pytest.mark.parametrize("n,seed,bargaining,agents,winner", [
-        pytest.param(4, 4, False, None, (1e-10, 1e-4), id="4-4-False"),
-        pytest.param(4, 4, True, None, (1e-10, 1e-4), id="4-4-True"),
-        pytest.param(4, 62, True, None, (1e-10, 1e-4), id="4-62-True"),
-        pytest.param(6, 98, True, None, (1e-8, 1e-6), id="6-98-True"),
-        pytest.param(5, 100007, False, (2, 3, 4), (1e-10, 1e-6), id="5-100007-agents234")])
-    def test_won_past_the_first_rung(self, n, seed, bargaining, agents, winner):
-        inst = instances.gen_random(n, seed=seed)
-        sol = (benchmark(inst).solution if bargaining
-               else solve(NswProblem.create(inst, agents)))
+    # Each of these is certified only after the polish at the first
+    # support threshold, tau = 3e-5, has failed.  With the first-threshold
+    # wins they pin every tau of the polish, so that none is trimmed
+    # unnoticed.  The last two cases are subset solves: agents 2-4 of a
+    # 5 x 5 market (one of rho_exact's), and a grid market without agent 0
+    # under bargaining offsets, which only the last threshold certifies.
+    @pytest.mark.parametrize("n,dist,seed,bargaining,agents,winner", [
+        pytest.param(4, "uniform01", 4, False, None, 1e-3, id="4-4-False"),
+        pytest.param(4, "uniform01", 4, True, None, 1e-3, id="4-4-True"),
+        pytest.param(4, "uniform01", 62, True, None, 1e-3, id="4-62-True"),
+        pytest.param(6, "uniform01", 98, True, None, 1e-6, id="6-98-True"),
+        pytest.param(5, "uniform01", 100007, False, (2, 3, 4), 1e-3, id="5-100007-agents234"),
+        pytest.param(8, "grid", 6, True, tuple(range(1, 8)), 1e-7, id="8-grid-6-True-agents1to7")])
+    def test_won_past_the_first_rung(self, n, dist, seed, bargaining, agents, winner):
+        inst = instances.gen_random(n, dist, seed=seed)
+        off = uniform_disagreement(inst) if bargaining else np.zeros(n)
+        agents = list(range(n) if agents is None else agents)
+        sol = solve(NswProblem.create(inst, agents, off[agents]))
         assert sol.kkt_residual <= DEFAULT_KKT_TOL
         assert sol.metadata["polish"] == winner
-        # One count per rung run, up to the winning one.
-        rungs = sol.metadata["rung_iterations"]
-        mu_ends = [mu_end for mu_end, _ in nsw._RUNGS]
-        assert len(rungs) == mu_ends.index(winner[0]) + 1
-        assert sum(rungs) == sol.metadata["iterations"]
+        assert winner in nsw._TAUS
 
     @pytest.mark.parametrize("n,seed", [(5, 0), (13, 1)])
     def test_first_rung_win_records_one_rung(self, n, seed):
+        # Won by the first threshold: one barrier, timed once.
         sol = solve(NswProblem.create(instances.gen_random(n, seed=seed)))
-        assert sol.metadata["polish"][0] == 1e-8
-        assert sol.metadata["rung_iterations"] == [sol.metadata["iterations"]]
+        assert sol.metadata["polish"] == nsw._TAUS[0]
+        assert isinstance(sol.metadata["stage_s"]["barrier"], float)
+        assert sol.metadata["iterations"] > 0
 
-    # (4, 4) is won on the second rung, so its count spans several polishes.
+    # (4, 4) is won only at tau = 1e-3, so its count spans three polishes.
     @pytest.mark.parametrize("n,seed", [(32, 0), (4, 4)])
     def test_polish_steps_count_every_least_squares_step(self, n, seed, monkeypatch):
         calls = []
@@ -579,8 +579,7 @@ def _assert_certifies_structured(n, seed, bargaining):
            else solve(NswProblem.create(inst)))
     assert sol.kkt_residual <= DEFAULT_KKT_TOL
     meta = sol.metadata
-    assert meta["structured_steps"] == meta["iterations"] > 0
-    assert meta["dense_steps"] == 0
+    assert meta["barrier"] == "primal-dual" and meta["iterations"] > 0
 
 
 def _late_path_state(seed, mu, n=8):
@@ -744,17 +743,27 @@ class TestNewtonStep:
                                       equal_nan=True)
 
     @pytest.mark.parametrize("market", sorted(_PD_MARKETS))
-    def test_pd_path_stops_interior(self, market):
-        # The first rung's path ends strictly interior, with mu <= 1e-8 and
-        # beta s = 1 to 1e-6, and the solve certifies.
+    def test_pd_path_stops_interior(self, market, monkeypatch):
+        # The path ends strictly interior, with mu <= 1e-8 and beta s = 1
+        # to 1e-6, and the solve certifies.  The final state is the one
+        # the path's last _pd_fill computed.
         inst, bargaining = _PD_MARKETS[market]
         off = uniform_disagreement(inst) if bargaining else None
         problem = NswProblem.create(inst, offsets=off)
         st = nsw._start(problem, None)
         V, b, c, o = st.V[st.live], st.b[st.live], st.c, st.o[st.live]
-        *_, iters, x = nsw._barrier_solve(V[None], b[None], c[None], o[None], st.x0[None],
-                                          st.mu0, 1e-8, nsw.ITERATION_CAP, None)
-        vals = nsw._pd_fill(V[None], b[None], c[None], o[None], nsw._pd_buffer(x))
+        filled = []
+        fill = nsw._pd_fill
+
+        def recording(V, b, c, o, buf):
+            filled.append(buf)
+            return fill(V, b, c, o, buf)
+
+        monkeypatch.setattr(nsw, "_pd_fill", recording)
+        *_, iters = nsw._barrier_solve(V[None], b[None], c[None], o[None], st.x0[None],
+                                       st.warm, nsw.ITERATION_CAP, None)
+        monkeypatch.undo()
+        vals = nsw._pd_views(filled[-1], *V.shape)
         p, s, r, d, beta, z, t, q = vals
         assert 0 < iters[0] < 60
         assert all(np.all(v > 0) for v in vals)
@@ -764,8 +773,8 @@ class TestNewtonStep:
 
     def test_small_problems_take_dense_steps(self):
         sol = solve(NswProblem.create(instances.gen_random(12, seed=0)))
-        assert sol.metadata["structured_steps"] == 0
-        assert sol.metadata["dense_steps"] == sol.metadata["iterations"]
+        assert sol.metadata["barrier"] == "primal"
+        assert sol.metadata["iterations"] > 0
 
     def test_large_problems_build_no_dense_hessian(self, monkeypatch):
         # 13 x 13 = 169 pairs: every step is a primal-dual step.
@@ -775,7 +784,7 @@ class TestNewtonStep:
         monkeypatch.setattr(nsw, "_dense_hessians", no_dense)
         sol = solve(NswProblem.create(instances.gen_random(13, seed=1)))
         assert sol.kkt_residual <= DEFAULT_KKT_TOL
-        assert sol.metadata["structured_steps"] == sol.metadata["iterations"] > 0
+        assert sol.metadata["barrier"] == "primal-dual" and sol.metadata["iterations"] > 0
 
 
 class TestSolveTrace:
@@ -902,7 +911,7 @@ class TestPolishSystem:
                 for offsets in (None, uniform_disagreement(inst)):
                     seen.clear()
                     sol = solve(NswProblem.create(inst, offsets=offsets))
-                    if sol.metadata["polish"] == (1e-8, 3e-5):
+                    if sol.metadata["polish"] == 3e-5:
                         kept += seen
         deficient = sum(np.linalg.matrix_rank(J) < J.shape[1] for J, _ in kept)
         assert len(kept) >= 200 and deficient >= 50
@@ -1008,7 +1017,7 @@ class TestSolveMany:
         if case == "degenerate_split":
             assert len(set(shapes)) == 2
         if case == "structured":
-            assert all(sol.metadata["structured_steps"] > 0 for sol in many)
+            assert all(sol.metadata["barrier"] == "primal-dual" for sol in many)
 
     def test_stopped_problem_keeps_a_finite_state(self):
         # A leave-one-out problem here stops on a direction that is not
@@ -1018,6 +1027,50 @@ class TestSolveMany:
         out = pa_run(inst, offsets=uniform_disagreement(inst))
         assert out.base.kkt_residual <= DEFAULT_KKT_TOL
         assert np.all((out.fractions >= 0) & (out.fractions <= 1 + 1e-9))
+
+    def test_grid_market_pa_certifies(self):
+        # Its leave-one-out solve without agent 4 certifies only through a
+        # cold restart (see below).
+        inst = instances.gen_random(10, "grid", seed=6)
+        out = pa_run(inst, offsets=uniform_disagreement(inst))
+        assert out.base.kkt_residual <= DEFAULT_KKT_TOL
+        assert np.all((out.fractions >= 0) & (out.fractions <= 1 + 1e-9))
+
+    def test_failed_warm_start_restarts_cold(self):
+        # No support threshold polishes the warm-started path's end point;
+        # the restart is the cold solve, bit for bit.
+        problem, warm = _grid_loo_without_agent_4()
+        sol = solve(problem, warm_start=warm)
+        cold = solve(problem)
+        assert sol.kkt_residual <= DEFAULT_KKT_TOL
+        assert np.array_equal(sol.assignment.probs, cold.assignment.probs)
+        assert np.array_equal(sol.utilities, cold.utilities)
+        assert sol.metadata["polish"] == cold.metadata["polish"]
+
+    def test_restart_counts_both_attempts(self, monkeypatch):
+        problem, warm = _grid_loo_without_agent_4()
+        cold = solve(problem)
+        iters, steps = [], []
+        barrier, polish = nsw._barrier_solve, nsw._polish
+
+        def barrier_recording(*args):
+            out = barrier(*args)
+            iters.append(int(out[3][0]))
+            return out
+
+        def polish_recording(*args):
+            out = polish(*args)
+            steps.append(out[2])
+            return out
+
+        monkeypatch.setattr(nsw, "_barrier_solve", barrier_recording)
+        monkeypatch.setattr(nsw, "_polish", polish_recording)
+        meta = solve(problem, warm_start=warm).metadata
+        assert len(iters) == 2 and iters[1] == cold.metadata["iterations"]
+        assert meta["iterations"] == sum(iters)
+        assert meta["polish_steps"] == sum(steps) > cold.metadata["polish_steps"]
+        assert len(steps) == len(nsw._TAUS) + 1
+
 
     def test_groups_split_by_hessian_bytes(self, monkeypatch):
         # Six problems of 5 x 6 pairs with room for the Hessians of two
@@ -1073,6 +1126,17 @@ class TestSolveMany:
         _, problems = _loo_problems(instances.gen_random(5, seed=1))
         many = nsw.solve_many(problems)
         assert [id(s) for s in seen] == [id(s) for s in many]
+
+
+def _grid_loo_without_agent_4():
+    """PA's leave-one-out problem without agent 4 of
+    ``gen_random(10, "grid", seed=6)`` under bargaining offsets, and the
+    base solve's assignment that warm-starts it."""
+    inst = instances.gen_random(10, "grid", seed=6)
+    off = uniform_disagreement(inst)
+    warm = np.asarray(solve(NswProblem.create(inst, offsets=off)).assignment.probs)
+    rest = [a for a in range(10) if a != 4]
+    return NswProblem.create(inst, rest, off[rest]), warm
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (4, 4), (5, 6)])

@@ -7,9 +7,12 @@ seeds 0, 1, 2, once with plain (zero) offsets and once with bargaining
 (uniform-disagreement) offsets, on one BLAS thread.  Each solve runs three
 times and the best wall time counts.  For every solve it records the
 three times, the Newton iterations, the polish's least-squares steps
-and the solve's stage times (``metadata["stage_s"]`` of the best run;
-each null for a source that does not report it), the winning polish
-rung and the KKT residual.
+and the solve's stage times (``metadata["stage_s"]`` of the best run,
+with the barrier's time under ``barrier``), the barrier path
+(``metadata["barrier"]``, "primal" or "primal-dual"), each null for a
+source that does not report it, the winning polish's support threshold
+tau (a [mu_end, tau] pair for a source whose barrier had several rungs)
+and the KKT residual.
 
 ``--src`` names the directory that holds the ``matchlab`` package to
 time (default: this repository's ``src``).  The run is stored in
@@ -54,7 +57,8 @@ def time_solve(nsw, problem):
             "iterations": meta["iterations"],
             "polish_steps": meta.get("polish_steps"),
             "stage_s": stages[times.index(min(times))],
-            "polish": list(meta["polish"]) if meta["polish"] else None,
+            "barrier": meta.get("barrier"),
+            "polish": meta["polish"],
             "kkt_residual": sol.kkt_residual}
 
 
