@@ -21,14 +21,17 @@ item prices ``t_j >= 0`` and agent prices ``q_i >= 0`` with
 
 and the maximal violation of these conditions (the KKT residual) is
 reported honestly.  Internally the solver follows the central path to
-identify the optimal support.  Below 150 (agent, item) pairs it takes
-damped Newton steps on the primal log barrier in p with the explicit
-(na mk)^2 Hessian.  From there on it runs Mehrotra's primal-dual
-predictor-corrector method in (p, beta, t, q), beta = 1/s, whose Newton
-system reduces to a matrix of order 2 na + mk, LU-factored once per
-iteration for both of its solves.  Problems of one shape (a mechanism's
-leave-one-out or subset solves, through :func:`solve_many`) follow that
-path in lockstep, K systems solved at once, down to mu = 1e-8.  It then
+identify the optimal support.  A lone :func:`solve` below 150 (agent,
+item) pairs takes damped Newton steps on the primal log barrier in p with
+the explicit (na mk)^2 Hessian.  Every other problem runs Mehrotra's
+primal-dual predictor-corrector method in (p, beta, t, q), beta = 1/s,
+whose Newton system reduces to a matrix of order 2 na + mk, LU-factored
+once per iteration for both of its solves.  Problems of one shape (a
+mechanism's leave-one-out or subset solves, through :func:`solve_many`)
+always take that path, in lockstep, K systems solved at once, down to
+mu = 1e-8: their utilities are :func:`solve`'s to round-off, but where
+the optimum is not unique their assignment may be another optimal one.
+It then
 polishes primal variables and prices together on that support by Newton
 on the square stationarity system, whose singular Jacobian takes
 minimum-norm least-squares steps by QR with column pivoting, with an
@@ -86,13 +89,14 @@ _SUPPLY_EPS = 1e-12
 # Pairs above this mass count as support when a candidate is ranked.
 _SUPPORT_TOL = 1e-9
 
-# Barrier Newton steps.  From this many (agent, item) pairs on, the barrier
-# is a primal-dual path whose Newton matrix has 2 na + mk rows instead of na mk.
+# Barrier Newton steps.  From this many (agent, item) pairs on, a lone solve's
+# barrier is a primal-dual path whose Newton matrix has 2 na + mk rows instead
+# of na mk; a lockstep batch takes that path at every size.
 _PD_MIN_PAIRS = 150
 # The primal-dual path stops a problem only once max |1 - beta s| is this small.
 _PD_SURPLUS_TOL = 1e-6
-# One lockstep barrier call holds at most this many bytes of Hessians
-# (8 n^2 per problem of Hessian order n); a larger group of one shape is split.
+# One lockstep barrier call holds at most this many bytes of Newton matrices
+# (8 n^2 per problem of order n = 2 na + mk); a larger group of one shape is split.
 _LOCKSTEP_BYTES = 2 ** 22
 # The barrier's final mu, and the support thresholds the polish tries there,
 # in order: a pair counts as support when its mass exceeds the threshold.
@@ -749,16 +753,16 @@ def _barrier_solve(V, b, c, o, x0, warm, budget, trace):
     Every argument but the scalars carries a leading batch axis: K problems
     of one shape follow the same mu schedule in lockstep, and a problem
     that has finished centering at the current mu is masked (step length
-    0) until mu moves on.  Problems below ``_PD_MIN_PAIRS`` pairs take
-    damped primal Newton steps from p = ``x0``, starting at mu = 5e-3 when
-    ``warm`` and 0.05 otherwise, all K Hessians solved in one stacked
-    solve; larger ones follow the primal-dual path of
-    :func:`_primal_dual_solve` from its state ``x0``.  Returns
+    0) until mu moves on.  The start ``x0`` decides the path: a primal
+    point p, (K, na, mk), takes damped primal Newton steps, starting at
+    mu = 5e-3 when ``warm`` and 0.05 otherwise, all K Hessians solved in
+    one stacked solve; a flat primal-dual state, (K, L), follows the path
+    of :func:`_primal_dual_solve`.  Returns
     (p, t, q, iterations), each with the batch axis.  ``trace``, when
     given, gets one row per Newton step of a lone problem.
     """
     K, na, mk = V.shape
-    if na * mk >= _PD_MIN_PAIRS:
+    if x0.ndim == 2:
         return _primal_dual_solve(V, b, c, o, x0, budget, trace)
     p = x0.copy()
     iters = np.zeros(K, dtype=int)
@@ -934,8 +938,7 @@ def _pd_done(vals, mu):
 
 
 def _primal_dual_solve(V, b, c, o, x0, budget, trace):
-    """Mehrotra's predictor-corrector path for problems of
-    ``_PD_MIN_PAIRS`` pairs or more, with the batch axis.
+    """Mehrotra's predictor-corrector path, with the batch axis.
 
     The state x = (p, beta, t, q) keeps p, the surplus s = V.p - o, the
     slacks r = b - sum_j p and d = c - sum_i p, beta, z, t and q strictly
@@ -1269,11 +1272,23 @@ class _Start:
     warm: bool                 # x0 comes from the warm start
     seconds: float             # wall time of these stages
 
+    @property
+    def barrier(self) -> str | None:
+        """The barrier path ``x0`` starts: ``"primal-dual"`` for a flat
+        primal-dual state, ``"primal"`` for a primal point p, and None when
+        no row is live."""
+        if self.x0 is None:
+            return None
+        return "primal-dual" if self.x0.ndim == 1 else "primal"
 
-def _start(problem: NswProblem, warm_start: np.ndarray | None) -> _Start:
-    """The stages before the barrier: degeneracy screen and start point, an
-    interior primal point, from ``_PD_MIN_PAIRS`` live pairs on
-    extended to the primal-dual state of :func:`_pd_start`."""
+
+def _start(problem: NswProblem, warm_start: np.ndarray | None,
+           lockstep: bool = False) -> _Start:
+    """The stages before the barrier: degeneracy screen and start point, and
+    an interior primal point.  For a problem of a lockstep batch, and for
+    any problem from ``_PD_MIN_PAIRS`` live pairs on, that point is extended
+    to the primal-dual state of :func:`_pd_start`, so its barrier takes the
+    primal-dual path; only a lone problem below that keeps the primal path."""
     began = perf_counter()
     inst = problem.instance
     active = list(problem.active_agents)
@@ -1297,15 +1312,15 @@ def _start(problem: NswProblem, warm_start: np.ndarray | None) -> _Start:
         x0 = _interior_start(V[live], b[live], c, o[live], base)
         if x0 is None:
             raise Infeasible("no strictly interior point with positive surplus")
-        if len(live) * len(keep) >= _PD_MIN_PAIRS:
+        if lockstep or len(live) * len(keep) >= _PD_MIN_PAIRS:
             x0 = _pd_start(V[live], o[live], x0)
     return _Start(V=V, b=b, c=c, o=o, keep=keep, live=live, degenerate=degenerate,
                   x0=x0, warm=warm, seconds=perf_counter() - began)
 
 
 def _barriers(starts: list[_Start], max_iter: int, trace=None):
-    """The barrier paths of problems with one live shape and one warm flag,
-    in lockstep; one (p, t, q, iterations) per problem."""
+    """The barrier paths of problems with one live shape and one path, in
+    lockstep; one (p, t, q, iterations) per problem."""
     V, b, c, o, x0 = (np.stack(x) for x in zip(*[
         (st.V[st.live], st.b[st.live], st.c, st.o[st.live], st.x0) for st in starts]))
     p, t, q, iters = _barrier_solve(V, b, c, o, x0, starts[0].warm, max_iter, trace)
@@ -1348,33 +1363,37 @@ def _check_tol(tol):
 def solve_many(problems: Sequence[NswProblem], tol: float = DEFAULT_KKT_TOL,
                max_iter: int = ITERATION_CAP,
                warm_start: np.ndarray | None = None) -> list[NswSolution]:
-    """``[solve(problem, tol, max_iter, warm_start) for problem in problems]``, faster.
+    """Solve each problem as ``solve(problem, tol, max_iter, warm_start)``
+    would, with one lockstep barrier per live shape.
 
     Each problem is screened and started on its own; then problems of one
-    live shape and one warm flag run their barrier in one lockstep call
-    (several when their Hessians would pass ``_LOCKSTEP_BYTES``), and
-    :func:`solve` finishes each from there.  Results are those of the
-    sequential loop, which also decides which exception is raised: the
-    first failing problem's.  ``metadata["barrier_batch"]`` counts the
-    problems of each lockstep call, and ``metadata["stage_s"]["barrier"]``
-    is that call's wall time, shared by its problems (plus a cold
-    restart's own barrier, if one ran).
+    live shape run the primal-dual barrier in one lockstep call (several
+    when their Newton matrices would pass ``_LOCKSTEP_BYTES``), and
+    :func:`solve` finishes each from there, with a cold restart on the
+    same path if one is needed.  Every result is, bit for bit, that of a
+    batch of one, ``solve_many([problem])[0]``; its utilities equal
+    :func:`solve`'s to 1e-9, but where the optimum is not unique its
+    assignment may be another optimal one, since a lone solve below
+    ``_PD_MIN_PAIRS`` pairs takes the primal path.  The sequential loop
+    decides which exception is raised: the first failing problem's.
+    ``metadata["barrier_batch"]`` counts the problems of each lockstep
+    call, and ``metadata["stage_s"]["barrier"]`` is that call's wall time,
+    shared by its problems (plus a cold restart's own barrier, if one ran).
     """
     _check_tol(tol)
     starts: list[_Start | MatchingError] = []
     for problem in problems:
         try:
-            starts.append(_start(problem, warm_start))
+            starts.append(_start(problem, warm_start, lockstep=True))
         except MatchingError as err:     # raised in turn, by solve
             starts.append(err)
     groups: dict[tuple, list[int]] = {}
     for k, st in enumerate(starts):
         if isinstance(st, _Start) and st.x0 is not None:
-            groups.setdefault((len(st.live), len(st.keep), st.warm), []).append(k)
+            groups.setdefault((len(st.live), len(st.keep)), []).append(k)
     prepared = [(st, None, 1, 0.0) for st in starts]
-    for (na, mk, _), group in groups.items():
-        order = na * mk if na * mk < _PD_MIN_PAIRS else 2 * na + mk
-        per_call = max(1, _LOCKSTEP_BYTES // (8 * order ** 2))
+    for (na, mk), group in groups.items():
+        per_call = max(1, _LOCKSTEP_BYTES // (8 * (2 * na + mk) ** 2))
         for at in range(0, len(group), per_call):
             ks = group[at:at + per_call]
             began = perf_counter()
@@ -1399,11 +1418,16 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
     ``warm_start`` (a full n_agents-by-n_items matrix, for instance the
     solution of a nearby problem) only speeds up the search: when no
     polish of the warm-started path is certified, the problem is started
-    once more without it.  Raises :class:`Infeasible` when an active agent
+    once more without it, on the same barrier path.  A problem below
+    ``_PD_MIN_PAIRS`` live pairs takes the primal path here and the
+    primal-dual path in :func:`solve_many`; both reach the unique optimal
+    utilities, but where the optimal assignment is not unique they may
+    reach different ones.  Raises :class:`Infeasible` when an active agent
     cannot reach non-negative surplus, and :class:`NoConvergence` when the
     certificate tolerance cannot be met inside the iteration budget.
-    ``metadata["barrier"]`` names the barrier path, ``"primal"`` or
-    ``"primal-dual"``; ``metadata["iterations"]`` counts its Newton steps
+    ``metadata["barrier"]`` names the barrier path that ran, ``"primal"``
+    or ``"primal-dual"`` (None when no row is live and no barrier ran);
+    ``metadata["iterations"]`` counts its Newton steps
     and ``metadata["polish_steps"]`` the least-squares steps of every
     polish the solve tried, both over the cold restart too;
     ``metadata["polish"]`` is the support threshold tau of the winning
@@ -1419,7 +1443,8 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
     rows of its own path.
     """
     _check_tol(tol)
-    if _prepared is None:               # a lone problem: a batch of one
+    lockstep = _prepared is not None
+    if not lockstep:
         start = _start(problem, warm_start)
         path, barrier_s = _lone_barrier(start, max_iter, trace)
         batch = 1
@@ -1442,8 +1467,8 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
             if best_resid <= tol or not start.warm or iters_used >= max_iter:
                 break
             # The warm-started path ended where no threshold polishes: start
-            # once more from the cold start point.
-            start = _start(problem, None)
+            # once more from the cold start point, on the same path.
+            start = _start(problem, None, lockstep)
             path, seconds = _lone_barrier(start, max_iter - iters_used, trace)
             stages["start"] += start.seconds
             stages["barrier"] += seconds
@@ -1516,8 +1541,7 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
         kkt_residual=residual,
         degenerate_agents=degenerate,
         metadata={"iterations": iters_used,
-                  "barrier": ("primal-dual" if len(live_local) * len(keep) >= _PD_MIN_PAIRS
-                              else "primal"),
+                  "barrier": start.barrier,
                   "polish": winner,
                   "polish_steps": polish_steps,
                   "barrier_batch": batch,

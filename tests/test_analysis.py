@@ -19,7 +19,7 @@ from matchlab.analysis import (
 )
 from matchlab.instances import gen_random, gen_rsd_worst, parse_generator_spec
 from matchlab.mechanisms import ps_run, rsd_run
-from matchlab.nsw import NswProblem, solve
+from matchlab.nsw import NswProblem, solve, solve_many
 
 
 class TestBenchmark:
@@ -109,16 +109,20 @@ class TestRhoExact:
 
 
 def _rho_exact_sequential(inst, bargaining_offsets=False):
-    """Reference for ``rho_exact``: one ``solve`` per subset, in mask order."""
+    """Reference for ``rho_exact``: one solve per subset, in mask order; a
+    lone ``solve`` of the full market and a batch of one of each subset."""
     n = inst.n_agents
     o_full = uniform_disagreement(inst) if bargaining_offsets else None
 
-    def solve_subset(agents, warm=None):
+    def problem(agents):
         off = np.array([o_full[a] for a in agents]) if o_full is not None else None
-        return solve(NswProblem.create(inst, agents, off), warm_start=warm)
+        return NswProblem.create(inst, agents, off)
+
+    def solve_subset(agents, warm):
+        return solve_many([problem(agents)], warm_start=warm)[0]
 
     full_agents = tuple(range(n))
-    full = solve_subset(full_agents)
+    full = solve(problem(full_agents))
     warm = np.asarray(full.assignment.probs)
     half_size = -(-n // 2)
     best, best_half, skipped = (1.0, full_agents, -1, 1.0, 1.0), (1.0, full_agents), []

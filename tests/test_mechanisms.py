@@ -91,6 +91,33 @@ class TestPartialAllocation:
         assert [sol.metadata["barrier_batch"] for sol in loo] == [n] * n
         assert out.base.metadata["barrier_batch"] == 1
 
+    @pytest.mark.parametrize("bargaining", [False, True])
+    @pytest.mark.parametrize("dist", ["grid", "sparse", "uniform01"])
+    def test_fractions_independent_of_the_barrier_path(self, dist, bargaining):
+        # The leave-one-out solves run as a batch, on the primal-dual path;
+        # PA reads only their utilities, which are unique, so its fractions
+        # are those of one lone solve per agent.  The base solve is a lone
+        # solve, bit for bit.
+        from matchlab import nsw
+        from matchlab.core import uniform_disagreement
+        for n in range(4, 13):
+            inst = gen_random(n, dist, seed=n)
+            off = uniform_disagreement(inst) if bargaining else np.zeros(n)
+            out = pa_run(inst, offsets=off)
+            base = nsw.solve(nsw.NswProblem.create(inst, offsets=off))
+            assert np.array_equal(out.base.assignment.probs, base.assignment.probs)
+            assert np.array_equal(out.base.utilities, base.utilities)
+            warm = np.asarray(base.assignment.probs)
+            fractions = np.ones(n)
+            for agent in sorted(set(range(n)) - base.degenerate_agents):
+                rest = tuple(a for a in range(n) if a != agent)
+                loo = nsw.solve(nsw.NswProblem.create(inst, rest, off[list(rest)]),
+                                warm_start=warm)
+                for other in rest:
+                    if not {other} & (base.degenerate_agents | loo.degenerate_agents):
+                        fractions[agent] *= base.surplus[other] / loo.surplus[other]
+            assert np.allclose(out.fractions, fractions, rtol=1e-12, atol=0.0)
+
     def test_all_degenerate_uniform(self):
         inst = validate_instance([[1.0, 1.0], [1.0, 1.0]])
         from matchlab.core import uniform_disagreement

@@ -1005,9 +1005,10 @@ class TestSolveMany:
         many = nsw.solve_many(problems, warm_start=warm)
         shapes = []
         for problem, sol in zip(problems, many):
+            # Bit for bit a batch of one; utilities those of a lone solve,
+            # which below 150 pairs takes the primal path.
+            _assert_same_solution(sol, nsw.solve_many([problem], warm_start=warm)[0])
             alone = solve(problem, warm_start=warm)
-            assert sol.metadata["iterations"] == alone.metadata["iterations"]
-            assert sol.metadata["polish"] == alone.metadata["polish"]
             assert np.allclose(sol.utilities, alone.utilities, rtol=0.0, atol=1e-9)
             assert sol.kkt_residual <= DEFAULT_KKT_TOL
             assert alone.metadata["barrier_batch"] == 1
@@ -1029,8 +1030,8 @@ class TestSolveMany:
         assert np.all((out.fractions >= 0) & (out.fractions <= 1 + 1e-9))
 
     def test_grid_market_pa_certifies(self):
-        # Its leave-one-out solve without agent 4 certifies only through a
-        # cold restart (see below).
+        # As a lone warm-started solve, its leave-one-out solve without
+        # agent 4 certifies only through a cold restart (see below).
         inst = instances.gen_random(10, "grid", seed=6)
         out = pa_run(inst, offsets=uniform_disagreement(inst))
         assert out.base.kkt_residual <= DEFAULT_KKT_TOL
@@ -1073,16 +1074,26 @@ class TestSolveMany:
 
 
     def test_groups_split_by_hessian_bytes(self, monkeypatch):
-        # Six problems of 5 x 6 pairs with room for the Hessians of two
-        # per call: three calls of two, and the same results.
+        # Six problems of 5 x 6 pairs with room for the primal-dual Newton
+        # matrices (order 2 * 5 + 6) of two per call: three calls of two,
+        # and the same results.
         _, problems = _loo_problems(instances.gen_random(6, seed=3))
-        monkeypatch.setattr(nsw, "_LOCKSTEP_BYTES", 2 * 8 * 30 ** 2)
+        monkeypatch.setattr(nsw, "_LOCKSTEP_BYTES", 2 * 8 * 16 ** 2)
         many = nsw.solve_many(problems)
         assert [sol.metadata["barrier_batch"] for sol in many] == [2] * 6
         for problem, sol in zip(problems, many):
-            alone = solve(problem)
-            assert sol.metadata["iterations"] == alone.metadata["iterations"]
-            assert np.array_equal(sol.utilities, alone.utilities)
+            _assert_same_solution(sol, nsw.solve_many([problem])[0])
+
+    def test_barrier_names_the_path_that_ran(self):
+        # Below 150 pairs a lone solve takes the primal path and a batch
+        # the primal-dual path; with no live row no barrier runs.
+        problem = NswProblem.create(instances.gen_random(5, seed=0))
+        assert nsw.solve_many([problem])[0].metadata["barrier"] == "primal-dual"
+        assert solve(problem).metadata["barrier"] == "primal"
+        inst = validate_instance([[3.0, 1.0], [3.0, 1.0]])
+        flat = NswProblem.create(inst, offsets=uniform_disagreement(inst))
+        assert solve(flat).metadata["barrier"] is None
+        assert nsw.solve_many([flat])[0].metadata["barrier"] is None
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
     def test_raises_what_the_sequential_loop_raises_first(self, order):
@@ -1126,6 +1137,17 @@ class TestSolveMany:
         _, problems = _loo_problems(instances.gen_random(5, seed=1))
         many = nsw.solve_many(problems)
         assert [id(s) for s in seen] == [id(s) for s in many]
+
+
+def _assert_same_solution(sol, ref):
+    """``sol`` is ``ref`` bit for bit: utilities, assignment, prices and
+    the barrier and polish counts."""
+    assert np.array_equal(sol.utilities, ref.utilities)
+    assert np.array_equal(sol.assignment.probs, ref.assignment.probs)
+    assert np.array_equal(sol.duals.t, ref.duals.t)
+    assert np.array_equal(sol.duals.q, ref.duals.q)
+    for key in ("iterations", "polish", "polish_steps"):
+        assert sol.metadata[key] == ref.metadata[key]
 
 
 def _grid_loo_without_agent_4():
