@@ -756,8 +756,9 @@ def _barrier_solve(V, b, c, o, x0, warm, budget, trace):
     0) until mu moves on.  The start ``x0`` decides the path: a primal
     point p, (K, na, mk), takes damped primal Newton steps, starting at
     mu = 5e-3 when ``warm`` and 0.05 otherwise, all K Hessians solved in
-    one stacked solve; a flat primal-dual state, (K, L), follows the path
-    of :func:`_primal_dual_solve`.  Returns
+    one stacked solve (only a lone solve takes this path, so K = 1 there);
+    a flat primal-dual state, (K, L), follows the path of
+    :func:`_primal_dual_solve`.  Returns
     (p, t, q, iterations), each with the batch axis.  ``trace``, when
     given, gets one row per Newton step of a lone problem.
     """
@@ -1363,8 +1364,9 @@ def _check_tol(tol):
 def solve_many(problems: Sequence[NswProblem], tol: float = DEFAULT_KKT_TOL,
                max_iter: int = ITERATION_CAP,
                warm_start: np.ndarray | None = None) -> list[NswSolution]:
-    """Solve each problem as ``solve(problem, tol, max_iter, warm_start)``
-    would, with one lockstep barrier per live shape.
+    """Solve each problem to the unique utilities of ``solve(problem, tol,
+    max_iter, warm_start)``, bit for bit a batch of one, with one lockstep
+    primal-dual barrier per live shape.
 
     Each problem is screened and started on its own; then problems of one
     live shape run the primal-dual barrier in one lockstep call (several

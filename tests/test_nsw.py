@@ -1012,6 +1012,11 @@ class TestSolveMany:
             assert np.allclose(sol.utilities, alone.utilities, rtol=0.0, atol=1e-9)
             assert sol.kkt_residual <= DEFAULT_KKT_TOL
             assert alone.metadata["barrier_batch"] == 1
+            if case == "structured":
+                # From 150 pairs on a lone solve takes the primal-dual path
+                # too, and gives the batch's result bit for bit.
+                assert alone.metadata["barrier"] == "primal-dual"
+                _assert_same_solution(sol, alone)
             shapes.append(len(problem.active_agents) - len(sol.degenerate_agents))
         for sol, live in zip(many, shapes):
             assert sol.metadata["barrier_batch"] == shapes.count(live)
@@ -1072,6 +1077,37 @@ class TestSolveMany:
         assert meta["polish_steps"] == sum(steps) > cold.metadata["polish_steps"]
         assert len(steps) == len(nsw._TAUS) + 1
 
+    def test_batched_restart_stays_on_the_primal_dual_path(self, monkeypatch):
+        # No polish of problem 0's warm-started path is certified, so it is
+        # started once more, cold, on the batch's path: its result is the
+        # cold batch of one's, and its counts cover both attempts.  The
+        # other problems of the batch do not move.
+        inst, problems = _loo_problems(instances.gen_random(6, seed=3))
+        warm = np.asarray(solve(NswProblem.create(inst)).assignment.probs)
+        before = nsw.solve_many(problems, warm_start=warm)
+        cold = nsw.solve_many(problems[:1])[0]
+        polish, calls = nsw._polish, []
+
+        def failing_first_attempt(*args):
+            calls.append(args)
+            if len(calls) <= len(nsw._TAUS):
+                return None, math.inf, 0
+            return polish(*args)
+
+        monkeypatch.setattr(nsw, "_polish", failing_first_attempt)
+        many = nsw.solve_many(problems, warm_start=warm)
+        sol = many[0]
+        assert sol.metadata["barrier"] == "primal-dual"
+        assert np.array_equal(sol.utilities, cold.utilities)
+        assert np.array_equal(sol.assignment.probs, cold.assignment.probs)
+        assert np.array_equal(sol.duals.t, cold.duals.t)
+        assert np.array_equal(sol.duals.q, cold.duals.q)
+        assert sol.metadata["polish"] == cold.metadata["polish"]
+        assert sol.metadata["polish_steps"] == cold.metadata["polish_steps"]
+        assert sol.metadata["iterations"] == (before[0].metadata["iterations"]
+                                              + cold.metadata["iterations"])
+        for after, ref in zip(many[1:], before[1:]):
+            _assert_same_solution(after, ref)
 
     def test_groups_split_by_hessian_bytes(self, monkeypatch):
         # Six problems of 5 x 6 pairs with room for the primal-dual Newton

@@ -8,9 +8,10 @@ the ``src`` of a checkout of a parent commit and this repository's ``src``.
 For each of the rho_scan, rpi_lottery and large_solve workloads, every
 catalogue op of this checkout's ``perfbench/workloads.py`` runs once on
 each tree, each tree in its own process on one BLAS thread.  Per workload
-it prints, for each tree, the ops run and the ops failed (an op fails when
-it raises, fails its check or misses its ``perfbench/reference.json``
-fingerprint); how many ``nsw.solve`` results are bit-identical between the
+it prints, for each tree, the ops run and the ops failed (by the rule of
+``perfbench/run.py``: an op fails when it raises, misses its deadline,
+fails its check or misses its ``perfbench/reference.json`` fingerprint);
+how many ``nsw.solve`` results are bit-identical between the
 trees (utilities, assignment and prices, paired in call order within each
 op); and the largest fingerprint deviation between the trees and against
 the reference.
@@ -51,6 +52,7 @@ def run_tree(src: str) -> dict:
     from matchlab import nsw
     if Path(matchlab.__file__).resolve().parent != (Path(src) / "matchlab").resolve():
         sys.exit(f"compare_trees: imported matchlab from {matchlab.__file__}, not {src}")
+    from run import Phase
     import workloads
 
     solves: list[str] = []
@@ -70,24 +72,31 @@ def run_tree(src: str) -> dict:
     out: dict[str, dict] = {}
     for name in WORKLOADS:
         wl = workloads.WORKLOADS[name]
+        phase = Phase(wl, reference.get(name, {}))
         ops = out[name] = {}
         for task in wl.catalogue(wl.setup(0)):
             solves.clear()
-            try:
-                result = task.run()
-            except Exception as exc:  # a failed op, reported as such
-                ops[task.key] = {"problems": [f"raised {type(exc).__name__}: {exc}"],
-                                 "fingerprint": None, "solves": list(solves)}
-                continue
-            checked = task.check(result)
-            problems = list(checked.problems)
-            ref = reference.get(name, {}).get(task.key)
-            if checked.fingerprint is not None and (
-                    ref is None or not workloads.fingerprint_matches(checked.fingerprint, ref)):
-                problems.append("fingerprint does not match the reference")
-            ops[task.key] = {"problems": problems, "fingerprint": checked.fingerprint,
-                             "solves": list(solves)}
+            recorded = _Recorded(task)
+            phase.run_op(recorded, task.key)
+            ops[task.key] = {"failure": phase.failures.get(task.key),
+                             "fingerprint": recorded.fingerprint, "solves": list(solves)}
     return out
+
+
+class _Recorded:
+    """A catalogue task that keeps the fingerprint of its check, so that
+    ``perfbench/run.py``'s ``Phase`` decides whether the op failed."""
+
+    def __init__(self, task):
+        self.task, self.key, self.fingerprint = task, task.key, None
+
+    def run(self):
+        return self.task.run()
+
+    def check(self, result):
+        checked = self.task.check(result)
+        self.fingerprint = checked.fingerprint
+        return checked
 
 
 def run_in_child(src: str) -> dict:
@@ -110,7 +119,7 @@ def _deviation(a, b) -> float:
 
 def report(name: str, parent: dict, change: dict, reference: dict) -> list[str]:
     keys = sorted(set(parent) | set(change))
-    failed = [sum(1 for k in keys if k not in run or run[k]["problems"])
+    failed = [sum(1 for k in keys if k not in run or run[k]["failure"])
               for run in (parent, change)]
     solves = [sum(len(run[k]["solves"]) for k in run) for run in (parent, change)]
     identical = sum(x == y for k in keys if k in parent and k in change
