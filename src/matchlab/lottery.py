@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .core import FractionalAssignment, NotDecomposable, DimensionMismatch
 from .instances import rng_from_seed
@@ -84,32 +85,31 @@ def _perfect_matching(mask: np.ndarray) -> list[int] | None:
     Augmenting-path search scanning rows and columns in index order, so the
     result is deterministic with smallest-index tie-breaking.  The
     depth-first search keeps its path on explicit stacks: an augmenting
-    path can be n rows long.
+    path can be n rows long.  Rows and the columns seen are integer
+    bitsets, so a row's next unseen adjacent column is the lowest set bit
+    of ``row & ~seen``: every adjacent column below it is already seen.
     """
     n = mask.shape[0]
-    adjacent = mask.tolist()
+    adjacent = [int.from_bytes(row.tobytes(), "little")
+                for row in np.packbits(mask, axis=1, bitorder="little")]
     match_col = [-1] * n     # col -> row
 
     for root in range(n):
-        seen = [False] * n
-        rows, cursor, cols = [root], [0], []   # cols[k] links rows[k] to rows[k+1]
+        seen = 0
+        rows, cols = [root], []              # cols[k] links rows[k] to rows[k+1]
         while rows:
-            j, row = cursor[-1], adjacent[rows[-1]]
-            while j < n and (seen[j] or not row[j]):
-                j += 1
-            if j == n:                       # this row has no augmenting path
+            free = adjacent[rows[-1]] & ~seen
+            if not free:                     # this row has no augmenting path
                 rows.pop()
-                cursor.pop()
                 if cols:
                     cols.pop()
                 continue
-            cursor[-1] = j + 1
-            seen[j] = True
+            j = (free & -free).bit_length() - 1
+            seen |= 1 << j
             cols.append(j)
             if match_col[j] < 0:
                 break
             rows.append(match_col[j])
-            cursor.append(0)
         if not rows:
             return None
         for i, j in zip(rows, cols):         # flip the path
@@ -120,21 +120,36 @@ def _perfect_matching(mask: np.ndarray) -> list[int] | None:
     return out
 
 
-def _bottleneck_matching(w: np.ndarray) -> list[int] | None:
-    """Perfect matching maximizing its minimum entry (binary search on the
-    support weights), or None when even the whole support has none."""
-    positive = np.unique(w[w > 0])
-    lo, hi = 0, len(positive) - 1
-    best = None
+def _has_perfect_matching(mask: np.ndarray) -> bool:
+    """Whether a square boolean bipartite adjacency has a perfect matching:
+    exactly when a maximum-weight assignment over its 0/1 entries picks
+    only ones."""
+    rows, cols = linear_sum_assignment(mask, maximize=True)
+    return bool(mask[rows, cols].all())
+
+
+def _bottleneck(w: np.ndarray, ceiling: float) -> float | None:
+    """The largest entry b <= ``ceiling`` of ``w`` such that the entries
+    ``w >= b`` hold a perfect matching, or None when even the whole
+    positive support holds none.
+
+    Binary search over the positive entries between ``ceiling`` and the
+    smallest entry of a maximum-weight assignment of ``w``, where a perfect
+    matching is known to exist when that entry is positive.
+    """
+    rows, cols = linear_sum_assignment(w, maximize=True)
+    floor = w[rows, cols].min()
+    values = np.unique(w[(w > 0) & (w >= floor) & (w <= ceiling)])
+    best = 0 if floor > 0 else None
+    lo, hi = (1 if floor > 0 else 0), len(values) - 1
     while lo <= hi:
         mid = (lo + hi + 1) // 2
-        m = _perfect_matching(w >= positive[mid])
-        if m is not None:
-            best = m
+        if _has_perfect_matching(w >= values[mid]):
+            best = mid
             lo = mid + 1
         else:
             hi = mid - 1
-    return best
+    return None if best is None else float(values[best])
 
 
 def decompose(p: FractionalAssignment | np.ndarray, tol: float = 1e-9) -> Lottery:
@@ -166,10 +181,13 @@ def decompose(p: FractionalAssignment | np.ndarray, tol: float = 1e-9) -> Lotter
     terms: list[tuple[float, tuple[int, ...]]] = []
     remaining = square
     extracted = 0.0
+    # Entries only shrink, so no term's bottleneck exceeds the last one's.
+    bottleneck: float | None = np.inf
     while extracted < 1.0 - tol and len(terms) <= size * size:
-        matching = _bottleneck_matching(remaining)
-        if matching is None:
+        bottleneck = _bottleneck(remaining, bottleneck)
+        if bottleneck is None:
             break
+        matching = _perfect_matching(remaining >= bottleneck)
         cells = (np.arange(size), np.array(matching))
         weight = float(remaining[cells].min())
         if weight <= 0:

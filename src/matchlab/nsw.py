@@ -671,72 +671,56 @@ def _interior_start(V, b, c, o, base):
     return None
 
 
-def _dense_hessians(V, p, s, r, d, mu):
-    """The primal barrier's negative Hessians of K problems, explicitly.
-
-    Arguments carry a leading batch axis (``p`` is (K, na, mk)); returns
-    the (K, na*mk, na*mk) matrices H = diag(mu/p^2) + W W^T, where row
-    (i, j) of W holds V_ij/s_i in agent i's value column, sqrt(mu)/r_i in
-    agent i's budget column and sqrt(mu)/d_j in item j's column, filled
-    without a loop over items.
+def _dense_hessian(V, p, s, r, d, mu):
+    """The primal barrier's negative Hessian of one problem, explicitly:
+    the (na*mk, na*mk) matrix H = diag(mu/p^2) + W W^T, where row (i, j)
+    of W holds V_ij/s_i in agent i's value column, sqrt(mu)/r_i in agent
+    i's budget column and sqrt(mu)/d_j in item j's column.  Agent blocks,
+    the diagonal and the item coupling are written, in that order, through
+    diagonal views of one buffer, without a loop over agents or items.
     """
-    K, na, mk = p.shape
-    ia, jm = np.arange(na), np.arange(mk)
-    dg = np.arange(na * mk)
-    H = np.zeros((K, na, mk, na, mk))
-    # Agent blocks V_ij V_il / s_i^2 + mu / r_i^2 (the index arrays move
-    # the agent axis to the front).
-    H[:, ia, :, ia, :] = (V[:, :, :, None] * V[:, :, None, :]
-                          / (s ** 2)[:, :, None, None]
-                          + (mu / r ** 2)[:, :, None, None]).transpose(1, 0, 2, 3)
-    Hf = H.reshape(K, na * mk, na * mk)
-    Hf[:, dg, dg] += (mu / p ** 2).reshape(K, na * mk)
-    H[:, :, jm, :, jm] += (mu / d ** 2).T[:, :, None, None]   # item coupling
-    return Hf
-
-
-def _stacked_solve(H, g):
-    """Solve H x = g for a stack of K matrices with one stacked solve; a
-    numerically singular matrix is regularized, as a lone solve would be."""
-    K, n = g.shape
-    rhs = g.reshape(K, n, 1)
-    try:
-        x = np.linalg.solve(H, rhs)
-    except np.linalg.LinAlgError:
-        x = np.empty_like(rhs)
-        for k in range(K):
-            try:
-                x[k] = np.linalg.solve(H[k], rhs[k])
-            except np.linalg.LinAlgError:
-                H[k][np.diag_indices(n)] += 1e-12 * np.max(np.abs(H[k]))
-                x[k] = np.linalg.solve(H[k], rhs[k])
-    return x.reshape(K, n)
+    na, mk = p.shape
+    H = np.zeros((na * mk, na * mk))
+    H4 = H.reshape(na, mk, na, mk)
+    # Agent blocks V_ij V_il / s_i^2 + mu / r_i^2, at H[(i, j), (i, l)].
+    np.einsum("ijil->ijl", H4)[...] = (V[:, :, None] * V[:, None, :] / (s ** 2)[:, None, None]
+                                       + (mu / r ** 2)[:, None, None])
+    np.einsum("ii->i", H)[...] += (mu / p ** 2).ravel()
+    np.einsum("ijkj->ikj", H4)[...] += mu / d ** 2            # H[(i, j), (k, j)]
+    return H
 
 
 def _primal_phi(V, b, c, o, p, mu):
     """The primal barrier sum_i log s_i + mu (sum log p + sum log r +
-    sum log d), with the batch axis; -inf or nan outside the domain (a log
-    of a value <= 0), and no comparison accepts either."""
-    return (np.log(_surplus(V, p, o)).sum(axis=1)
-            + mu * (np.log(p).sum(axis=(1, 2)) + np.log(b - p.sum(axis=2)).sum(axis=1)
-                    + np.log(c - p.sum(axis=1)).sum(axis=1)))
+    sum log d) of one problem; -inf or nan outside the domain (a log of a
+    value <= 0), and no comparison accepts either."""
+    return (np.log(_surplus(V, p, o)).sum()
+            + mu * (np.log(p).sum() + np.log(b - p.sum(axis=1)).sum()
+                    + np.log(c - p.sum(axis=0)).sum()))
 
 
 def _primal_newton(V, b, c, o, p, mu):
-    """(gradient, Newton step, values that must stay positive, their
-    derivatives along the step) of the primal barrier, each with the batch
-    axis; r and d are the row and column slacks."""
-    K = p.shape[0]
+    """(Newton step, Newton decrement, largest step length along the step
+    that keeps p, the surpluses s and the slacks r and d positive) of the
+    primal barrier of one problem.  A Hessian whose solve raises
+    ``LinAlgError`` is solved once more with 1e-12 max|H| added to its
+    diagonal.  The step length is inf when nothing decreases and nan when
+    a derivative is."""
     s = _surplus(V, p, o)
-    r = b - p.sum(axis=2)
-    d = c - p.sum(axis=1)
-    g = (V / s[:, :, None] + mu / p - mu / r[:, :, None]
-         - mu / d[:, None, :])
-    dp = _stacked_solve(_dense_hessians(V, p, s, r, d, mu),
-                        g.reshape(K, -1)).reshape(p.shape)
-    return (g, dp, np.concatenate([p.reshape(K, -1), s, r, d], axis=1),
-            np.concatenate([dp.reshape(K, -1), np.einsum("kij,kij->ki", V, dp),
-                            -dp.sum(axis=2), -dp.sum(axis=1)], axis=1))
+    r = b - p.sum(axis=1)
+    d = c - p.sum(axis=0)
+    g = V / s[:, None] + mu / p - mu / r[:, None] - mu / d[None, :]
+    H = _dense_hessian(V, p, s, r, d, mu)
+    try:
+        dp = np.linalg.solve(H, g.ravel())
+    except np.linalg.LinAlgError:
+        np.einsum("ii->i", H)[...] += 1e-12 * np.max(np.abs(H))
+        dp = np.linalg.solve(H, g.ravel())
+    dp = dp.reshape(p.shape)
+    vals = np.concatenate([p.ravel(), s, r, d])
+    dvals = np.concatenate([dp.ravel(), np.einsum("ij,ij->i", V, dp), -dp.sum(axis=1),
+                            -dp.sum(axis=0)])
+    return dp, g.ravel() @ dp.ravel(), _max_step(vals[None], dvals[None])[0]
 
 
 def _max_step(vals, dvals):
@@ -747,78 +731,77 @@ def _max_step(vals, dvals):
     return -(vals / np.minimum(dvals, -0.0)).max(axis=1)
 
 
+def _primal_solve(V, b, c, o, p, warm, budget, trace):
+    """Damped primal Newton steps down the barrier path of one problem.
+
+    mu starts at 5e-3 when ``warm`` and 0.05 otherwise and falls 50-fold
+    to ``_MU_END``; at each mu the point is centred until the Newton
+    decrement is below mu (0.3 mu at the end), for at most 60 steps, each
+    0.99 of the way to the boundary at most and halved until it meets the
+    Armijo condition.  A step that cannot move (a step length that is not
+    positive) ends centring at that mu.  Returns (p, t, q, iterations),
+    with the prices t = mu / d and q = mu / r of the last mu.  ``trace``,
+    when given, gets (iteration, sum_i log s_i, Newton decrement) for each
+    step that moved.
+    """
+    iters = 0
+    mu = 5e-3 if warm else 0.05
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            phi_p = math.nan               # phi(p, mu) where known
+            for _ in range(60):
+                if iters >= budget:
+                    break
+                dp, decrement, step = _primal_newton(V, b, c, o, p, mu)
+                iters += 1
+                alpha = np.minimum(1.0, 0.99 * step)
+                if not alpha > 0:          # nan too: no step at this mu
+                    p = p + 0.0 * dp       # nan wherever dp is nan
+                    break
+                # Armijo backtracking from phi(p), known unless mu just moved
+                # or the last search ran out.
+                if math.isnan(phi_p):
+                    phi_p = _primal_phi(V, b, c, o, p, mu)
+                trial = phi_p
+                while alpha > 1e-14:
+                    trial = _primal_phi(V, b, c, o, p + alpha * dp, mu)
+                    if trial >= phi_p + 0.25 * alpha * decrement:
+                        break
+                    alpha *= 0.5
+                p = p + alpha * dp
+                # An accepted search kept its alpha, so the last trial is phi
+                # at the new p.
+                phi_p = trial if alpha > 1e-14 else math.nan
+                if trace is not None:
+                    trace.append((iters, float(np.log(_surplus(V, p, o)).sum()),
+                                  float(decrement)))
+                loose = 1.0 if mu > _MU_END else 0.3
+                if decrement < max(loose * mu, 1e-16):
+                    break
+            if mu <= _MU_END or iters >= budget:
+                break
+            mu = max(mu * 0.02, _MU_END)
+    return p, mu / (c - p.sum(axis=0)), mu / (b - p.sum(axis=1)), iters
+
+
 def _barrier_solve(V, b, c, o, x0, warm, budget, trace):
     """Follow the barrier central path down to ``_MU_END``.
 
-    Every argument but the scalars carries a leading batch axis: K problems
-    of one shape follow the same mu schedule in lockstep, and a problem
-    that has finished centering at the current mu is masked (step length
-    0) until mu moves on.  The start ``x0`` decides the path: a primal
-    point p, (K, na, mk), takes damped primal Newton steps, starting at
-    mu = 5e-3 when ``warm`` and 0.05 otherwise, all K Hessians solved in
-    one stacked solve (only a lone solve takes this path, so K = 1 there);
-    a flat primal-dual state, (K, L), follows the path of
-    :func:`_primal_dual_solve`.  Returns
-    (p, t, q, iterations), each with the batch axis.  ``trace``, when
-    given, gets one row per Newton step of a lone problem.
+    Every argument but the scalars carries a leading batch axis of K
+    problems of one shape.  The start ``x0`` decides the path: a flat
+    primal-dual state, (K, L), follows the path of
+    :func:`_primal_dual_solve`, K problems in lockstep; a primal point p,
+    (K, na, mk), takes the damped primal Newton steps of
+    :func:`_primal_solve`, one problem after another (only a lone solve
+    takes this path, so K = 1 there).  Returns (p, t, q, iterations), each
+    with the batch axis.  ``trace``, when given, gets one row per Newton
+    step of the first problem.
     """
-    K, na, mk = V.shape
     if x0.ndim == 2:
         return _primal_dual_solve(V, b, c, o, x0, budget, trace)
-    p = x0.copy()
-    iters = np.zeros(K, dtype=int)
-    mu = 5e-3 if warm else 0.05
-    mu_last = np.full(K, mu)           # the mu at which each problem stopped
-    running = np.ones(K, dtype=bool)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while True:
-            centering = running & (iters < budget)
-            phi_p = np.full(K, np.nan)     # phi(p, mu) where known
-            for _ in range(60):
-                centering &= iters < budget
-                if not centering.any():
-                    break
-                g, dp, vals, dvals = _primal_newton(V, b, c, o, p, mu)
-                decrement = (g.reshape(K, 1, -1) @ dp.reshape(K, -1, 1)).reshape(K)
-                iters += centering
-
-                alpha = np.minimum(1.0, 0.99 * _max_step(vals, dvals))
-                centering &= alpha > 0
-                alpha[~centering] = 0.0
-
-                # Armijo backtracking from phi(p), known unless mu just moved
-                # or the last search ran out.
-                if np.isnan(phi_p[centering]).any():
-                    phi_p = _primal_phi(V, b, c, o, p, mu)
-                trial = phi_p
-                searching = centering & (alpha > 1e-14)
-                while searching.any():
-                    trial = _primal_phi(V, b, c, o, p + alpha[:, None, None] * dp, mu)
-                    searching &= ~(trial >= phi_p + 0.25 * alpha * decrement)
-                    if not searching.any():
-                        break
-                    alpha[searching] *= 0.5
-                    searching &= alpha > 1e-14
-                p = p + alpha[:, None, None] * dp
-                # An accepted search kept its alpha, so the last trial is phi
-                # at the new p; a search that ran out left alpha <= 1e-14,
-                # and a masked problem (alpha 0) stays masked at this mu.
-                phi_p = np.where(alpha > 1e-14, trial, np.nan)
-                if trace is not None and centering[0]:
-                    trace.append((int(iters[0]),
-                                  float(np.log(_surplus(V, p, o)).sum(axis=1)[0]),
-                                  float(decrement[0])))
-                loose = 1.0 if mu > _MU_END else 0.3
-                centering &= ~(decrement < max(loose * mu, 1e-16))
-            mu_last[running] = mu
-            running &= iters < budget
-            if mu <= _MU_END or not running.any():
-                break
-            mu = max(mu * 0.02, _MU_END)
-
-    return (p, mu_last[:, None] / (c - p.sum(axis=1)), mu_last[:, None] / (b - p.sum(axis=2)),
-            iters)
+    paths = [_primal_solve(V[k], b[k], c[k], o[k], x0[k], warm, budget,
+                           trace if k == 0 else None) for k in range(len(x0))]
+    return tuple(np.stack(x) for x in zip(*paths))
 
 
 def _pd_views(buf, na, mk):
@@ -870,7 +853,7 @@ def _pd_matrix(V, vals):
     diag(sum_i w + d/t), t-q w^T and q-q diag(sum_j w + r/q).  The matrix
     is symmetric, so ``dgetrf`` factors its transpose, a Fortran-order
     view; an exactly singular matrix is regularized as in
-    :func:`_stacked_solve`."""
+    :func:`_primal_newton`."""
     p, s, r, d, beta, z, t, q = vals
     K, na, mk = V.shape
     w = p / z

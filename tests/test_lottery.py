@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from matchlab import lottery
+from matchlab import instances, lottery, mechanisms
 from matchlab.core import FractionalAssignment, NotDecomposable, utilities, validate_instance
 from matchlab.lottery import decompose, random_doubly_stochastic, sample, sinkhorn
 
@@ -28,6 +28,31 @@ def _perfect_matching_recursive(mask):
     for j, i in enumerate(match_col):
         out[i] = j
     return out
+
+
+def _bottleneck_bisection(w, ceiling):
+    """Reference for ``lottery._bottleneck``: binary search over every
+    positive entry of ``w``, ignoring ``ceiling``, with the Python search
+    ``lottery._perfect_matching`` as the probe."""
+    positive = np.unique(w[w > 0])
+    lo, hi = 0, len(positive) - 1
+    best = None
+    while lo <= hi:
+        mid = (lo + hi + 1) // 2
+        if lottery._perfect_matching(w >= positive[mid]) is not None:
+            best = mid
+            lo = mid + 1
+        else:
+            hi = mid - 1
+    return None if best is None else float(positive[best])
+
+
+def _permutation_mixture(n, seed):
+    """A random convex combination of 3n random n x n permutation matrices."""
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(size=3 * n)
+    weights /= weights.sum()
+    return sum(w * np.eye(n)[rng.permutation(n)] for w in weights)
 
 
 class TestDecompose:
@@ -113,6 +138,7 @@ class TestDecompose:
                 mask |= np.eye(n, dtype=bool)[rng.permutation(n)]
             got = lottery._perfect_matching(mask)
             assert got == _perfect_matching_recursive(mask)
+            assert lottery._has_perfect_matching(mask) == (got is not None)
             found += got is not None
         assert found > 100
 
@@ -122,6 +148,23 @@ class TestDecompose:
         matrices.append(0.7 * random_doubly_stochastic(6, 99))   # padded
         lotteries = [decompose(p) for p in matrices]
         monkeypatch.setattr(lottery, "_perfect_matching", _perfect_matching_recursive)
+        for p, lot in zip(matrices, lotteries):
+            ref = decompose(p)
+            assert lot.terms == ref.terms and lot.residual == ref.residual
+
+    def test_lotteries_match_full_bisection(self, monkeypatch):
+        # The bracketed search with assignment probes against a bisection
+        # over every positive entry with Python probes: the same terms and
+        # residual, bit for bit.
+        matrices = [mechanisms.rpi_run(instances.gen_random(n, dist, seed=n), seed=n).probs
+                    for n in range(4, 13) for dist in ("uniform01", "sparse")]
+        matrices.append(np.array([[0.4, 0.2, 0.0], [0.1, 0.3, 0.5]]))     # padded
+        matrices += [random_doubly_stochastic(n, seed=n) for n in (24, 30)]
+        ps = mechanisms.ps_run(instances.gen_random(32, seed=0)).probs
+        matrices += [ps, 0.9 * ps]                          # 0.9 ps is padded to 64
+        matrices.append(_permutation_mixture(50, seed=0))
+        lotteries = [decompose(p) for p in matrices]
+        monkeypatch.setattr(lottery, "_bottleneck", _bottleneck_bisection)
         for p, lot in zip(matrices, lotteries):
             ref = decompose(p)
             assert lot.terms == ref.terms and lot.residual == ref.residual

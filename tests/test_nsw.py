@@ -603,11 +603,6 @@ def _late_path_state(seed, mu, n=8):
     return V, p, s, r, d, g
 
 
-def _dense_hessian(V, p, s, r, d, mu):
-    """The explicit Hessian of one problem, as the barrier builds it."""
-    return nsw._dense_hessians(V[None], p[None], s[None], r[None], d[None], mu)[0]
-
-
 def _pd_state(seed, K, n=13):
     """K random n x n problems with a random strictly interior primal-dual
     state x = (p, beta, t, q): (V, b, c, o, x), each with the batch axis."""
@@ -644,24 +639,21 @@ _PD_MARKETS = {
 
 class TestNewtonStep:
     def test_dense_hessians_are_diag_plus_w_wt(self):
-        # The batched fill against H = diag(mu/p^2) + W W^T with W written
-        # out column by column, and each problem of a batch against the
-        # same problem filled alone.
+        # The fill against H = diag(mu/p^2) + W W^T with W written out
+        # column by column.
         mu = 1e-4
-        states = [_late_path_state(seed, mu, n=5) for seed in range(4)]
-        V, p, s, r, d, g = (np.stack(x) for x in zip(*states))
-        H = nsw._dense_hessians(V, p, s, r, d, mu)
-        na, mk = V.shape[1:]
-        for k in range(len(states)):
+        for seed in range(4):
+            V, p, s, r, d, g = _late_path_state(seed, mu, n=5)
+            H = nsw._dense_hessian(V, p, s, r, d, mu)
+            na, mk = V.shape
             W = np.zeros((na * mk, 2 * na + mk))
             for i in range(na):
                 for j in range(mk):
-                    W[i * mk + j, i] = V[k, i, j] / s[k, i]
-                    W[i * mk + j, na + i] = math.sqrt(mu) / r[k, i]
-                    W[i * mk + j, 2 * na + j] = math.sqrt(mu) / d[k, j]
-            ref = np.diag(mu / p[k].ravel() ** 2) + W @ W.T
-            assert np.allclose(H[k], ref, rtol=1e-12, atol=0.0)
-            assert np.array_equal(H[k], _dense_hessian(V[k], p[k], s[k], r[k], d[k], mu))
+                    W[i * mk + j, i] = V[i, j] / s[i]
+                    W[i * mk + j, na + i] = math.sqrt(mu) / r[i]
+                    W[i * mk + j, 2 * na + j] = math.sqrt(mu) / d[j]
+            ref = np.diag(mu / p.ravel() ** 2) + W @ W.T
+            assert np.allclose(H, ref, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("mu", [1e-2, 1e-6, 1e-10])
     def test_pd_direction_meets_linearized_equations(self, mu):
@@ -771,6 +763,37 @@ class TestNewtonStep:
         assert np.max(np.abs(1.0 - beta * s)) <= 1e-6
         assert solve(problem).kkt_residual <= DEFAULT_KKT_TOL
 
+    def test_primal_singular_hessian_takes_the_diagonal_retry(self, monkeypatch):
+        # The first Hessian solve of a lone primal solve raises LinAlgError:
+        # that step solves H + 1e-12 max|H| I instead, and the solve still
+        # certifies.
+        problem = NswProblem.create(instances.gen_random(6, seed=2))
+        real_solve, solves, steps = np.linalg.solve, [], []
+        newton = nsw._primal_newton
+
+        def failing_once(H, g):
+            solves.append((H.copy(), g.copy()))
+            if len(solves) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(H, g)
+
+        def recording(*args):
+            out = newton(*args)
+            steps.append(out[0])
+            return out
+
+        monkeypatch.setattr(nsw.np.linalg, "solve", failing_once)
+        monkeypatch.setattr(nsw, "_primal_newton", recording)
+        sol = solve(problem)
+        monkeypatch.undo()
+        (H, g), (retry, g_retry) = solves[:2]
+        assert np.array_equal(retry, H + 1e-12 * np.max(np.abs(H)) * np.eye(len(H)))
+        assert np.array_equal(g_retry, g)
+        assert np.array_equal(steps[0].ravel(), np.linalg.solve(retry, g))
+        assert len(steps) == sol.metadata["iterations"] and len(solves) == len(steps) + 1
+        assert sol.metadata["barrier"] == "primal"
+        assert sol.kkt_residual <= DEFAULT_KKT_TOL
+
     def test_small_problems_take_dense_steps(self):
         sol = solve(NswProblem.create(instances.gen_random(12, seed=0)))
         assert sol.metadata["barrier"] == "primal"
@@ -781,7 +804,7 @@ class TestNewtonStep:
         def no_dense(*args):
             raise AssertionError("dense Hessian built above the crossover")
 
-        monkeypatch.setattr(nsw, "_dense_hessians", no_dense)
+        monkeypatch.setattr(nsw, "_dense_hessian", no_dense)
         sol = solve(NswProblem.create(instances.gen_random(13, seed=1)))
         assert sol.kkt_residual <= DEFAULT_KKT_TOL
         assert sol.metadata["barrier"] == "primal-dual" and sol.metadata["iterations"] > 0

@@ -13,12 +13,14 @@ it prints, for each tree, the ops run and the ops failed (by the rule of
 fails its check or misses its ``perfbench/reference.json`` fingerprint);
 how many ``nsw.solve`` results are bit-identical between the
 trees (utilities, assignment and prices, paired in call order within each
-op); and the largest fingerprint deviation between the trees and against
-the reference.
+op), and likewise the ``lottery.decompose`` results (terms and residual)
+and the ``lottery.sample`` draws; and the largest fingerprint deviation
+between the trees and against the reference.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -34,8 +36,6 @@ WORKLOADS = ("rho_scan", "rpi_lottery", "large_solve")
 
 def _digest(sol) -> str:
     """A hash of a solution's utilities, assignment and prices, bit for bit."""
-    import hashlib
-
     import numpy as np
     h = hashlib.sha256()
     for array in (sol.utilities, sol.assignment.probs, sol.duals.t, sol.duals.q):
@@ -43,31 +43,48 @@ def _digest(sol) -> str:
     return h.hexdigest()[:16]
 
 
+def _repr_digest(value) -> str:
+    """A hash of ``repr(value)``, which writes each float exactly: for a
+    lottery's (terms, residual), and for a sampled matching."""
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+# What each op records, in call order: the kind, and how a result is digested.
+RECORDED = {"solves": _digest,
+            "lotteries": lambda lot: _repr_digest((lot.terms, lot.residual)),
+            "samples": _repr_digest}
+
+
 def run_tree(src: str) -> dict:
     """Every catalogue op of each workload on the ``matchlab`` under ``src``:
-    per op key, its problems, its fingerprint and the digests of the
-    ``nsw.solve`` results it made, in call order."""
+    per op key, its failure, its fingerprint and, for each kind of
+    ``RECORDED``, the digests of the results it made, in call order."""
     sys.path[:0] = [os.path.abspath(src), str(PERFBENCH)]
     import matchlab
-    from matchlab import nsw
+    from matchlab import lottery, nsw
     if Path(matchlab.__file__).resolve().parent != (Path(src) / "matchlab").resolve():
         sys.exit(f"compare_trees: imported matchlab from {matchlab.__file__}, not {src}")
     from run import Phase
     import workloads
 
-    solves: list[str] = []
-    real = nsw.solve
+    digests: dict[str, list[str]] = {kind: [] for kind in RECORDED}
 
-    def recording(*args, **kwargs):
-        sol = real(*args, **kwargs)
-        solves.append(_digest(sol))
-        return sol
+    def recording(kind, real):
+        def wrapper(*args, **kwargs):
+            result = real(*args, **kwargs)
+            digests[kind].append(RECORDED[kind](result))
+            return result
+        return wrapper
 
     # The mechanisms import solve by name, and solve_many finishes every
-    # problem through nsw.solve, so every binding is replaced.
-    for module in [m for name, m in sys.modules.items() if name.startswith("matchlab")]:
-        if getattr(module, "solve", None) is real:
-            module.solve = recording
+    # problem through nsw.solve, so every binding is replaced.  The
+    # workloads call the lottery through its module.
+    for kind, owner, attr in (("solves", nsw, "solve"), ("lotteries", lottery, "decompose"),
+                              ("samples", lottery, "sample")):
+        real, wrapper = getattr(owner, attr), recording(kind, getattr(owner, attr))
+        for module in [m for name, m in sys.modules.items() if name.startswith("matchlab")]:
+            if getattr(module, attr, None) is real:
+                setattr(module, attr, wrapper)
     reference = json.loads(REFERENCE.read_text())
     out: dict[str, dict] = {}
     for name in WORKLOADS:
@@ -75,11 +92,13 @@ def run_tree(src: str) -> dict:
         phase = Phase(wl, reference.get(name, {}))
         ops = out[name] = {}
         for task in wl.catalogue(wl.setup(0)):
-            solves.clear()
+            for made in digests.values():
+                made.clear()
             recorded = _Recorded(task)
             phase.run_op(recorded, task.key)
             ops[task.key] = {"failure": phase.failures.get(task.key),
-                             "fingerprint": recorded.fingerprint, "solves": list(solves)}
+                             "fingerprint": recorded.fingerprint,
+                             **{kind: list(made) for kind, made in digests.items()}}
     return out
 
 
@@ -121,9 +140,15 @@ def report(name: str, parent: dict, change: dict, reference: dict) -> list[str]:
     keys = sorted(set(parent) | set(change))
     failed = [sum(1 for k in keys if k not in run or run[k]["failure"])
               for run in (parent, change)]
-    solves = [sum(len(run[k]["solves"]) for k in run) for run in (parent, change)]
-    identical = sum(x == y for k in keys if k in parent and k in change
-                    for x, y in zip(parent[k]["solves"], change[k]["solves"]))
+    counts = []
+    for kind, label in (("solves", "nsw.solve results"), ("lotteries", "lotteries"),
+                        ("samples", "samples")):
+        made = [sum(len(run[k][kind]) for k in run) for run in (parent, change)]
+        identical = sum(x == y for k in keys if k in parent and k in change
+                        for x, y in zip(parent[k][kind], change[k][kind]))
+        if kind == "solves" or made != [0, 0]:
+            counts.append(f"  {label:<33}{made[0]} / {made[1]}, "
+                          f"bit-identical {identical} of {max(made)}")
     between = max((_deviation(parent.get(k, {}).get("fingerprint"),
                               change.get(k, {}).get("fingerprint")) for k in keys),
                   default=0.0)
@@ -133,8 +158,7 @@ def report(name: str, parent: dict, change: dict, reference: dict) -> list[str]:
     return [f"{name}  (parent / change)",
             f"  ops run                          {len(parent)} / {len(change)}",
             f"  ops failed                       {failed[0]} / {failed[1]}",
-            f"  nsw.solve results                {solves[0]} / {solves[1]}, "
-            f"bit-identical {identical}",
+            *counts,
             f"  max |fingerprint, between trees| {between:.2e}",
             f"  max |fingerprint - reference|    {to_ref[0]:.2e} / {to_ref[1]:.2e}"]
 
