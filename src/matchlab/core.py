@@ -123,7 +123,8 @@ class NotOptimal(MatchingError):
 
 
 class NotDecomposable(MatchingError):
-    """Row or column sums exceed their budget beyond tolerance."""
+    """An entry is not finite or is negative, or row or column sums exceed
+    their budget beyond tolerance."""
 
 
 class TooLargeForExact(MatchingError):

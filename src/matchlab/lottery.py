@@ -79,92 +79,53 @@ def _pad_to_doubly_stochastic(p: np.ndarray, tol: float) -> np.ndarray:
     return out
 
 
-def _perfect_matching(mask: np.ndarray) -> list[int] | None:
-    """Perfect matching on a boolean bipartite adjacency, or None.
-
-    Augmenting-path search scanning rows and columns in index order, so the
-    result is deterministic with smallest-index tie-breaking.  The
-    depth-first search keeps its path on explicit stacks: an augmenting
-    path can be n rows long.  Rows and the columns seen are integer
-    bitsets, so a row's next unseen adjacent column is the lowest set bit
-    of ``row & ~seen``: every adjacent column below it is already seen.
-    """
-    n = mask.shape[0]
-    adjacent = [int.from_bytes(row.tobytes(), "little")
-                for row in np.packbits(mask, axis=1, bitorder="little")]
-    match_col = [-1] * n     # col -> row
-
-    for root in range(n):
-        seen = 0
-        rows, cols = [root], []              # cols[k] links rows[k] to rows[k+1]
-        while rows:
-            free = adjacent[rows[-1]] & ~seen
-            if not free:                     # this row has no augmenting path
-                rows.pop()
-                if cols:
-                    cols.pop()
-                continue
-            j = (free & -free).bit_length() - 1
-            seen |= 1 << j
-            cols.append(j)
-            if match_col[j] < 0:
-                break
-            rows.append(match_col[j])
-        if not rows:
-            return None
-        for i, j in zip(rows, cols):         # flip the path
-            match_col[j] = i
-    out = [-1] * n
-    for j, i in enumerate(match_col):
-        out[i] = j
-    return out
-
-
-def _has_perfect_matching(mask: np.ndarray) -> bool:
-    """Whether a square boolean bipartite adjacency has a perfect matching:
-    exactly when a maximum-weight assignment over its 0/1 entries picks
-    only ones."""
-    rows, cols = linear_sum_assignment(mask, maximize=True)
-    return bool(mask[rows, cols].all())
-
-
-def _bottleneck(w: np.ndarray, ceiling: float) -> float | None:
-    """The largest entry b <= ``ceiling`` of ``w`` such that the entries
-    ``w >= b`` hold a perfect matching, or None when even the whole
+def _bottleneck(w: np.ndarray, ceiling: float):
+    """``(b, matching)``: the largest entry b <= ``ceiling`` of the square
+    ``w`` such that the entries ``w >= b`` hold a perfect matching, and
+    such a matching as the column of each row, or None when even the whole
     positive support holds none.
 
     Binary search over the positive entries between ``ceiling`` and the
     smallest entry of a maximum-weight assignment of ``w``, where a perfect
-    matching is known to exist when that entry is positive.
+    matching is known to exist when that entry is positive.  Each probe is
+    a maximum-weight assignment of the 0/1 mask ``w >= T``, which holds a
+    perfect matching exactly when the assignment picks only ones; the
+    matching returned is that of the last probe that found one, or the
+    first assignment when none did.
     """
     rows, cols = linear_sum_assignment(w, maximize=True)
     floor = w[rows, cols].min()
     values = np.unique(w[(w > 0) & (w >= floor) & (w <= ceiling)])
-    best = 0 if floor > 0 else None
+    best = (float(floor), cols) if floor > 0 else None
     lo, hi = (1 if floor > 0 else 0), len(values) - 1
     while lo <= hi:
         mid = (lo + hi + 1) // 2
-        if _has_perfect_matching(w >= values[mid]):
-            best = mid
+        mask = w >= values[mid]
+        cols = linear_sum_assignment(mask, maximize=True)[1]
+        if mask[rows, cols].all():
+            best = (float(values[mid]), cols)
             lo = mid + 1
         else:
             hi = mid - 1
-    return None if best is None else float(values[best])
+    return best
 
 
 def decompose(p: FractionalAssignment | np.ndarray, tol: float = 1e-9) -> Lottery:
     """Write a (sub)stochastic matrix as a lottery over matchings.
 
-    Extraction repeatedly takes the perfect matching with the largest
-    bottleneck weight on the remaining support and subtracts its minimum
-    weight, with smallest-item-index tie-breaking; the result is a
-    deterministic function of the input.  Entries below 1e-12 are zeroed
-    first.  Raises :class:`NotDecomposable` when row or column sums exceed
-    their bounds beyond ``tol``.
+    Extraction repeatedly takes a perfect matching with the largest
+    bottleneck weight on the remaining support and subtracts that weight;
+    the result is a deterministic function of the input (for a given
+    scipy).  Entries below 1e-12 are zeroed first.  Raises
+    :class:`NotDecomposable` when an entry is not finite or is below
+    ``-tol``, or when row or column sums exceed their bounds beyond
+    ``tol``.
     """
     probs = p.probs if isinstance(p, FractionalAssignment) else np.asarray(p, dtype=float)
     if probs.ndim != 2:
         raise DimensionMismatch("expected a 2-d matrix")
+    if not np.all(np.isfinite(probs)) or np.any(probs < -tol):
+        raise NotDecomposable("entries must be finite and non-negative")
     n, m = probs.shape
     work = np.where(probs > _ZERO_CLIP, probs, 0.0)
     if np.any(work > 1 + tol):
@@ -182,20 +143,17 @@ def decompose(p: FractionalAssignment | np.ndarray, tol: float = 1e-9) -> Lotter
     remaining = square
     extracted = 0.0
     # Entries only shrink, so no term's bottleneck exceeds the last one's.
-    bottleneck: float | None = np.inf
+    bottleneck = np.inf
     while extracted < 1.0 - tol and len(terms) <= size * size:
-        bottleneck = _bottleneck(remaining, bottleneck)
-        if bottleneck is None:
+        found = _bottleneck(remaining, bottleneck)
+        if found is None:
             break
-        matching = _perfect_matching(remaining >= bottleneck)
-        cells = (np.arange(size), np.array(matching))
-        weight = float(remaining[cells].min())
-        if weight <= 0:
-            break
-        weight = min(weight, 1.0 - extracted)
-        real = tuple(matching[i] if matching[i] < m else -1 for i in range(n))
-        terms.append((weight, real))
-        remaining[cells] -= weight
+        # Every entry of the matching is at least the bottleneck, and the
+        # bottleneck is the largest such bound, so it is the smallest entry.
+        bottleneck, matching = found
+        weight = min(bottleneck, 1.0 - extracted)
+        terms.append((weight, tuple(int(j) if j < m else -1 for j in matching[:n])))
+        remaining[np.arange(size), matching] -= weight
         remaining[remaining < _ZERO_CLIP] = 0.0
         extracted += weight
     if not terms:

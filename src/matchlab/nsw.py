@@ -36,9 +36,8 @@ polishes primal variables and prices together on that support by Newton
 on the square stationarity system, whose singular Jacobian takes
 minimum-norm least-squares steps by QR with column pivoting, with an
 active-set repair loop.  The polish tries four support thresholds in
-turn until a candidate's certificate is well within tolerance; a
-warm-started problem that none of them certifies is started once more,
-cold.
+turn until a candidate's certificate is well within tolerance; a problem
+that none of them certifies raises :class:`NoConvergence`.
 
 Agents whose maximum achievable surplus is zero (for instance constant
 value rows under an average-value offset) cannot appear in the log
@@ -493,10 +492,10 @@ def _solo_max_utilities(V, b, c):
 def _screen_degenerate(V, b, c, o, deg_tol, hint):
     """Split rows into (non-degenerate, degenerate) and find a base point.
 
-    Returns ``(live, degenerate, base, warm)``: ``base`` is a feasible point
-    with positive surplus on every live row (None when no row is live), and
-    ``warm`` says it is the clipped ``hint``.  Raises Infeasible when no
-    point gives every row non-negative surplus.
+    Returns ``(live, degenerate, base)``: ``base`` is a feasible point with
+    positive surplus on every live row (None when no row is live), the
+    clipped ``hint`` when that qualifies.  Raises Infeasible when no point
+    gives every row non-negative surplus.
     """
     na, mk = V.shape
     solo = _solo_max_utilities(V, b, c) - o
@@ -509,7 +508,7 @@ def _screen_degenerate(V, b, c, o, deg_tol, hint):
 
     live = [i for i in range(na) if i not in degenerate]
     if not live:
-        return [], degenerate, None, False
+        return [], degenerate, None
 
     # A strictly positive point certifies that no live agent is
     # degenerate; only borderline problems need the LP screen.
@@ -519,18 +518,18 @@ def _screen_degenerate(V, b, c, o, deg_tol, hint):
         if (np.min(_surplus(Vl, h, ol)) > 10 * deg_tol
                 and np.all(h.sum(axis=1) <= bl + 1e-9)
                 and np.all(h.sum(axis=0) <= c + 1e-9)):
-            return live, degenerate, h, True
+            return live, degenerate, h
 
     if np.all(ol <= deg_tol):
         # Zero offsets: every live row values some item positively.
         match = _capped_assignment(Vl, bl, c)
         if match is not None and np.min(_surplus(Vl, match, ol)) > 0:
-            return live, degenerate, match, False
-        return live, degenerate, _proportional_point(bl, c), False
+            return live, degenerate, match
+        return live, degenerate, _proportional_point(bl, c)
 
     p_h = _heuristic_positive_point(Vl, bl, c, ol, deg_tol)
     if p_h is not None:
-        return live, degenerate, p_h, False
+        return live, degenerate, p_h
 
     while True:
         x, delta = _max_min_surplus_lp(V[live], b[live], c, o[live])
@@ -539,7 +538,7 @@ def _screen_degenerate(V, b, c, o, deg_tol, hint):
                 "no feasible point gives every active agent non-negative "
                 f"surplus (max-min surplus {delta:.3e})")
         if delta > deg_tol:
-            return live, degenerate, x, False
+            return live, degenerate, x
         # Borderline: find which rows are stuck at zero surplus.
         newly = []
         keep_points = []
@@ -551,11 +550,11 @@ def _screen_degenerate(V, b, c, o, deg_tol, hint):
                 keep_points.append(xi)
         if not newly:
             # Each alone can be positive; their average is positive for all.
-            return live, degenerate, np.mean(keep_points, axis=0), False
+            return live, degenerate, np.mean(keep_points, axis=0)
         degenerate.update(newly)
         live = [i for i in live if i not in degenerate]
         if not live:
-            return [], degenerate, None, False
+            return [], degenerate, None
 
 
 def _surplus(V, p, o):
@@ -731,21 +730,21 @@ def _max_step(vals, dvals):
     return -(vals / np.minimum(dvals, -0.0)).max(axis=1)
 
 
-def _primal_solve(V, b, c, o, p, warm, budget, trace):
+def _primal_solve(V, b, c, o, p, budget, trace):
     """Damped primal Newton steps down the barrier path of one problem.
 
-    mu starts at 5e-3 when ``warm`` and 0.05 otherwise and falls 50-fold
-    to ``_MU_END``; at each mu the point is centred until the Newton
-    decrement is below mu (0.3 mu at the end), for at most 60 steps, each
-    0.99 of the way to the boundary at most and halved until it meets the
-    Armijo condition.  A step that cannot move (a step length that is not
-    positive) ends centring at that mu.  Returns (p, t, q, iterations),
+    mu starts at 0.05 and falls 50-fold to ``_MU_END``; at each mu the
+    point is centred until the Newton decrement is below mu (0.3 mu at the
+    end), for at most 60 steps, each 0.99 of the way to the boundary at
+    most and halved until it meets the Armijo condition.  A step that
+    cannot move (a step length that is not positive) ends centring at that
+    mu.  Returns (p, t, q, iterations),
     with the prices t = mu / d and q = mu / r of the last mu.  ``trace``,
     when given, gets (iteration, sum_i log s_i, Newton decrement) for each
     step that moved.
     """
     iters = 0
-    mu = 5e-3 if warm else 0.05
+    mu = 0.05
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
             phi_p = math.nan               # phi(p, mu) where known
@@ -782,26 +781,6 @@ def _primal_solve(V, b, c, o, p, warm, budget, trace):
                 break
             mu = max(mu * 0.02, _MU_END)
     return p, mu / (c - p.sum(axis=0)), mu / (b - p.sum(axis=1)), iters
-
-
-def _barrier_solve(V, b, c, o, x0, warm, budget, trace):
-    """Follow the barrier central path down to ``_MU_END``.
-
-    Every argument but the scalars carries a leading batch axis of K
-    problems of one shape.  The start ``x0`` decides the path: a flat
-    primal-dual state, (K, L), follows the path of
-    :func:`_primal_dual_solve`, K problems in lockstep; a primal point p,
-    (K, na, mk), takes the damped primal Newton steps of
-    :func:`_primal_solve`, one problem after another (only a lone solve
-    takes this path, so K = 1 there).  Returns (p, t, q, iterations), each
-    with the batch axis.  ``trace``, when given, gets one row per Newton
-    step of the first problem.
-    """
-    if x0.ndim == 2:
-        return _primal_dual_solve(V, b, c, o, x0, budget, trace)
-    paths = [_primal_solve(V[k], b[k], c[k], o[k], x0[k], warm, budget,
-                           trace if k == 0 else None) for k in range(len(x0))]
-    return tuple(np.stack(x) for x in zip(*paths))
 
 
 def _pd_views(buf, na, mk):
@@ -937,7 +916,8 @@ def _primal_dual_solve(V, b, c, o, x0, budget, trace):
     A problem stops once :func:`_pd_done`, or when its step is shorter than
     1e-8 or not finite, or after 60 steps, as many as the primal path takes
     at one mu.  Each call steps only the problems still running.  Returns
-    what :func:`_barrier_solve` returns.
+    (p, t, q, iterations), each with the batch axis.  ``trace``, when given,
+    gets one row per Newton step of the first problem.
     """
     K, na, mk = V.shape
     nx = x0.shape[1]
@@ -1253,7 +1233,6 @@ class _Start:
     live: list[int]
     degenerate: set[int]
     x0: np.ndarray | None      # None when no row is live
-    warm: bool                 # x0 comes from the warm start
     seconds: float             # wall time of these stages
 
     @property
@@ -1266,13 +1245,15 @@ class _Start:
         return "primal-dual" if self.x0.ndim == 1 else "primal"
 
 
-def _start(problem: NswProblem, warm_start: np.ndarray | None,
+def _start(problem: NswProblem, warm_start: np.ndarray | None = None,
            lockstep: bool = False) -> _Start:
     """The stages before the barrier: degeneracy screen and start point, and
     an interior primal point.  For a problem of a lockstep batch, and for
     any problem from ``_PD_MIN_PAIRS`` live pairs on, that point is extended
     to the primal-dual state of :func:`_pd_start`, so its barrier takes the
-    primal-dual path; only a lone problem below that keeps the primal path."""
+    primal-dual path; only a lone problem below that keeps the primal path.
+    ``warm_start``, a finite n_agents-by-n_items matrix, is the screen's
+    hint; any other raises :class:`DimensionMismatch`."""
     began = perf_counter()
     inst = problem.instance
     active = list(problem.active_agents)
@@ -1287,10 +1268,14 @@ def _start(problem: NswProblem, warm_start: np.ndarray | None,
     b = np.asarray(problem.row_budget, dtype=float)
     o = np.asarray(problem.offsets, dtype=float)
     hint = None
-    if warm_start is not None and warm_start.shape == (inst.n_agents, inst.n_items):
-        hint = np.asarray(warm_start, dtype=float)[np.ix_(active, keep)]
+    if warm_start is not None:
+        hint = np.asarray(warm_start, dtype=float)
+        if hint.shape != (inst.n_agents, inst.n_items) or not np.all(np.isfinite(hint)):
+            raise DimensionMismatch(
+                f"warm_start must be a finite ({inst.n_agents}, {inst.n_items}) matrix")
+        hint = hint[np.ix_(active, keep)]
 
-    live, degenerate, base, warm = _screen_degenerate(V, b, c, o, deg_tol, hint)
+    live, degenerate, base = _screen_degenerate(V, b, c, o, deg_tol, hint)
     x0 = None
     if live:
         x0 = _interior_start(V[live], b[live], c, o[live], base)
@@ -1299,23 +1284,21 @@ def _start(problem: NswProblem, warm_start: np.ndarray | None,
         if lockstep or len(live) * len(keep) >= _PD_MIN_PAIRS:
             x0 = _pd_start(V[live], o[live], x0)
     return _Start(V=V, b=b, c=c, o=o, keep=keep, live=live, degenerate=degenerate,
-                  x0=x0, warm=warm, seconds=perf_counter() - began)
+                  x0=x0, seconds=perf_counter() - began)
 
 
 def _barriers(starts: list[_Start], max_iter: int, trace=None):
-    """The barrier paths of problems with one live shape and one path, in
-    lockstep; one (p, t, q, iterations) per problem."""
-    V, b, c, o, x0 = (np.stack(x) for x in zip(*[
-        (st.V[st.live], st.b[st.live], st.c, st.o[st.live], st.x0) for st in starts]))
-    p, t, q, iters = _barrier_solve(V, b, c, o, x0, starts[0].warm, max_iter, trace)
+    """The barrier paths of problems with one live shape and one path: the
+    primal-dual path of :func:`_primal_dual_solve`, in lockstep, or the
+    primal path of :func:`_primal_solve`, which only a lone solve takes, so
+    for one problem.  One (p, t, q, iterations) per problem; ``trace``, when
+    given, gets one row per Newton step of the first problem."""
+    rows = [(st.V[st.live], st.b[st.live], st.c, st.o[st.live], st.x0) for st in starts]
+    if starts[0].barrier == "primal":
+        return [_primal_solve(*rows[0], max_iter, trace)]
+    V, b, c, o, x0 = (np.stack(x) for x in zip(*rows))
+    p, t, q, iters = _primal_dual_solve(V, b, c, o, x0, max_iter, trace)
     return [(p[k], t[k], q[k], int(iters[k])) for k in range(len(starts))]
-
-
-def _lone_barrier(start: _Start, max_iter: int, trace):
-    """One problem's barrier path (None when no row is live) and its seconds."""
-    began = perf_counter()
-    path = None if start.x0 is None else _barriers([start], max_iter, trace)[0]
-    return path, perf_counter() - began
 
 
 def _best_polish(start: _Start, path, tol):
@@ -1348,22 +1331,26 @@ def solve_many(problems: Sequence[NswProblem], tol: float = DEFAULT_KKT_TOL,
                max_iter: int = ITERATION_CAP,
                warm_start: np.ndarray | None = None) -> list[NswSolution]:
     """Solve each problem to the unique utilities of ``solve(problem, tol,
-    max_iter, warm_start)``, bit for bit a batch of one, with one lockstep
-    primal-dual barrier per live shape.
+    max_iter)``, bit for bit a batch of one, with one lockstep primal-dual
+    barrier per live shape.
 
     Each problem is screened and started on its own; then problems of one
     live shape run the primal-dual barrier in one lockstep call (several
     when their Newton matrices would pass ``_LOCKSTEP_BYTES``), and
-    :func:`solve` finishes each from there, with a cold restart on the
-    same path if one is needed.  Every result is, bit for bit, that of a
-    batch of one, ``solve_many([problem])[0]``; its utilities equal
-    :func:`solve`'s to 1e-9, but where the optimum is not unique its
+    :func:`solve` finishes each from there.  Every result is, bit for bit,
+    that of a batch of one, ``solve_many([problem])[0]``; its utilities
+    equal :func:`solve`'s to 1e-9, but where the optimum is not unique its
     assignment may be another optimal one, since a lone solve below
-    ``_PD_MIN_PAIRS`` pairs takes the primal path.  The sequential loop
-    decides which exception is raised: the first failing problem's.
+    ``_PD_MIN_PAIRS`` pairs takes the primal path.  ``warm_start`` (a full
+    n_agents-by-n_items matrix, for instance the solution of the full
+    market) is each problem's screen start point wherever it gives every
+    live row a clearly positive surplus; it only changes where the barrier
+    starts, and a warm_start that is not a finite matrix of that shape
+    raises :class:`DimensionMismatch`.  The sequential loop decides which
+    exception is raised: the first failing problem's.
     ``metadata["barrier_batch"]`` counts the problems of each lockstep
     call, and ``metadata["stage_s"]["barrier"]`` is that call's wall time,
-    shared by its problems (plus a cold restart's own barrier, if one ran).
+    shared by its problems.
     """
     _check_tol(tol)
     starts: list[_Start | MatchingError] = []
@@ -1394,69 +1381,53 @@ def solve_many(problems: Sequence[NswProblem], tol: float = DEFAULT_KKT_TOL,
 
 def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
           max_iter: int = ITERATION_CAP,
-          warm_start: np.ndarray | None = None,
           trace: list | None = None, *, _prepared=None) -> NswSolution:
     """Solve the welfare program and certify the result.
 
     The returned solution satisfies ``kkt_residual <= tol``; by concavity
-    plus the certificate its objective is within ``tol`` of optimal.
-    ``warm_start`` (a full n_agents-by-n_items matrix, for instance the
-    solution of a nearby problem) only speeds up the search: when no
-    polish of the warm-started path is certified, the problem is started
-    once more without it, on the same barrier path.  A problem below
-    ``_PD_MIN_PAIRS`` live pairs takes the primal path here and the
-    primal-dual path in :func:`solve_many`; both reach the unique optimal
-    utilities, but where the optimal assignment is not unique they may
-    reach different ones.  Raises :class:`Infeasible` when an active agent
-    cannot reach non-negative surplus, and :class:`NoConvergence` when the
-    certificate tolerance cannot be met inside the iteration budget.
+    plus the certificate its objective is within ``tol`` of optimal.  The
+    solve makes one attempt: one barrier path, then the polish at each
+    support threshold in turn.  A problem below ``_PD_MIN_PAIRS`` live
+    pairs takes the primal path here and the primal-dual path in
+    :func:`solve_many`; both reach the unique optimal utilities, but where
+    the optimal assignment is not unique they may reach different ones.
+    Raises :class:`Infeasible` when an active agent cannot reach
+    non-negative surplus, and :class:`NoConvergence` when no polish meets
+    the certificate tolerance inside the iteration budget.
     ``metadata["barrier"]`` names the barrier path that ran, ``"primal"``
     or ``"primal-dual"`` (None when no row is live and no barrier ran);
-    ``metadata["iterations"]`` counts its Newton steps
-    and ``metadata["polish_steps"]`` the least-squares steps of every
-    polish the solve tried, both over the cold restart too;
-    ``metadata["polish"]`` is the support threshold tau of the winning
-    candidate (None when no row is live); ``metadata["barrier_batch"]`` is
-    the number of problems whose barrier ran in one lockstep call (1 here;
-    see :func:`solve_many`); and ``metadata["stage_s"]`` holds the
-    ``perf_counter`` seconds of the stages: ``start`` (screen and interior
-    start), ``barrier``, ``polish`` (every polish tried) and ``finish``
-    (assembly and the certificate check).
-    ``trace``, when given, gets one row per Newton step of the barrier:
-    (iteration, sum_i log s_i, m), where m is the Newton decrement on the
-    primal path and mu on the primal-dual path; a cold restart appends the
-    rows of its own path.
+    ``metadata["iterations"]`` counts its Newton steps and
+    ``metadata["polish_steps"]`` the least-squares steps of every polish
+    the solve tried; ``metadata["polish"]`` is the support threshold tau of
+    the winning candidate (None when no row is live);
+    ``metadata["barrier_batch"]`` is the number of problems whose barrier
+    ran in one lockstep call (1 here; see :func:`solve_many`); and
+    ``metadata["stage_s"]`` holds the ``perf_counter`` seconds of the
+    stages: ``start`` (screen and interior start), ``barrier``, ``polish``
+    (every polish tried) and ``finish`` (assembly and the certificate
+    check).  ``trace``, when given, gets one row per Newton step of the
+    barrier: (iteration, sum_i log s_i, m), where m is the Newton decrement
+    on the primal path and mu on the primal-dual path.
     """
     _check_tol(tol)
-    lockstep = _prepared is not None
-    if not lockstep:
-        start = _start(problem, warm_start)
-        path, barrier_s = _lone_barrier(start, max_iter, trace)
-        batch = 1
-    else:                               # from solve_many
-        start, path, batch, barrier_s = _prepared
-        if isinstance(start, MatchingError):
-            raise start
+    if _prepared is None:
+        start = _start(problem)
+        began = perf_counter()
+        path = None if start.x0 is None else _barriers([start], max_iter, trace)[0]
+        _prepared = (start, path, 1, perf_counter() - began)
+    start, path, batch, barrier_s = _prepared     # from solve_many, or just made
+    if isinstance(start, MatchingError):
+        raise start
     stages = {"start": start.seconds, "barrier": barrier_s, "polish": 0.0}
     iters_used = 0
     polish_steps = 0
     winner = None
 
     if start.live:
-        while True:
-            mark = perf_counter()
-            iters_used += path[3]
-            (best_resid, best, winner), taken = _best_polish(start, path, tol)
-            polish_steps += taken
-            stages["polish"] += perf_counter() - mark
-            if best_resid <= tol or not start.warm or iters_used >= max_iter:
-                break
-            # The warm-started path ended where no threshold polishes: start
-            # once more from the cold start point, on the same path.
-            start = _start(problem, None, lockstep)
-            path, seconds = _lone_barrier(start, max_iter - iters_used, trace)
-            stages["start"] += start.seconds
-            stages["barrier"] += seconds
+        mark = perf_counter()
+        iters_used = path[3]
+        (best_resid, best, winner), polish_steps = _best_polish(start, path, tol)
+        stages["polish"] = perf_counter() - mark
         if best_resid > tol:
             # The best candidate is not certified and may not even be
             # feasible, so it is never assembled or validated.

@@ -213,6 +213,16 @@ class TestDecomposeCommand:
         bad.write_text("not json")
         assert main(["decompose", "--probs", str(bad)]) == 1
 
+    @pytest.mark.parametrize("entry", ["NaN", "-0.5"])
+    def test_invalid_entry_exit_1(self, tmp_path, capsys, entry):
+        # json reads NaN as a float; neither entry is clipped to zero.
+        probs = tmp_path / "p.json"
+        probs.write_text(f'{{"probs": [[{entry}, 1], [1, 0]]}}')
+        out = tmp_path / "o"
+        assert main(["decompose", "--probs", str(probs), "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (out / "lottery.json").exists()
+
 
 class TestEnvTol:
     def test_env_override(self, table1_file, monkeypatch, tmp_path):

@@ -7,14 +7,16 @@ from matchlab.lottery import decompose, random_doubly_stochastic, sample, sinkho
 
 
 def _perfect_matching_recursive(mask):
-    """Reference for ``lottery._perfect_matching``: the recursive
-    augmenting-path search it replaces (one Python frame per path step)."""
+    """A perfect matching of a square boolean bipartite adjacency (the
+    column of each row), or None: the recursive augmenting-path search,
+    one Python frame per path step."""
     n = mask.shape[0]
+    adjacent = [np.flatnonzero(row).tolist() for row in mask]
     match_col = [-1] * n
 
     def try_row(i, seen):
-        for j in range(n):
-            if mask[i, j] and not seen[j]:
+        for j in adjacent[i]:
+            if not seen[j]:
                 seen[j] = True
                 if match_col[j] < 0 or try_row(match_col[j], seen):
                     match_col[j] = i
@@ -30,21 +32,61 @@ def _perfect_matching_recursive(mask):
     return out
 
 
-def _bottleneck_bisection(w, ceiling):
-    """Reference for ``lottery._bottleneck``: binary search over every
-    positive entry of ``w``, ignoring ``ceiling``, with the Python search
-    ``lottery._perfect_matching`` as the probe."""
+def _max_bottleneck(w):
+    """The largest entry b of ``w`` such that the entries ``w >= b`` hold a
+    perfect matching (0.0 when none does): binary search over every
+    positive entry, with :func:`_perfect_matching_recursive` as the probe."""
     positive = np.unique(w[w > 0])
     lo, hi = 0, len(positive) - 1
-    best = None
+    best = 0.0
     while lo <= hi:
         mid = (lo + hi + 1) // 2
-        if lottery._perfect_matching(w >= positive[mid]) is not None:
-            best = mid
+        if _perfect_matching_recursive(w >= positive[mid]) is not None:
+            best = float(positive[mid])
             lo = mid + 1
         else:
             hi = mid - 1
-    return None if best is None else float(positive[best])
+    return best
+
+
+def _replay(p, monkeypatch):
+    """Decompose ``p`` and replay its terms on the square matrix that
+    ``decompose`` starts from: each term's weight is the largest bottleneck
+    of what remains (the last term's may be capped at 1 - extracted), and
+    its matching is a permutation of that matrix whose entries are all at
+    least the weight.  There are at most (size - 1)^2 + 1 terms for that
+    matrix's size."""
+    calls = []
+    real = lottery._bottleneck
+
+    def recording(w, ceiling):
+        start = w.copy() if not calls else None
+        found = real(w, ceiling)
+        calls.append((start, None if found is None else np.array(found[1])))
+        return found
+
+    monkeypatch.setattr(lottery, "_bottleneck", recording)
+    lot = decompose(p)
+    monkeypatch.undo()
+    n, m = np.shape(p)
+    remaining = calls[0][0]
+    size = len(remaining)
+    extracted = 0.0
+    for k, (weight, real_matching) in enumerate(lot.terms):
+        matching = calls[k][1]
+        assert sorted(matching.tolist()) == list(range(size))
+        assert real_matching == tuple(int(j) if j < m else -1 for j in matching[:n])
+        best = _max_bottleneck(remaining)
+        last = k == len(lot.terms) - 1
+        assert weight == best or (last and weight == 1.0 - extracted < best)
+        cells = (np.arange(size), matching)
+        assert remaining[cells].min() >= weight
+        remaining[cells] -= weight
+        remaining[remaining < 1e-12] = 0.0
+        extracted += weight
+    assert lot.residual == max(0.0, 1.0 - extracted)
+    assert len(lot.terms) <= (size - 1) ** 2 + 1
+    return lot
 
 
 def _permutation_mixture(n, seed):
@@ -119,8 +161,9 @@ class TestDecompose:
         assert np.allclose(via_lottery, direct, atol=1e-9)
 
     def test_long_augmenting_path(self):
-        # Row n-1 reaches its only free column through an augmenting path
-        # n rows long; the recursive search raised RecursionError here.
+        # A cycle of 1100 rows: the first term's matching needs an
+        # augmenting path n rows long, where a recursive search would
+        # raise RecursionError.
         n = 1100
         eye = np.eye(n)
         p = 0.5 * (eye + np.roll(eye, -1, axis=0))
@@ -129,6 +172,8 @@ class TestDecompose:
         assert np.abs(lot.reconstruct() - p).max() <= 1e-12
 
     def test_matching_matches_recursive_search(self):
+        # On a 0/1 matrix, _bottleneck finds a matching exactly when the
+        # recursive search does, and its matching lies on the ones.
         rng = np.random.default_rng(7)
         found = 0
         for _ in range(500):
@@ -136,26 +181,30 @@ class TestDecompose:
             mask = rng.uniform(size=(n, n)) < rng.uniform(0.05, 0.6)
             if rng.uniform() < 0.5:
                 mask |= np.eye(n, dtype=bool)[rng.permutation(n)]
-            got = lottery._perfect_matching(mask)
-            assert got == _perfect_matching_recursive(mask)
-            assert lottery._has_perfect_matching(mask) == (got is not None)
-            found += got is not None
+            got = lottery._bottleneck(mask.astype(float), np.inf)
+            assert (got is not None) == (_perfect_matching_recursive(mask) is not None)
+            if got is not None:
+                bottleneck, matching = got
+                assert bottleneck == 1.0
+                assert sorted(matching.tolist()) == list(range(n))
+                assert mask[np.arange(n), matching].all()
+                found += 1
         assert found > 100
 
     def test_lotteries_match_recursive_search(self, monkeypatch):
+        # Every term replays as a max-bottleneck matching, the bottleneck
+        # found with the recursive search as the probe.
         matrices = [random_doubly_stochastic(n, seed) for seed, n in
                     enumerate((2, 5, 9, 16, 23, 31, 40))]
         matrices.append(0.7 * random_doubly_stochastic(6, 99))   # padded
-        lotteries = [decompose(p) for p in matrices]
-        monkeypatch.setattr(lottery, "_perfect_matching", _perfect_matching_recursive)
-        for p, lot in zip(matrices, lotteries):
-            ref = decompose(p)
-            assert lot.terms == ref.terms and lot.residual == ref.residual
+        for p in matrices:
+            lot = _replay(p, monkeypatch)
+            assert np.abs(lot.reconstruct() - p).max() <= 1e-9
 
     def test_lotteries_match_full_bisection(self, monkeypatch):
-        # The bracketed search with assignment probes against a bisection
-        # over every positive entry with Python probes: the same terms and
-        # residual, bit for bit.
+        # Every term's weight is the full bisection's bottleneck over every
+        # positive entry of what remains, on RPI and PS marginals, padded
+        # inputs and a permutation mixture.
         matrices = [mechanisms.rpi_run(instances.gen_random(n, dist, seed=n), seed=n).probs
                     for n in range(4, 13) for dist in ("uniform01", "sparse")]
         matrices.append(np.array([[0.4, 0.2, 0.0], [0.1, 0.3, 0.5]]))     # padded
@@ -163,11 +212,20 @@ class TestDecompose:
         ps = mechanisms.ps_run(instances.gen_random(32, seed=0)).probs
         matrices += [ps, 0.9 * ps]                          # 0.9 ps is padded to 64
         matrices.append(_permutation_mixture(50, seed=0))
-        lotteries = [decompose(p) for p in matrices]
-        monkeypatch.setattr(lottery, "_bottleneck", _bottleneck_bisection)
-        for p, lot in zip(matrices, lotteries):
-            ref = decompose(p)
-            assert lot.terms == ref.terms and lot.residual == ref.residual
+        for p in matrices:
+            lot = _replay(p, monkeypatch)
+            assert np.abs(lot.reconstruct() - p).max() <= 1e-9
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, -0.5])
+    def test_invalid_entry_raises(self, bad):
+        # A NaN or negative entry is not clipped to zero, which would give
+        # a lottery that does not reconstruct the input.
+        with pytest.raises(NotDecomposable):
+            decompose(np.array([[bad, 1.0], [1.0, 0.0]]))
+
+    def test_entry_within_tol_below_zero_is_clipped(self):
+        lot = decompose(np.array([[-1e-10, 1.0], [1.0, 0.0]]))
+        assert lot.terms == [(1.0, (1, 0))]
 
 
 class TestSample:

@@ -96,7 +96,7 @@ class TestPartialAllocation:
     def test_fractions_independent_of_the_barrier_path(self, dist, bargaining):
         # The leave-one-out solves run as a batch, on the primal-dual path;
         # PA reads only their utilities, which are unique, so its fractions
-        # are those of one lone solve per agent.  The base solve is a lone
+        # are those of one lone cold solve per agent.  The base solve is a lone
         # solve, bit for bit.
         from matchlab import nsw
         from matchlab.core import uniform_disagreement
@@ -107,12 +107,10 @@ class TestPartialAllocation:
             base = nsw.solve(nsw.NswProblem.create(inst, offsets=off))
             assert np.array_equal(out.base.assignment.probs, base.assignment.probs)
             assert np.array_equal(out.base.utilities, base.utilities)
-            warm = np.asarray(base.assignment.probs)
             fractions = np.ones(n)
             for agent in sorted(set(range(n)) - base.degenerate_agents):
                 rest = tuple(a for a in range(n) if a != agent)
-                loo = nsw.solve(nsw.NswProblem.create(inst, rest, off[list(rest)]),
-                                warm_start=warm)
+                loo = nsw.solve(nsw.NswProblem.create(inst, rest, off[list(rest)]))
                 for other in rest:
                     if not {other} & (base.degenerate_agents | loo.degenerate_agents):
                         fractions[agent] *= base.surplus[other] / loo.surplus[other]

@@ -752,8 +752,8 @@ class TestNewtonStep:
             return fill(V, b, c, o, buf)
 
         monkeypatch.setattr(nsw, "_pd_fill", recording)
-        *_, iters = nsw._barrier_solve(V[None], b[None], c[None], o[None], st.x0[None],
-                                       st.warm, nsw.ITERATION_CAP, None)
+        *_, iters = nsw._primal_dual_solve(V[None], b[None], c[None], o[None],
+                                           st.x0[None], nsw.ITERATION_CAP, None)
         monkeypatch.undo()
         vals = nsw._pd_views(filled[-1], *V.shape)
         p, s, r, d, beta, z, t, q = vals
@@ -1028,18 +1028,18 @@ class TestSolveMany:
         many = nsw.solve_many(problems, warm_start=warm)
         shapes = []
         for problem, sol in zip(problems, many):
-            # Bit for bit a batch of one; utilities those of a lone solve,
-            # which below 150 pairs takes the primal path.
+            # Bit for bit a batch of one; utilities those of a lone cold
+            # solve, which below 150 pairs takes the primal path.
             _assert_same_solution(sol, nsw.solve_many([problem], warm_start=warm)[0])
-            alone = solve(problem, warm_start=warm)
+            alone = solve(problem)
             assert np.allclose(sol.utilities, alone.utilities, rtol=0.0, atol=1e-9)
             assert sol.kkt_residual <= DEFAULT_KKT_TOL
             assert alone.metadata["barrier_batch"] == 1
             if case == "structured":
                 # From 150 pairs on a lone solve takes the primal-dual path
-                # too, and gives the batch's result bit for bit.
+                # too, and gives a cold batch's result bit for bit.
                 assert alone.metadata["barrier"] == "primal-dual"
-                _assert_same_solution(sol, alone)
+                _assert_same_solution(nsw.solve_many([problem])[0], alone)
             shapes.append(len(problem.active_agents) - len(sol.degenerate_agents))
         for sol, live in zip(many, shapes):
             assert sol.metadata["barrier_batch"] == shapes.count(live)
@@ -1058,79 +1058,25 @@ class TestSolveMany:
         assert np.all((out.fractions >= 0) & (out.fractions <= 1 + 1e-9))
 
     def test_grid_market_pa_certifies(self):
-        # As a lone warm-started solve, its leave-one-out solve without
-        # agent 4 certifies only through a cold restart (see below).
+        # Grid values take five levels, so many tie and the optimal
+        # assignment need not be unique; the batched leave-one-out solves,
+        # warm-started from the base solve, certify in one attempt each.
         inst = instances.gen_random(10, "grid", seed=6)
         out = pa_run(inst, offsets=uniform_disagreement(inst))
         assert out.base.kkt_residual <= DEFAULT_KKT_TOL
         assert np.all((out.fractions >= 0) & (out.fractions <= 1 + 1e-9))
 
-    def test_failed_warm_start_restarts_cold(self):
-        # No support threshold polishes the warm-started path's end point;
-        # the restart is the cold solve, bit for bit.
-        problem, warm = _grid_loo_without_agent_4()
-        sol = solve(problem, warm_start=warm)
-        cold = solve(problem)
-        assert sol.kkt_residual <= DEFAULT_KKT_TOL
-        assert np.array_equal(sol.assignment.probs, cold.assignment.probs)
-        assert np.array_equal(sol.utilities, cold.utilities)
-        assert sol.metadata["polish"] == cold.metadata["polish"]
-
-    def test_restart_counts_both_attempts(self, monkeypatch):
-        problem, warm = _grid_loo_without_agent_4()
-        cold = solve(problem)
-        iters, steps = [], []
-        barrier, polish = nsw._barrier_solve, nsw._polish
-
-        def barrier_recording(*args):
-            out = barrier(*args)
-            iters.append(int(out[3][0]))
-            return out
-
-        def polish_recording(*args):
-            out = polish(*args)
-            steps.append(out[2])
-            return out
-
-        monkeypatch.setattr(nsw, "_barrier_solve", barrier_recording)
-        monkeypatch.setattr(nsw, "_polish", polish_recording)
-        meta = solve(problem, warm_start=warm).metadata
-        assert len(iters) == 2 and iters[1] == cold.metadata["iterations"]
-        assert meta["iterations"] == sum(iters)
-        assert meta["polish_steps"] == sum(steps) > cold.metadata["polish_steps"]
-        assert len(steps) == len(nsw._TAUS) + 1
-
-    def test_batched_restart_stays_on_the_primal_dual_path(self, monkeypatch):
-        # No polish of problem 0's warm-started path is certified, so it is
-        # started once more, cold, on the batch's path: its result is the
-        # cold batch of one's, and its counts cover both attempts.  The
-        # other problems of the batch do not move.
-        inst, problems = _loo_problems(instances.gen_random(6, seed=3))
+    @pytest.mark.parametrize("hint", ["rows", "columns", "nan", "inf"])
+    def test_bad_warm_start_raises(self, hint):
+        # A warm_start of the wrong shape, or with an entry that is not
+        # finite, is rejected rather than ignored.
+        inst, problems = _loo_problems(instances.gen_random(5, seed=1))
         warm = np.asarray(solve(NswProblem.create(inst)).assignment.probs)
-        before = nsw.solve_many(problems, warm_start=warm)
-        cold = nsw.solve_many(problems[:1])[0]
-        polish, calls = nsw._polish, []
-
-        def failing_first_attempt(*args):
-            calls.append(args)
-            if len(calls) <= len(nsw._TAUS):
-                return None, math.inf, 0
-            return polish(*args)
-
-        monkeypatch.setattr(nsw, "_polish", failing_first_attempt)
-        many = nsw.solve_many(problems, warm_start=warm)
-        sol = many[0]
-        assert sol.metadata["barrier"] == "primal-dual"
-        assert np.array_equal(sol.utilities, cold.utilities)
-        assert np.array_equal(sol.assignment.probs, cold.assignment.probs)
-        assert np.array_equal(sol.duals.t, cold.duals.t)
-        assert np.array_equal(sol.duals.q, cold.duals.q)
-        assert sol.metadata["polish"] == cold.metadata["polish"]
-        assert sol.metadata["polish_steps"] == cold.metadata["polish_steps"]
-        assert sol.metadata["iterations"] == (before[0].metadata["iterations"]
-                                              + cold.metadata["iterations"])
-        for after, ref in zip(many[1:], before[1:]):
-            _assert_same_solution(after, ref)
+        bad = {"rows": warm[:-1], "columns": warm[:, :-1],
+               "nan": np.where(np.eye(5, dtype=bool), np.nan, warm),
+               "inf": np.where(np.eye(5, dtype=bool), np.inf, warm)}[hint]
+        with pytest.raises(DimensionMismatch, match="warm_start"):
+            nsw.solve_many(problems, warm_start=bad)
 
     def test_groups_split_by_hessian_bytes(self, monkeypatch):
         # Six problems of 5 x 6 pairs with room for the primal-dual Newton
@@ -1207,17 +1153,6 @@ def _assert_same_solution(sol, ref):
     assert np.array_equal(sol.duals.q, ref.duals.q)
     for key in ("iterations", "polish", "polish_steps"):
         assert sol.metadata[key] == ref.metadata[key]
-
-
-def _grid_loo_without_agent_4():
-    """PA's leave-one-out problem without agent 4 of
-    ``gen_random(10, "grid", seed=6)`` under bargaining offsets, and the
-    base solve's assignment that warm-starts it."""
-    inst = instances.gen_random(10, "grid", seed=6)
-    off = uniform_disagreement(inst)
-    warm = np.asarray(solve(NswProblem.create(inst, offsets=off)).assignment.probs)
-    rest = [a for a in range(10) if a != 4]
-    return NswProblem.create(inst, rest, off[rest]), warm
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (4, 4), (5, 6)])

@@ -14,8 +14,12 @@ fails its check or misses its ``perfbench/reference.json`` fingerprint);
 how many ``nsw.solve`` results are bit-identical between the
 trees (utilities, assignment and prices, paired in call order within each
 op), and likewise the ``lottery.decompose`` results (terms and residual)
-and the ``lottery.sample`` draws; and the largest fingerprint deviation
-between the trees and against the reference.
+and the ``lottery.sample`` draws; for each tree, the total lottery terms,
+the largest reconstruction error of a lottery against the marginals it
+decomposed and the lotteries with more than (n-1)^2+1 terms, n the rows
+of those marginals, since lotteries need not match bit for bit to be
+valid; and the largest fingerprint deviation between the trees and
+against the reference.
 """
 
 from __future__ import annotations
@@ -55,10 +59,21 @@ RECORDED = {"solves": _digest,
             "samples": _repr_digest}
 
 
+def _lottery_stats(lot, p) -> list:
+    """A lottery's term count, its reconstruction error against the
+    marginals ``p``, and whether it has more than (n-1)^2+1 terms."""
+    import numpy as np
+    probs = np.asarray(getattr(p, "probs", p), dtype=float)
+    terms = len(lot.terms)
+    return [terms, float(np.abs(lot.reconstruct() - probs).max()),
+            terms > (probs.shape[0] - 1) ** 2 + 1]
+
+
 def run_tree(src: str) -> dict:
     """Every catalogue op of each workload on the ``matchlab`` under ``src``:
     per op key, its failure, its fingerprint and, for each kind of
-    ``RECORDED``, the digests of the results it made, in call order."""
+    ``RECORDED``, the digests of the results it made, in call order, and
+    the :func:`_lottery_stats` of its lotteries."""
     sys.path[:0] = [os.path.abspath(src), str(PERFBENCH)]
     import matchlab
     from matchlab import lottery, nsw
@@ -68,11 +83,14 @@ def run_tree(src: str) -> dict:
     import workloads
 
     digests: dict[str, list[str]] = {kind: [] for kind in RECORDED}
+    stats: list[list] = []
 
     def recording(kind, real):
         def wrapper(*args, **kwargs):
             result = real(*args, **kwargs)
             digests[kind].append(RECORDED[kind](result))
+            if kind == "lotteries":
+                stats.append(_lottery_stats(result, args[0] if args else kwargs["p"]))
             return result
         return wrapper
 
@@ -92,12 +110,13 @@ def run_tree(src: str) -> dict:
         phase = Phase(wl, reference.get(name, {}))
         ops = out[name] = {}
         for task in wl.catalogue(wl.setup(0)):
-            for made in digests.values():
+            for made in (*digests.values(), stats):
                 made.clear()
             recorded = _Recorded(task)
             phase.run_op(recorded, task.key)
             ops[task.key] = {"failure": phase.failures.get(task.key),
                              "fingerprint": recorded.fingerprint,
+                             "lottery_stats": list(stats),
                              **{kind: list(made) for kind, made in digests.items()}}
     return out
 
@@ -149,6 +168,16 @@ def report(name: str, parent: dict, change: dict, reference: dict) -> list[str]:
         if kind == "solves" or made != [0, 0]:
             counts.append(f"  {label:<33}{made[0]} / {made[1]}, "
                           f"bit-identical {identical} of {max(made)}")
+    lots = [[st for k in run for st in run[k]["lottery_stats"]] for run in (parent, change)]
+    if any(lots):
+        counts += [
+            f"  lottery terms                    "
+            f"{sum(st[0] for st in lots[0])} / {sum(st[0] for st in lots[1])}",
+            f"  max lottery reconstruction error "
+            f"{max((st[1] for st in lots[0]), default=0.0):.2e} / "
+            f"{max((st[1] for st in lots[1]), default=0.0):.2e}",
+            f"  lotteries over (n-1)^2+1 terms   "
+            f"{sum(st[2] for st in lots[0])} / {sum(st[2] for st in lots[1])}"]
     between = max((_deviation(parent.get(k, {}).get("fingerprint"),
                               change.get(k, {}).get("fingerprint")) for k in keys),
                   default=0.0)
