@@ -31,7 +31,7 @@ from .core import (
 )
 from .instances import parse_generator_spec, rng_from_seed
 from .mechanisms import MECHANISMS, rpi_outer_sample, rpi_run, run_mechanism
-from .nsw import NswProblem, NswSolution, solve, solve_many
+from .nsw import DEFAULT_KKT_TOL, NswProblem, NswSolution, solve, solve_many
 
 __all__ = [
     "BenchmarkResult",
@@ -64,7 +64,7 @@ class BenchmarkResult:
     benchmark_utilities: np.ndarray
 
 
-def benchmark(inst: Instance, tol: float = 1e-7) -> BenchmarkResult:
+def benchmark(inst: Instance, tol: float = DEFAULT_KKT_TOL) -> BenchmarkResult:
     """Nash bargaining benchmark of a square, unit-supply market."""
     if not inst.is_square:
         raise DimensionMismatch("benchmark needs a square market")
@@ -128,13 +128,13 @@ class RhoReport:
     skipped: list[tuple[tuple[int, ...], int]] = field(default_factory=list)
 
 
-def rho_exact(inst: Instance, tol: float = 1e-7,
+def rho_exact(inst: Instance, tol: float = DEFAULT_KKT_TOL,
               bargaining_offsets: bool = False) -> RhoReport:
     """Brute-force utility monotonicity over every non-empty agent subset.
 
-    For each subset, re-solve the welfare program restricted to it (unit
-    row budgets, full item set) and compare every member's utility to her
-    utility with all agents present.  Agents degenerate in either solve
+    For each subset, re-solve the welfare program restricted to it (full
+    item set) and compare every member's utility to her utility with all
+    agents present.  Agents degenerate in either solve
     are skipped and logged.  ``bargaining_offsets`` switches the restricted
     solves to the bargaining objective (offsets = per-agent average value)
     instead of plain welfare maximization.
@@ -153,17 +153,17 @@ def rho_exact(inst: Instance, tol: float = 1e-7,
     full = solve(problem(full_agents), tol=tol)
     warm = np.asarray(full.assignment.probs)
 
-    # Each subset size is one solve_many call (its subsets share a shape);
-    # only utilities and degenerate sets are kept.
+    # One solve_many call over every proper subset, smallest first, so a
+    # failure raises for the first failing subset in that order; subsets of
+    # one live shape share lockstep barriers.  Only utilities and
+    # degenerate sets are kept.
+    masks = sorted(range(1, 2 ** n - 1), key=int.bit_count)
+    solutions = solve_many(
+        [problem(tuple(i for i in range(n) if mask >> i & 1)) for mask in masks],
+        tol=tol, warm_start=warm)
     found: dict[int, tuple[np.ndarray, frozenset[int]]] = {
-        2 ** n - 1: (full.utilities, full.degenerate_agents)}
-    for size in range(1, n):
-        masks = [mask for mask in range(1, 2 ** n - 1) if mask.bit_count() == size]
-        subsets = [tuple(i for i in range(n) if mask >> i & 1) for mask in masks]
-        solutions = solve_many([problem(sub) for sub in subsets], tol=tol,
-                               warm_start=warm)
-        for mask, sub in zip(masks, solutions):
-            found[mask] = (sub.utilities, sub.degenerate_agents)
+        mask: (sub.utilities, sub.degenerate_agents) for mask, sub in zip(masks, solutions)}
+    found[2 ** n - 1] = (full.utilities, full.degenerate_agents)
 
     half_size = -(-n // 2)
     best = (1.0, full_agents, -1, 1.0, 1.0)
@@ -221,7 +221,7 @@ class ScanReport:
 
 
 def rho_scan(generator: str | Callable[[int], Instance], trials: int,
-             seed: int = 0, tol: float = 1e-7,
+             seed: int = 0, tol: float = DEFAULT_KKT_TOL,
              extra_instances: Iterable[Instance] = ()) -> ScanReport:
     """Run ``rho_exact`` over seeded random instances and report the spread.
 
@@ -277,9 +277,7 @@ def _default_misreport(rng: np.random.Generator, true_row: np.ndarray) -> np.nda
 
 
 def truthfulness_audit(inst: Instance, mechanism: str, misreports: int = 20,
-                       seed: int = 0,
-                       misreport_sampler: Callable[[np.random.Generator, np.ndarray], np.ndarray] | None = None,
-                       **mech_opts) -> AuditReport:
+                       seed: int = 0, **mech_opts) -> AuditReport:
     """Measure the best gain any single agent gets from misreporting.
 
     Gains are measured in the agent's true values.  For ``rpi`` the truthful
@@ -291,7 +289,6 @@ def truthfulness_audit(inst: Instance, mechanism: str, misreports: int = 20,
         raise DimensionMismatch(f"unknown mechanism {mechanism!r}")
     if misreports < 1:
         raise DimensionMismatch("misreports must be at least 1")
-    sampler = misreport_sampler or _default_misreport
     truthful = run_mechanism(mechanism, inst, seed=seed, **mech_opts)
     true_u = core_utilities(inst, truthful)
 
@@ -306,7 +303,7 @@ def truthfulness_audit(inst: Instance, mechanism: str, misreports: int = 20,
         rng = rng_from_seed(seed, stream=1000 + agent)
         best = -math.inf
         for _ in range(misreports):
-            row = sampler(rng, values[agent])
+            row = _default_misreport(rng, values[agent])
             reported = inst.with_values(_replace_row(values, agent, row))
             out = run_mechanism(mechanism, reported, seed=seed, **mech_opts)
             gained = float(values[agent] @ np.asarray(out.probs)[agent]) - true_u[agent]
@@ -328,7 +325,7 @@ def _replace_row(values: np.ndarray, i: int, row: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def rpi_expected_utilities(inst: Instance, reps: int = 200, seed: int = 0,
-                           n0: int = 4, tol: float = 1e-7
+                           n0: int = 4, tol: float = DEFAULT_KKT_TOL
                            ) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo mean and standard error of per-agent RPI utilities over
     ``reps`` >= 2 draws; ``tol`` is each welfare solve's certificate

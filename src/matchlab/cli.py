@@ -33,6 +33,7 @@ from .analysis import (
     utility_ratio,
 )
 from .core import (
+    DimensionMismatch,
     Infeasible,
     Instance,
     MatchingError,
@@ -128,6 +129,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_mech(args) -> int:
+    if args.reps < 1:
+        raise DimensionMismatch("--reps must be at least 1")
     tol = args.tol
     seed = _ensure_seed(args.seed)
     inst = _load_or_generate(args, seed)
@@ -175,6 +178,8 @@ def cmd_mech(args) -> int:
 
 
 def cmd_rho(args) -> int:
+    if args.trials < 1:
+        raise DimensionMismatch("--trials must be at least 1")
     tol = args.tol
     seed = _ensure_seed(args.seed)
     if args.trials > 1:

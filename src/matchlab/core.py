@@ -97,7 +97,8 @@ class Infeasible(MatchingError):
 
 
 class NoConvergence(MatchingError):
-    """The solver exhausted its iteration budget."""
+    """No polished candidate of the solver meets the certificate
+    tolerance."""
 
     def __init__(self, iterations: int, best_residual: float):
         super().__init__(
@@ -123,8 +124,8 @@ class NotOptimal(MatchingError):
 
 
 class NotDecomposable(MatchingError):
-    """An entry is not finite or is negative, or row or column sums exceed
-    their budget beyond tolerance."""
+    """An entry is not finite or is negative, or a row sum exceeds 1 or a
+    column sum its supply beyond tolerance."""
 
 
 class TooLargeForExact(MatchingError):
@@ -285,27 +286,22 @@ class FractionalAssignment:
     """Marginal probabilities of a randomized matching.
 
     ``probs[i, j]`` is the probability that agent ``i`` receives item ``j``.
-    Rows may sum to less than their budget (partial mechanisms withhold
-    probability mass on purpose); columns may sum to less than the item
-    supply.  ``tolerance`` bounds the numerical slack accepted by
-    :meth:`check_valid`.
+    Each agent demands one unit: rows sum to at most 1, and may sum to less
+    (partial mechanisms withhold probability mass on purpose); columns may
+    sum to less than the item supply.  ``tolerance`` bounds the numerical
+    slack accepted by :meth:`check_valid`.
     """
 
     probs: np.ndarray
-    row_budget: np.ndarray
     tolerance: float = DEFAULT_TOLERANCE
 
     @classmethod
     def from_probs(cls, probs: np.ndarray,
-                   row_budget: float | np.ndarray = 1.0,
                    tolerance: float = DEFAULT_TOLERANCE) -> "FractionalAssignment":
         probs = np.asarray(probs, dtype=float)
         if probs.ndim != 2:
             raise DimensionMismatch("probs must be a 2-d matrix")
-        budget = np.broadcast_to(np.asarray(row_budget, dtype=float),
-                                 (probs.shape[0],))
-        return cls(probs=_frozen(probs), row_budget=_frozen(budget),
-                   tolerance=float(tolerance))
+        return cls(probs=_frozen(probs), tolerance=float(tolerance))
 
     @property
     def n_agents(self) -> int:
@@ -329,8 +325,8 @@ class FractionalAssignment:
             raise NonFiniteValue("assignment contains non-finite entries")
         if np.any(p < -tol) or np.any(p > 1 + tol):
             raise NotDecomposable("entries outside [0, 1] beyond tolerance")
-        if np.any(self.row_sums() > self.row_budget + tol):
-            raise NotDecomposable("a row sum exceeds its budget")
+        if np.any(self.row_sums() > 1 + tol):
+            raise NotDecomposable("a row sum exceeds 1")
         if supplies is not None:
             supplies = np.asarray(supplies, dtype=float)
             if supplies.shape != (self.n_items,):
@@ -341,8 +337,7 @@ class FractionalAssignment:
     def finalized(self) -> "FractionalAssignment":
         """Copy with entries clamped to [0, 1]."""
         return FractionalAssignment(
-            probs=_frozen(np.clip(self.probs, 0.0, 1.0)),
-            row_budget=self.row_budget, tolerance=self.tolerance)
+            probs=_frozen(np.clip(self.probs, 0.0, 1.0)), tolerance=self.tolerance)
 
 
 def utilities(inst: Instance, assignment: FractionalAssignment | np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ from .core import (
     validate_instance,
 )
 from .instances import rng_from_seed
-from .nsw import NswProblem, NswSolution, solve, solve_many
+from .nsw import DEFAULT_KKT_TOL, NswProblem, NswSolution, solve, solve_many
 
 __all__ = [
     "PaOutcome",
@@ -73,7 +73,7 @@ class PaOutcome:
 
 def pa_run(inst: Instance, offsets: np.ndarray | None = None,
            active_agents: tuple[int, ...] | None = None,
-           tol: float = 1e-7) -> PaOutcome:
+           tol: float = DEFAULT_KKT_TOL) -> PaOutcome:
     """Run the partial allocation mechanism.
 
     ``offsets`` generalizes the plain mechanism with a disagreement point:
@@ -129,9 +129,7 @@ def pa_run(inst: Instance, offsets: np.ndarray | None = None,
 
     probs = np.array(base.assignment.probs, dtype=float)
     probs[list(active)] *= fractions[:, None]
-    scaled = FractionalAssignment.from_probs(
-        probs, row_budget=base.assignment.row_budget,
-        tolerance=base.assignment.tolerance)
+    scaled = FractionalAssignment.from_probs(probs, tolerance=base.assignment.tolerance)
     return PaOutcome(
         assignment=scaled,
         fractions=fractions,
@@ -169,7 +167,7 @@ def rpi_outer_sample(inst: Instance, n0: int = 4, seed: int = 0) -> list[int]:
 
 
 def rpi_run(inst: Instance, n0: int = 4, seed: int = 0,
-            tol: float = 1e-7,
+            tol: float = DEFAULT_KKT_TOL,
             _pa_memo: dict | None = None) -> FractionalAssignment:
     """Run randomized partial improvement on a square, unit-supply market.
 
@@ -189,8 +187,7 @@ def rpi_run(inst: Instance, n0: int = 4, seed: int = 0,
     probs = np.zeros((n, n))
     _rpi_recurse(inst, list(range(n)), np.ones(n), 0, n0, seed, tol, probs,
                  _pa_memo if _pa_memo is not None else {})
-    return FractionalAssignment.from_probs(probs, row_budget=1.0,
-                                           tolerance=1e-8)
+    return FractionalAssignment.from_probs(probs, tolerance=1e-8)
 
 
 def _rpi_recurse(inst, remaining, supplies, depth, n0, seed, tol, out, memo):
@@ -327,8 +324,7 @@ def rsd_run(inst: Instance, mode: str = "exact", samples: int = 1000,
         probs /= samples
     else:
         raise DimensionMismatch(f"unknown mode {mode!r}")
-    return FractionalAssignment.from_probs(probs, row_budget=1.0,
-                                           tolerance=1e-9)
+    return FractionalAssignment.from_probs(probs, tolerance=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +386,7 @@ def ps_run(inst: Instance) -> FractionalAssignment:
         raise DimensionMismatch("needs unit supplies")
     eaten = ps_exact_matrix(inst)
     probs = np.array([[float(x) for x in row] for row in eaten])
-    return FractionalAssignment.from_probs(probs, row_budget=1.0,
-                                           tolerance=1e-9)
+    return FractionalAssignment.from_probs(probs, tolerance=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +394,12 @@ def ps_run(inst: Instance) -> FractionalAssignment:
 # ---------------------------------------------------------------------------
 
 def _pa_adapter(inst: Instance, seed: int, **opts) -> FractionalAssignment:
-    return pa_run(inst, tol=opts.get("tol", 1e-7)).assignment
+    return pa_run(inst, tol=opts.get("tol", DEFAULT_KKT_TOL)).assignment
 
 
 def _rpi_adapter(inst: Instance, seed: int, **opts) -> FractionalAssignment:
     return rpi_run(inst, n0=opts.get("n0", 4), seed=seed,
-                   tol=opts.get("tol", 1e-7),
+                   tol=opts.get("tol", DEFAULT_KKT_TOL),
                    _pa_memo=opts.get("pa_memo"))
 
 

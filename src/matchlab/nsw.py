@@ -3,7 +3,7 @@
 Solves
 
     max  sum_i log(sum_j v_ij p_ij - o_i)
-    s.t. sum_j p_ij <= b_i          (per-agent budget, in (0, 1])
+    s.t. sum_j p_ij <= 1            (unit demand)
          sum_i p_ij <= c_j          (per-item supply, in [0, 1])
          p_ij >= 0
 
@@ -15,7 +15,7 @@ The contract is the certificate, not the algorithm: every solution carries
 item prices ``t_j >= 0`` and agent prices ``q_i >= 0`` with
 
   * complementary slackness: ``t_j > 0`` only on fully allocated items and
-    ``q_i > 0`` only on fully spent budgets,
+    ``q_i > 0`` only on agents whose row sums to 1,
   * price feasibility: ``v_ij / s_i <= t_j + q_i`` everywhere, with
     equality wherever ``p_ij > 0``,
 
@@ -73,7 +73,6 @@ __all__ = [
     "NswSolution",
     "Duals",
     "DEFAULT_KKT_TOL",
-    "ITERATION_CAP",
     "solve",
     "solve_many",
     "kkt_check",
@@ -82,7 +81,6 @@ __all__ = [
 ]
 
 DEFAULT_KKT_TOL = 1e-7
-ITERATION_CAP = 200_000
 
 _SUPPLY_EPS = 1e-12
 # Pairs above this mass count as support when a candidate is ranked.
@@ -121,13 +119,11 @@ class NswProblem:
     instance: Instance
     active_agents: tuple[int, ...]
     offsets: np.ndarray       # per active agent
-    row_budget: np.ndarray    # per active agent, each in (0, 1]
 
     @classmethod
     def create(cls, instance: Instance,
                active_agents: Sequence[int] | None = None,
-               offsets: Sequence[float] | np.ndarray | None = None,
-               row_budget: float | Sequence[float] | np.ndarray = 1.0) -> "NswProblem":
+               offsets: Sequence[float] | np.ndarray | None = None) -> "NswProblem":
         if active_agents is None:
             active = tuple(range(instance.n_agents))
         else:
@@ -149,12 +145,7 @@ class NswProblem:
                     f"offsets has shape {off.shape}, expected ({na},)")
             if not np.all(np.isfinite(off)) or np.any(off < 0):
                 raise DimensionMismatch("offsets must be finite and >= 0")
-        budget = np.broadcast_to(
-            np.asarray(row_budget, dtype=float), (na,)).copy()
-        if not np.all((budget > 0) & (budget <= 1 + 1e-12)):     # NaN fails both
-            raise DimensionMismatch("row budgets must lie in (0, 1]")
-        return cls(instance=instance, active_agents=active,
-                   offsets=off, row_budget=np.minimum(budget, 1.0))
+        return cls(instance=instance, active_agents=active, offsets=off)
 
 
 @dataclass
@@ -214,15 +205,14 @@ def renormalize(inst: Instance, assignment: FractionalAssignment,
 
 def kkt_check(inst: Instance, assignment: FractionalAssignment,
               duals: Duals, offsets: np.ndarray | None = None,
-              skip_agents: Iterable[int] = (),
-              support_tol: float | None = None) -> float:
+              skip_agents: Iterable[int] = ()) -> float:
     """Maximal violation of the optimality conditions for ``assignment``.
 
     Checks, on values renormalized so every checked agent's surplus is 1:
 
       (a) non-negativity of the prices ``t`` and ``q``;
       (b) complementary slackness ``|t_j (c_j - col_sum_j)|`` and
-          ``|q_i (b_i - row_sum_i)|``;
+          ``|q_i (1 - row_sum_i)|``;
       (c) price feasibility ``max(0, vhat_ij - t_j - q_i)`` for all pairs,
           plus ``|vhat_ij - t_j - q_i|`` wherever ``p_ij`` exceeds the
           support tolerance.
@@ -239,15 +229,13 @@ def kkt_check(inst: Instance, assignment: FractionalAssignment,
     q = np.asarray(duals.q, dtype=float)
     if t.shape != (inst.n_items,) or q.shape != (inst.n_agents,):
         raise DimensionMismatch("dual vector lengths do not match instance")
-    if support_tol is None:
-        support_tol = max(assignment.tolerance, 1e-9)
-
     vhat, _ = renormalize(inst, assignment, offsets, skip_agents=skip)
     checked = np.array([i not in skip for i in range(inst.n_agents)], dtype=bool)
-    row_slack = assignment.row_budget - p.sum(axis=1)
+    row_slack = 1.0 - p.sum(axis=1)
     col_slack = np.asarray(inst.supplies) - p.sum(axis=0)
     residual = _certificate_residual(vhat[checked], p[checked], t, q[checked],
-                                     row_slack[checked], col_slack, support_tol)
+                                     row_slack[checked], col_slack,
+                                     max(assignment.tolerance, 1e-9))
     return max(residual, float(np.max(-q, initial=0.0)))   # skipped rows too
 
 
@@ -265,7 +253,7 @@ def _certificate_residual(vhat, p, t, q, row_slack, col_slack, support_tol):
                float(np.max(np.abs(gap[p > support_tol]), initial=0.0)))
 
 
-def _quick_residual(V, b, c, o, p, t, q):
+def _quick_residual(V, c, o, p, t, q):
     """Certificate residual of a candidate on the reduced (live rows, kept
     cols) problem, plus its primal infeasibility, so that an infeasible
     candidate never wins."""
@@ -273,9 +261,9 @@ def _quick_residual(V, b, c, o, p, t, q):
     if np.any(s <= 0):
         return math.inf
     rows, cols = p.sum(axis=1), p.sum(axis=0)
-    return max(_certificate_residual(V / s[:, None], p, t, q, b - rows, c - cols,
+    return max(_certificate_residual(V / s[:, None], p, t, q, 1.0 - rows, c - cols,
                                      _SUPPORT_TOL),
-               float(np.max(-p, initial=0.0)), float(np.max(rows - b, initial=0.0)),
+               float(np.max(-p, initial=0.0)), float(np.max(rows - 1.0, initial=0.0)),
                float(np.max(cols - c, initial=0.0)))
 
 
@@ -298,8 +286,7 @@ def recover_duals(inst: Instance, assignment: FractionalAssignment,
 
     support_tol = max(assignment.tolerance, 1e-9)
     slack_tol = max(tol, 1e-9)
-    tight_rows = [i for i in checked
-                  if assignment.row_budget[i] - p[i].sum() <= slack_tol]
+    tight_rows = [i for i in checked if 1.0 - p[i].sum() <= slack_tol]
     tight_cols = [j for j in range(m)
                   if inst.supplies[j] - p[:, j].sum() <= slack_tol]
     pairs = np.column_stack([np.repeat(np.array(checked, dtype=int), m),
@@ -473,23 +460,24 @@ def _duals_by_lp(vhat, n, m, pairs, on_support, tight_rows, tight_cols):
 # Degeneracy screening
 # ---------------------------------------------------------------------------
 
-def _solo_max_utilities(V, b, c):
+def _solo_max_utilities(V, c):
     """Best utility each agent could get with the whole supply to herself:
     her items by decreasing value (a stable order), each taken up to its
-    supply until her budget b_i is spent or the values stop being positive,
-    with the budget left and the utility accumulated item by item."""
+    supply until her unit of demand is met or the values stop being
+    positive, with the demand left and the utility accumulated item by
+    item."""
     order = np.argsort(-V, axis=1, kind="stable")
     v = np.take_along_axis(V, order, axis=1)
     cs = c[order]
-    # The budget left before each item is b_i - c_1 - c_2 - ..., subtracted
-    # in turn; where the budget runs out it becomes <= 0, and stays so.
-    left = np.subtract.accumulate(np.column_stack([b, cs]), axis=1)[:, :-1]
+    # The demand left before each item is 1 - c_1 - c_2 - ..., subtracted
+    # in turn; where it runs out it becomes <= 0, and stays so.
+    left = np.subtract.accumulate(np.column_stack([np.ones(len(V)), cs]), axis=1)[:, :-1]
     taking = np.logical_and.accumulate((v > 0) & (left > 0), axis=1)
     gain = np.where(taking, np.minimum(left, cs) * v, 0.0)
     return np.cumsum(np.column_stack([np.zeros(len(V)), gain]), axis=1)[:, -1]
 
 
-def _screen_degenerate(V, b, c, o, deg_tol, hint):
+def _screen_degenerate(V, c, o, deg_tol, hint):
     """Split rows into (non-degenerate, degenerate) and find a base point.
 
     Returns ``(live, degenerate, base)``: ``base`` is a feasible point with
@@ -498,7 +486,7 @@ def _screen_degenerate(V, b, c, o, deg_tol, hint):
     gives every row non-negative surplus.
     """
     na, mk = V.shape
-    solo = _solo_max_utilities(V, b, c) - o
+    solo = _solo_max_utilities(V, c) - o
     short = np.flatnonzero(solo < -deg_tol)
     if len(short):
         raise Infeasible(
@@ -512,27 +500,27 @@ def _screen_degenerate(V, b, c, o, deg_tol, hint):
 
     # A strictly positive point certifies that no live agent is
     # degenerate; only borderline problems need the LP screen.
-    Vl, bl, ol = V[live], b[live], o[live]
+    Vl, ol = V[live], o[live]
     if hint is not None:
         h = np.minimum(np.maximum(hint[live], 0.0), c)
         if (np.min(_surplus(Vl, h, ol)) > 10 * deg_tol
-                and np.all(h.sum(axis=1) <= bl + 1e-9)
+                and np.all(h.sum(axis=1) <= 1 + 1e-9)
                 and np.all(h.sum(axis=0) <= c + 1e-9)):
             return live, degenerate, h
 
     if np.all(ol <= deg_tol):
         # Zero offsets: every live row values some item positively.
-        match = _capped_assignment(Vl, bl, c)
+        match = _capped_assignment(Vl, c)
         if match is not None and np.min(_surplus(Vl, match, ol)) > 0:
             return live, degenerate, match
-        return live, degenerate, _proportional_point(bl, c)
+        return live, degenerate, _proportional_point(len(live), c)
 
-    p_h = _heuristic_positive_point(Vl, bl, c, ol, deg_tol)
+    p_h = _heuristic_positive_point(Vl, c, ol, deg_tol)
     if p_h is not None:
         return live, degenerate, p_h
 
     while True:
-        x, delta = _max_min_surplus_lp(V[live], b[live], c, o[live])
+        x, delta = _max_min_surplus_lp(V[live], c, o[live])
         if delta < -deg_tol:
             raise Infeasible(
                 "no feasible point gives every active agent non-negative "
@@ -543,7 +531,7 @@ def _screen_degenerate(V, b, c, o, deg_tol, hint):
         newly = []
         keep_points = []
         for k, i in enumerate(live):
-            xi, best = _max_one_surplus_lp(V[live], b[live], c, o[live], k)
+            xi, best = _max_one_surplus_lp(V[live], c, o[live], k)
             if best <= deg_tol:
                 newly.append(i)
             else:
@@ -567,28 +555,28 @@ def _value_scale(V):
     return max(1.0, float(np.max(V)) if V.size else 1.0)
 
 
-def _capped_assignment(V, b, c):
-    """Each agent takes her best affordable item, capped by budget and
-    supply; None when agents outnumber items."""
+def _capped_assignment(V, c):
+    """A maximum-weight matching of values times supplies, each matched
+    agent taking her item's whole supply; None when agents outnumber
+    items."""
     na, mk = V.shape
     if na > mk:
         return None
-    ri, cj = linear_sum_assignment(V * np.minimum(b[:, None], c[None, :]),
-                                   maximize=True)
+    ri, cj = linear_sum_assignment(V * c, maximize=True)
     match = np.zeros((na, mk))
-    match[ri, cj] = np.minimum(b[ri], c[cj])
+    match[ri, cj] = c[cj]
     return match
 
 
-def _heuristic_positive_point(V, b, c, o, deg_tol):
+def _heuristic_positive_point(V, c, o, deg_tol):
     """Capacity-capped assignment blended toward the proportional point.
 
     Returns a feasible point with every surplus comfortably positive, or
     None when none of the blends qualifies."""
-    match = _capped_assignment(V, b, c)
+    match = _capped_assignment(V, c)
     if match is None:
         return None
-    prop = _proportional_point(b, c)
+    prop = _proportional_point(len(V), c)
     scale = _value_scale(V)
     floor = max(1e-6 * scale, 10 * deg_tol)
     for lam in (0.3, 0.1, 0.03, 0.01):
@@ -598,7 +586,7 @@ def _heuristic_positive_point(V, b, c, o, deg_tol):
     return None
 
 
-def _surplus_lp(V, b, c, o, cost, delta):
+def _surplus_lp(V, c, o, cost, delta):
     """``linprog`` over the pairs in row-major order, plus a last free
     variable when ``delta`` is 1: the transport rows are the pair incidence,
     and the surplus rows -V_i . x_i (+ delta) <= -o_i its agent rows scaled
@@ -613,27 +601,27 @@ def _surplus_lp(V, b, c, o, cost, delta):
           np.r_[inc.col, inc.col[agent], np.full(na * delta, nvar)])),
         shape=(2 * na + mk, nvar + delta))
     A.eliminate_zeros()                 # as from a dense matrix: no zero values
-    return linprog(cost, A_ub=A, b_ub=np.concatenate([b, c, -o]),
+    return linprog(cost, A_ub=A, b_ub=np.concatenate([np.ones(na), c, -o]),
                    bounds=[(0, None)] * nvar + [(None, None)] * delta, method="highs")
 
 
-def _max_min_surplus_lp(V, b, c, o):
+def _max_min_surplus_lp(V, c, o):
     """maximize delta s.t. surplus_i >= delta for all i, feasibility."""
     na, mk = V.shape
     cost = np.zeros(na * mk + 1)
     cost[-1] = -1.0
-    res = _surplus_lp(V, b, c, o, cost, 1)
+    res = _surplus_lp(V, c, o, cost, 1)
     if not res.success:
         raise Infeasible("surplus feasibility program failed")
     return res.x[:-1].reshape(na, mk), float(res.x[-1])
 
 
-def _max_one_surplus_lp(V, b, c, o, k):
+def _max_one_surplus_lp(V, c, o, k):
     """maximize surplus_k s.t. surplus_i >= 0 for all i, feasibility."""
     na, mk = V.shape
     cost = np.zeros((na, mk))
     cost[k] = -V[k]
-    res = _surplus_lp(V, b, c, o, cost.ravel(), 0)
+    res = _surplus_lp(V, c, o, cost.ravel(), 0)
     if not res.success:
         raise Infeasible("per-agent surplus program is infeasible")
     x = res.x.reshape(na, mk)
@@ -644,12 +632,13 @@ def _max_one_surplus_lp(V, b, c, o, k):
 # Barrier stage
 # ---------------------------------------------------------------------------
 
-def _proportional_point(b, c):
-    total = max(b.sum(), c.sum(), 1e-300)
-    return 0.5 * np.outer(b, c) / total
+def _proportional_point(na, c):
+    """The point whose na rows all equal 0.5 c / max(na, sum c): each row
+    sums to at most 1/2 and each column to at most half its supply."""
+    return np.tile(0.5 * c / max(na, c.sum()), (na, 1))
 
 
-def _interior_start(V, b, c, o, base):
+def _interior_start(V, c, o, base):
     """A strictly interior point with positive surplus for every row.
 
     Blends the positive-surplus ``base`` toward the strictly interior
@@ -657,14 +646,14 @@ def _interior_start(V, b, c, o, base):
     stays at least half the base point's minimum, never at float noise.
     Returns None when the blend is not strictly interior.
     """
-    prop = _proportional_point(b, c)
+    prop = _proportional_point(len(V), c)
     neg = max(0.0, -float(np.min(_surplus(V, prop, o))))
     m = float(np.min(_surplus(V, base, o)))
     lam = 0.45 if neg == 0.0 else min(0.45, m / (2.0 * (m + neg)))
     lam = max(lam, 1e-7)
     p0 = (1 - lam) * base + lam * prop
     if (np.min(_surplus(V, p0, o)) >= 0.25 * (1 - lam) * m and np.all(p0 > 0)
-            and np.all(p0.sum(axis=1) < b - 1e-15)
+            and np.all(p0.sum(axis=1) < 1 - 1e-15)
             and np.all(p0.sum(axis=0) < c - 1e-15)):
         return p0
     return None
@@ -674,7 +663,7 @@ def _dense_hessian(V, p, s, r, d, mu):
     """The primal barrier's negative Hessian of one problem, explicitly:
     the (na*mk, na*mk) matrix H = diag(mu/p^2) + W W^T, where row (i, j)
     of W holds V_ij/s_i in agent i's value column, sqrt(mu)/r_i in agent
-    i's budget column and sqrt(mu)/d_j in item j's column.  Agent blocks,
+    i's row-slack column and sqrt(mu)/d_j in item j's column.  Agent blocks,
     the diagonal and the item coupling are written, in that order, through
     diagonal views of one buffer, without a loop over agents or items.
     """
@@ -689,16 +678,16 @@ def _dense_hessian(V, p, s, r, d, mu):
     return H
 
 
-def _primal_phi(V, b, c, o, p, mu):
+def _primal_phi(V, c, o, p, mu):
     """The primal barrier sum_i log s_i + mu (sum log p + sum log r +
     sum log d) of one problem; -inf or nan outside the domain (a log of a
     value <= 0), and no comparison accepts either."""
     return (np.log(_surplus(V, p, o)).sum()
-            + mu * (np.log(p).sum() + np.log(b - p.sum(axis=1)).sum()
+            + mu * (np.log(p).sum() + np.log(1 - p.sum(axis=1)).sum()
                     + np.log(c - p.sum(axis=0)).sum()))
 
 
-def _primal_newton(V, b, c, o, p, mu):
+def _primal_newton(V, c, o, p, mu):
     """(Newton step, Newton decrement, largest step length along the step
     that keeps p, the surpluses s and the slacks r and d positive) of the
     primal barrier of one problem.  A Hessian whose solve raises
@@ -706,7 +695,7 @@ def _primal_newton(V, b, c, o, p, mu):
     diagonal.  The step length is inf when nothing decreases and nan when
     a derivative is."""
     s = _surplus(V, p, o)
-    r = b - p.sum(axis=1)
+    r = 1 - p.sum(axis=1)
     d = c - p.sum(axis=0)
     g = V / s[:, None] + mu / p - mu / r[:, None] - mu / d[None, :]
     H = _dense_hessian(V, p, s, r, d, mu)
@@ -730,7 +719,7 @@ def _max_step(vals, dvals):
     return -(vals / np.minimum(dvals, -0.0)).max(axis=1)
 
 
-def _primal_solve(V, b, c, o, p, budget, trace):
+def _primal_solve(V, c, o, p, trace):
     """Damped primal Newton steps down the barrier path of one problem.
 
     mu starts at 0.05 and falls 50-fold to ``_MU_END``; at each mu the
@@ -749,9 +738,7 @@ def _primal_solve(V, b, c, o, p, budget, trace):
         while True:
             phi_p = math.nan               # phi(p, mu) where known
             for _ in range(60):
-                if iters >= budget:
-                    break
-                dp, decrement, step = _primal_newton(V, b, c, o, p, mu)
+                dp, decrement, step = _primal_newton(V, c, o, p, mu)
                 iters += 1
                 alpha = np.minimum(1.0, 0.99 * step)
                 if not alpha > 0:          # nan too: no step at this mu
@@ -760,10 +747,10 @@ def _primal_solve(V, b, c, o, p, budget, trace):
                 # Armijo backtracking from phi(p), known unless mu just moved
                 # or the last search ran out.
                 if math.isnan(phi_p):
-                    phi_p = _primal_phi(V, b, c, o, p, mu)
+                    phi_p = _primal_phi(V, c, o, p, mu)
                 trial = phi_p
                 while alpha > 1e-14:
-                    trial = _primal_phi(V, b, c, o, p + alpha * dp, mu)
+                    trial = _primal_phi(V, c, o, p + alpha * dp, mu)
                     if trial >= phi_p + 0.25 * alpha * decrement:
                         break
                     alpha *= 0.5
@@ -777,10 +764,10 @@ def _primal_solve(V, b, c, o, p, budget, trace):
                 loose = 1.0 if mu > _MU_END else 0.3
                 if decrement < max(loose * mu, 1e-16):
                     break
-            if mu <= _MU_END or iters >= budget:
+            if mu <= _MU_END:
                 break
             mu = max(mu * 0.02, _MU_END)
-    return p, mu / (c - p.sum(axis=0)), mu / (b - p.sum(axis=1)), iters
+    return p, mu / (c - p.sum(axis=0)), mu / (1 - p.sum(axis=1)), iters
 
 
 def _pd_views(buf, na, mk):
@@ -797,13 +784,13 @@ def _pd_views(buf, na, mk):
             buf[:, n + na:n + na + mk], buf[:, n + na + mk:nx])
 
 
-def _pd_fill(V, b, c, o, buf):
+def _pd_fill(V, c, o, buf):
     """Compute (s, r, d, z) in ``buf`` from the state in its first half and
     return the views of :func:`_pd_views`."""
     vals = _pd_views(buf, *V.shape[1:])
     p, s, r, d, beta, z, t, q = vals
     np.subtract(np.einsum("kij,kij->ki", V, p), o, out=s)
-    np.subtract(b, p.sum(axis=2), out=r)
+    np.subtract(1.0, p.sum(axis=2), out=r)
     np.subtract(c, p.sum(axis=1), out=d)
     np.subtract(t[:, None, :] + q[:, :, None], beta[:, :, None] * V, out=z)
     return vals
@@ -900,11 +887,11 @@ def _pd_done(vals, mu):
     return (mu <= _MU_END) & (np.abs(1.0 - beta * s).max(axis=1) <= _PD_SURPLUS_TOL)
 
 
-def _primal_dual_solve(V, b, c, o, x0, budget, trace):
+def _primal_dual_solve(V, c, o, x0, trace):
     """Mehrotra's predictor-corrector path, with the batch axis.
 
     The state x = (p, beta, t, q) keeps p, the surplus s = V.p - o, the
-    slacks r = b - sum_j p and d = c - sum_i p, beta, z, t and q strictly
+    slacks r = 1 - sum_j p and d = c - sum_i p, beta, z, t and q strictly
     positive, and each iteration drives (1 - beta s, p z, t d, q r) toward
     (0, sigma mu, sigma mu, sigma mu): one LU of the reduced matrix, two
     solves with it (the affine step, then the corrector with
@@ -923,14 +910,14 @@ def _primal_dual_solve(V, b, c, o, x0, budget, trace):
     nx = x0.shape[1]
     P = _pd_buffer(x0)
     x = P[:, :nx]
-    vals = _pd_fill(V, b, c, o, P)
+    vals = _pd_fill(V, c, o, P)
     D = np.empty_like(P)
     iters = np.zeros(K, dtype=int)
     mu = _pd_mu(vals)
     running = ~_pd_done(vals, mu)
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
-            running &= iters < min(budget, 60)
+            running &= iters < 60
             if not running.any():
                 break
             k = np.flatnonzero(running)
@@ -966,7 +953,7 @@ def _primal_dual_solve(V, b, c, o, x0, budget, trace):
             else:
                 x[k] += move
             iters[k] += 1
-            vals = _pd_fill(V, b, c, o, P)
+            vals = _pd_fill(V, c, o, P)
             mu = _pd_mu(vals)
             if trace is not None and running[0]:
                 trace.append((int(iters[0]), float(np.log(vals[1][0]).sum()), float(mu[0])))
@@ -988,7 +975,7 @@ def _pd_start(V, o, p):
 # Active-set polish
 # ---------------------------------------------------------------------------
 
-def _polish(V, b, c, o, p_in, support_tol, t0, q0):
+def _polish(V, c, o, p_in, support_tol, t0, q0):
     """Newton on the stationarity system of a guessed active set.
 
     The guess is three bool masks: the support S (na, mk), the tight rows
@@ -1003,14 +990,14 @@ def _polish(V, b, c, o, p_in, support_tol, t0, q0):
     """
     scale = _value_scale(V)
     S = p_in > support_tol
-    R = b - p_in.sum(axis=1) < support_tol
+    R = 1 - p_in.sum(axis=1) < support_tol
     C = c - _column_sums(p_in) < support_tol
     p = np.where(S, p_in, 0.0)
 
     best = None
     steps = 0
     for _ in range(_POLISH_ROUNDS):
-        out, taken = _polish_newton(V, b, c, o, p, S, R, C, t0, q0)
+        out, taken = _polish_newton(V, c, o, p, S, R, C, t0, q0)
         steps += taken
         if out is None:
             break
@@ -1020,7 +1007,7 @@ def _polish(V, b, c, o, p_in, support_tol, t0, q0):
         if np.all(s_cur > 0):
             _shift_components(V / s_cur[:, None], t, q, S, R, C)
         cand = (np.maximum(p, 0.0), np.maximum(t, 0.0), np.maximum(q, 0.0))
-        resid = _quick_residual(V, b, c, o, *cand)
+        resid = _quick_residual(V, c, o, *cand)
         if best is None or resid < best[0]:
             best = (resid, cand)
         if resid < 1e-12 * scale:
@@ -1040,7 +1027,7 @@ def _polish(V, b, c, o, p_in, support_tol, t0, q0):
         R &= ~negative_q
         changed |= bool(negative_t.any() or negative_q.any())
         if not changed:
-            over_r = ~R & (p.sum(axis=1) > b + 1e-11)
+            over_r = ~R & (p.sum(axis=1) > 1 + 1e-11)
             over_c = ~C & (p.sum(axis=0) > c + 1e-11)
             R |= over_r
             C |= over_c
@@ -1074,18 +1061,18 @@ def _violated_pairs(V, o, p, t, q, S, R, C, threshold):
     return gi[order], gj[order]
 
 
-def _polish_residual(V, b, c, o, p, t, q, S, R, C):
+def _polish_residual(V, c, o, p, t, q, S, R, C):
     """Residual F of the polish's square system and the surpluses s, or
     (None, s) when a surplus is not positive.
 
     F stacks the :func:`_price_gap` of the support pairs, in row-major
-    order, the tight row sums minus their budgets and the tight column
-    sums minus their supplies.
+    order, the tight row sums minus 1 and the tight column sums minus
+    their supplies.
     """
     s = _surplus(V, p, o)
     if np.any(s <= 0):
         return None, s
-    F = np.concatenate([_price_gap(V, s, t, q, R, C)[S], p[R].sum(axis=1) - b[R],
+    F = np.concatenate([_price_gap(V, s, t, q, R, C)[S], p[R].sum(axis=1) - 1,
                         _column_sums(p)[C] - c[C]])
     return F, s
 
@@ -1131,7 +1118,7 @@ def _polish_step(J, F):
     return linalg.lapack.dgelsy(J, -F, np.zeros(J.shape[1], dtype=np.int32), cond, lwork)[1]
 
 
-def _polish_newton(V, b, c, o, p_in, S, R, C, t0, q0):
+def _polish_newton(V, c, o, p_in, S, R, C, t0, q0):
     """Damped Newton on the square system of :func:`_polish_residual`:
     ((p, t, q) or None, the number of least-squares steps taken)."""
     na, mk = V.shape
@@ -1146,7 +1133,7 @@ def _polish_newton(V, b, c, o, p_in, S, R, C, t0, q0):
     q[R] = np.maximum(q0[R], 0.0)
 
     for it in range(_POLISH_NEWTON_ITERS):
-        F, s = _polish_residual(V, b, c, o, p, t, q, S, R, C)
+        F, s = _polish_residual(V, c, o, p, t, q, S, R, C)
         if F is None:
             return None, it
         if np.max(np.abs(F)) < 1e-13 * max(1.0, float(np.max(np.abs(V / s[:, None])))):
@@ -1167,7 +1154,7 @@ def _polish_newton(V, b, c, o, p_in, S, R, C, t0, q0):
         t[C] += alpha * step[nS:nS + nC]
         q[R] += alpha * step[nS + nC:]
     # Not fully converged: hand the best iterate to the repair loop anyway.
-    if _polish_residual(V, b, c, o, p, t, q, S, R, C)[0] is None:
+    if _polish_residual(V, c, o, p, t, q, S, R, C)[0] is None:
         return None, _POLISH_NEWTON_ITERS
     return (p, t, q), _POLISH_NEWTON_ITERS
 
@@ -1176,7 +1163,7 @@ def _polish_newton(V, b, c, o, p_in, S, R, C, t0, q0):
 # Deterministic fills
 # ---------------------------------------------------------------------------
 
-def _saturate_rows(V, b, c, p, tol=1e-12):
+def _saturate_rows(V, c, p, tol=1e-12):
     """Top up under-filled rows with worthless residual capacity.
 
     Only pairs with (numerically) zero value are used, so utilities and the
@@ -1185,7 +1172,7 @@ def _saturate_rows(V, b, c, p, tol=1e-12):
     """
     scale = _value_scale(V)
     spare = c - p.sum(axis=0)
-    deficits = b - p.sum(axis=1)
+    deficits = 1 - p.sum(axis=1)
     for i in np.flatnonzero(deficits > tol):
         deficit = deficits[i]
         for j in np.flatnonzero(V[i] <= 1e-12 * scale):
@@ -1200,8 +1187,9 @@ def _saturate_rows(V, b, c, p, tol=1e-12):
     return p
 
 
-def _degenerate_fill(full_p, degenerate, budgets, supplies):
-    """Pro-rata share of each item's residual supply for degenerate rows."""
+def _degenerate_fill(full_p, degenerate, supplies):
+    """Pro-rata share of each item's residual supply for degenerate rows,
+    scaled down to a row sum of 1 where it would pass that."""
     if not degenerate:
         return full_p
     residual = np.maximum(np.asarray(supplies) - full_p.sum(axis=0), 0.0)
@@ -1210,8 +1198,8 @@ def _degenerate_fill(full_p, degenerate, budgets, supplies):
     for i in sorted(degenerate):
         row = share.copy()
         total = row.sum()
-        if total > budgets[i]:
-            row *= budgets[i] / total
+        if total > 1:
+            row *= 1 / total
         full_p[i] = row
     return full_p
 
@@ -1226,7 +1214,6 @@ class _Start:
     columns, screened, with the barrier's start for its live rows."""
 
     V: np.ndarray
-    b: np.ndarray
     c: np.ndarray
     o: np.ndarray
     keep: np.ndarray
@@ -1265,7 +1252,6 @@ def _start(problem: NswProblem, warm_start: np.ndarray | None = None,
     keep = np.where(c_full > _SUPPLY_EPS)[0]
     V = V_full[np.ix_(active, keep)]
     c = c_full[keep]
-    b = np.asarray(problem.row_budget, dtype=float)
     o = np.asarray(problem.offsets, dtype=float)
     hint = None
     if warm_start is not None:
@@ -1275,29 +1261,29 @@ def _start(problem: NswProblem, warm_start: np.ndarray | None = None,
                 f"warm_start must be a finite ({inst.n_agents}, {inst.n_items}) matrix")
         hint = hint[np.ix_(active, keep)]
 
-    live, degenerate, base = _screen_degenerate(V, b, c, o, deg_tol, hint)
+    live, degenerate, base = _screen_degenerate(V, c, o, deg_tol, hint)
     x0 = None
     if live:
-        x0 = _interior_start(V[live], b[live], c, o[live], base)
+        x0 = _interior_start(V[live], c, o[live], base)
         if x0 is None:
             raise Infeasible("no strictly interior point with positive surplus")
         if lockstep or len(live) * len(keep) >= _PD_MIN_PAIRS:
             x0 = _pd_start(V[live], o[live], x0)
-    return _Start(V=V, b=b, c=c, o=o, keep=keep, live=live, degenerate=degenerate,
+    return _Start(V=V, c=c, o=o, keep=keep, live=live, degenerate=degenerate,
                   x0=x0, seconds=perf_counter() - began)
 
 
-def _barriers(starts: list[_Start], max_iter: int, trace=None):
+def _barriers(starts: list[_Start], trace=None):
     """The barrier paths of problems with one live shape and one path: the
     primal-dual path of :func:`_primal_dual_solve`, in lockstep, or the
     primal path of :func:`_primal_solve`, which only a lone solve takes, so
     for one problem.  One (p, t, q, iterations) per problem; ``trace``, when
     given, gets one row per Newton step of the first problem."""
-    rows = [(st.V[st.live], st.b[st.live], st.c, st.o[st.live], st.x0) for st in starts]
+    rows = [(st.V[st.live], st.c, st.o[st.live], st.x0) for st in starts]
     if starts[0].barrier == "primal":
-        return [_primal_solve(*rows[0], max_iter, trace)]
-    V, b, c, o, x0 = (np.stack(x) for x in zip(*rows))
-    p, t, q, iters = _primal_dual_solve(V, b, c, o, x0, max_iter, trace)
+        return [_primal_solve(*rows[0], trace)]
+    V, c, o, x0 = (np.stack(x) for x in zip(*rows))
+    p, t, q, iters = _primal_dual_solve(V, c, o, x0, trace)
     return [(p[k], t[k], q[k], int(iters[k])) for k in range(len(starts))]
 
 
@@ -1308,12 +1294,12 @@ def _best_polish(start: _Start, path, tol):
     (inf, None, None) when no polish gave one, and the least-squares steps
     taken."""
     live = start.live
-    Vl, bl, ol = start.V[live], start.b[live], start.o[live]
+    Vl, ol = start.V[live], start.o[live]
     p_bar, t_bar, q_bar, _ = path
     best = (math.inf, None, None)
     steps = 0
     for tau in _TAUS:
-        polished, resid, taken = _polish(Vl, bl, start.c, ol, p_bar, tau, t_bar, q_bar)
+        polished, resid, taken = _polish(Vl, start.c, ol, p_bar, tau, t_bar, q_bar)
         steps += taken
         if polished is not None and resid < best[0]:
             best = (resid, polished, tau)
@@ -1328,10 +1314,9 @@ def _check_tol(tol):
 
 
 def solve_many(problems: Sequence[NswProblem], tol: float = DEFAULT_KKT_TOL,
-               max_iter: int = ITERATION_CAP,
                warm_start: np.ndarray | None = None) -> list[NswSolution]:
-    """Solve each problem to the unique utilities of ``solve(problem, tol,
-    max_iter)``, bit for bit a batch of one, with one lockstep primal-dual
+    """Solve each problem to the unique utilities of ``solve(problem,
+    tol)``, bit for bit a batch of one, with one lockstep primal-dual
     barrier per live shape.
 
     Each problem is screened and started on its own; then problems of one
@@ -1369,18 +1354,17 @@ def solve_many(problems: Sequence[NswProblem], tol: float = DEFAULT_KKT_TOL,
         for at in range(0, len(group), per_call):
             ks = group[at:at + per_call]
             began = perf_counter()
-            paths = _barriers([starts[k] for k in ks], max_iter)
+            paths = _barriers([starts[k] for k in ks])
             seconds = perf_counter() - began
             for k, path in zip(ks, paths):
                 prepared[k] = (starts[k], path, len(ks), seconds)
     # ``solve`` is looked up at call time, so a wrapper around nsw.solve
     # sees every problem finished.
-    return [solve(problem, tol=tol, max_iter=max_iter, _prepared=prep)
+    return [solve(problem, tol=tol, _prepared=prep)
             for problem, prep in zip(problems, prepared)]
 
 
 def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
-          max_iter: int = ITERATION_CAP,
           trace: list | None = None, *, _prepared=None) -> NswSolution:
     """Solve the welfare program and certify the result.
 
@@ -1392,8 +1376,8 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
     :func:`solve_many`; both reach the unique optimal utilities, but where
     the optimal assignment is not unique they may reach different ones.
     Raises :class:`Infeasible` when an active agent cannot reach
-    non-negative surplus, and :class:`NoConvergence` when no polish meets
-    the certificate tolerance inside the iteration budget.
+    non-negative surplus, and :class:`NoConvergence` when no polished
+    candidate meets ``tol``.
     ``metadata["barrier"]`` names the barrier path that ran, ``"primal"``
     or ``"primal-dual"`` (None when no row is live and no barrier ran);
     ``metadata["iterations"]`` counts its Newton steps and
@@ -1413,7 +1397,7 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
     if _prepared is None:
         start = _start(problem)
         began = perf_counter()
-        path = None if start.x0 is None else _barriers([start], max_iter, trace)[0]
+        path = None if start.x0 is None else _barriers([start], trace)[0]
         _prepared = (start, path, 1, perf_counter() - began)
     start, path, batch, barrier_s = _prepared     # from solve_many, or just made
     if isinstance(start, MatchingError):
@@ -1439,7 +1423,7 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
     inst = problem.instance
     active = list(problem.active_agents)
     V_full = np.asarray(inst.values)
-    V, b, c, keep, live_local = start.V, start.b, start.c, start.keep, start.live
+    V, c, keep, live_local = start.V, start.c, start.keep, start.live
     degenerate = frozenset(active[i] for i in start.degenerate)
     c_full = np.asarray(inst.supplies, dtype=float)
     n, m = inst.n_agents, inst.n_items
@@ -1449,12 +1433,10 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
     q_full = np.zeros(n)
     if live_local:
         full_p[np.ix_(live_global, keep)] = _saturate_rows(
-            V[live_local], b[live_local], c, np.maximum(p_live, 0.0))
+            V[live_local], c, np.maximum(p_live, 0.0))
         t_full[keep] = np.maximum(t_kept, 0.0)
         q_full[live_global] = np.maximum(q_live, 0.0)
-    budgets_full = np.zeros(n)
-    budgets_full[active] = problem.row_budget
-    full_p = _degenerate_fill(full_p, degenerate, budgets_full, c_full)
+    full_p = _degenerate_fill(full_p, degenerate, c_full)
 
     offsets_full = np.zeros(n)
     offsets_full[active] = problem.offsets
@@ -1468,8 +1450,7 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
             t_full[j] = max(0.0, float(np.max(
                 V_full[live_global, j] / s_live - q_full[live_global])))
 
-    assignment = FractionalAssignment.from_probs(
-        full_p, row_budget=budgets_full, tolerance=1e-9)
+    assignment = FractionalAssignment.from_probs(full_p, tolerance=1e-9)
     assignment.check_valid(supplies=c_full)
     util = core_utilities(inst, assignment)
     surplus = util - offsets_full

@@ -99,6 +99,15 @@ class TestMechCommand:
         assert code == 1
         assert not (out / "mech_rsd.json").exists()
 
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_rpi_reps_below_one_exit_1(self, reps, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["mech", "rpi", "--gen", "random:4", "--seed", "0",
+                     "--reps", reps, "--out", str(out)])
+        assert code == 1
+        assert "--reps must be at least 1" in capsys.readouterr().err
+        assert not (out / "mech_rpi.json").exists()
+
     def test_ps_single_agent(self, capsys):
         code = main(["mech", "ps", "--gen", "random:1", "--seed", "0"])
         assert code == 0
@@ -157,6 +166,17 @@ class TestRhoCommand:
         assert "0 degenerate (subset, agent) pairs skipped" in capsys.readouterr().out
         hist = (out / "rho_hist.csv").read_text().splitlines()
         assert hist[0] == "bin_left,bin_right,count"
+
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_trials_below_one_exit_1(self, trials, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["rho", "--gen", "random:4", "--seed", "0",
+                     "--trials", trials, "--out", str(out)])
+        assert code == 1
+        assert "--trials must be at least 1" in capsys.readouterr().err
+        assert not (out / "rho.json").exists()
+        assert not (out / "rho_scan.json").exists()
 
 
 class TestAuditCommand:

@@ -177,7 +177,7 @@ class TestReports:
 
 class TestAssignmentChecks:
     def test_row_budget_violation(self):
-        fa = FractionalAssignment.from_probs([[0.9, 0.9]], row_budget=1.0)
+        fa = FractionalAssignment.from_probs([[0.9, 0.9]])
         with pytest.raises(Exception):
             fa.check_valid()
 

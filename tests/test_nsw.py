@@ -335,6 +335,16 @@ def _shift_components_loop(vhat, t, q, support, tight_rows, tight_cols):
             q[i] -= d
 
 
+def _infeasible_polish(monkeypatch):
+    """Make every polish return the barrier point doubled, a candidate whose
+    rows sum to about 2, with its residual and no least-squares steps."""
+    def doubled(V, c, o, p_in, support_tol, t0, q0):
+        cand = (2.0 * p_in, t0, q0)
+        return cand, nsw._quick_residual(V, c, o, *cand), 0
+
+    monkeypatch.setattr(nsw, "_polish", doubled)
+
+
 class TestSolveContracts:
     def test_certificate_soundness_random(self, rng):
         for n in (3, 4, 5):
@@ -411,7 +421,7 @@ class TestSolveContracts:
             solve(NswProblem.create(inst, offsets=np.array([0.9, 0.9])))
 
     def test_solo_max_utilities_match_item_loop(self):
-        # Budgets and supplies from {1/4, 1/2, 3/4, 1} make a budget run out
+        # Supplies from {1/4, 1/2, 1} make the unit of demand run out
         # exactly on an item; rounded values give ties and zeros.
         exact = 0
         for seed in range(100):
@@ -419,10 +429,9 @@ class TestSolveContracts:
             na, mk = (int(x) for x in rng.integers(1, 12, size=2))
             V = np.round(rng.uniform(-0.2, 2.0, (na, mk)).clip(0.0), int(seed % 3))
             grid = seed % 2 == 0
-            b = rng.choice([0.25, 0.5, 0.75, 1.0], na) if grid else rng.uniform(0.1, 1.0, na)
             c = rng.choice([0.25, 0.5, 1.0], mk) if grid else rng.uniform(0.05, 1.0, mk)
-            got = nsw._solo_max_utilities(V, b, c)
-            want = [_solo_max_utility_loop(V[i], b[i], c) for i in range(na)]
+            got = nsw._solo_max_utilities(V, c)
+            want = [_solo_max_utility_loop(V[i], 1.0, c) for i in range(na)]
             assert np.array_equal(got, want)
             exact += grid
         assert exact >= 50
@@ -442,26 +451,23 @@ class TestSolveContracts:
             _loo_problems(inst)[1])}
         assert len(barriers) == 1 and min(barriers) >= 0
 
-    def test_row_budget_below_one(self):
-        inst = validate_instance([[1.0, 0.5], [0.5, 1.0]])
-        sol = solve(NswProblem.create(inst, row_budget=0.5))
-        assert np.all(sol.assignment.row_sums() <= 0.5 + 1e-9)
-        assert sol.kkt_residual <= 1e-7
-
     def test_utilities_unique_across_reruns(self, rng):
         inst = validate_instance(rng.uniform(size=(5, 5)))
         u1 = solve(NswProblem.create(inst)).utilities
         u2 = solve(NswProblem.create(inst)).utilities
         assert np.allclose(u1, u2, atol=1e-9)
 
-    def test_iteration_budget_raises_no_convergence(self):
-        # One Newton step leaves an uncertified (and infeasible) best
-        # candidate; the documented error is NoConvergence, not a
-        # validation error from assembling that candidate.
-        inst = instances.gen_random(4, seed=0)
+    def test_iteration_budget_raises_no_convergence(self, monkeypatch):
+        # A polish whose every candidate is uncertified (and infeasible:
+        # its rows sum to twice the barrier point's) raises NoConvergence
+        # with the barrier's Newton steps and that candidate's residual,
+        # not a validation error from assembling it.
+        problem = NswProblem.create(instances.gen_random(4, seed=0))
+        iterations = solve(problem).metadata["iterations"]
+        _infeasible_polish(monkeypatch)
         with pytest.raises(NoConvergence) as err:
-            solve(NswProblem.create(inst), max_iter=1)
-        assert err.value.iterations == 1
+            solve(problem)
+        assert err.value.iterations == iterations
         assert err.value.best_residual > DEFAULT_KKT_TOL
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0])
@@ -471,11 +477,6 @@ class TestSolveContracts:
             solve(problem, tol=tol)
         with pytest.raises(DimensionMismatch):
             nsw.solve_many([problem], tol=tol)
-
-    @pytest.mark.parametrize("budget", [math.nan, [1.0, math.nan, 1.0], math.inf, 0.0])
-    def test_budget_outside_unit_interval_rejected(self, budget):
-        with pytest.raises(DimensionMismatch):
-            NswProblem.create(instances.gen_random(3, seed=0), row_budget=budget)
 
     @pytest.mark.parametrize("bargaining", [False, True])
     def test_n64_certifies(self, bargaining):
@@ -605,22 +606,22 @@ def _late_path_state(seed, mu, n=8):
 
 def _pd_state(seed, K, n=13):
     """K random n x n problems with a random strictly interior primal-dual
-    state x = (p, beta, t, q): (V, b, c, o, x), each with the batch axis."""
+    state x = (p, beta, t, q): (V, c, o, x), each with the batch axis."""
     rng = np.random.default_rng(seed)
     V = rng.uniform(0.0, 1.0, (K, n, n))
-    b, c = rng.uniform(0.8, 1.0, (K, n)), rng.uniform(0.8, 1.0, (K, n))
+    c = rng.uniform(0.8, 1.0, (K, n))
     o = rng.uniform(0.0, 0.05, (K, n))
     p = rng.uniform(0.01, 0.06, (K, n, n))
     beta = rng.uniform(0.5, 5.0, (K, n))
     top = (beta[:, :, None] * V).max(axis=(1, 2))[:, None]
     t, q = top + rng.uniform(0.1, 1.0, (K, n)), top + rng.uniform(0.1, 1.0, (K, n))
-    return V, b, c, o, np.concatenate([p.reshape(K, -1), beta, t, q], axis=1)
+    return V, c, o, np.concatenate([p.reshape(K, -1), beta, t, q], axis=1)
 
 
-def _pd_step(V, b, c, o, x, mu):
+def _pd_step(V, c, o, x, mu):
     """The primal-dual values at x and the direction toward mu, as the
     path computes them: (values, targets, direction)."""
-    vals = nsw._pd_fill(V, b, c, o, nsw._pd_buffer(x))
+    vals = nsw._pd_fill(V, c, o, nsw._pd_buffer(x))
     p, s, r, d, beta, z, t, q = vals
     targets = (mu - p * z, mu - t * d, mu - q * r, 1.0 - beta * s)
     M, scale = nsw._pd_matrix(V, vals)
@@ -662,8 +663,8 @@ class TestNewtonStep:
         # r dq + q dr = mu - q r and beta ds + s dbeta = 1 - beta s, with
         # dz, ds, dr and dd recomputed from (dp, dbeta, dt, dq); and each
         # problem of the batch gets the direction it gets alone.
-        V, b, c, o, x = _pd_state(0, K=3)
-        vals, targets, step = _pd_step(V, b, c, o, x, mu)
+        V, c, o, x = _pd_state(0, K=3)
+        vals, targets, step = _pd_step(V, c, o, x, mu)
         p, s, r, d, beta, z, t, q = vals
         dp, _, _, _, dbeta, _, dt, dq = step
         dz = dt[:, None, :] + dq[:, :, None] - dbeta[:, :, None] * V
@@ -674,7 +675,7 @@ class TestNewtonStep:
             size = np.abs(u * du) + np.abs(w * dw) + np.abs(rhs)
             assert np.max(np.abs(lhs - rhs)) <= 1e-10 * np.max(size)
         for k in range(len(x)):
-            alone = _pd_step(V[k:k + 1], b[k:k + 1], c[k:k + 1], o[k:k + 1], x[k:k + 1], mu)[2]
+            alone = _pd_step(V[k:k + 1], c[k:k + 1], o[k:k + 1], x[k:k + 1], mu)[2]
             for batched, single in zip(step, alone):
                 assert np.array_equal(batched[k], single[0])
 
@@ -682,12 +683,12 @@ class TestNewtonStep:
     def test_pd_lu_direction_matches_dense_solve(self, n, monkeypatch):
         # The direction from one dgetrf and dgetrs against np.linalg.solve
         # on the same scaled matrix, at random interior states of a batch.
-        V, b, c, o, x = _pd_state(1, K=3, n=n)
-        step = _pd_step(V, b, c, o, x, 1e-6)[2]
+        V, c, o, x = _pd_state(1, K=3, n=n)
+        step = _pd_step(V, c, o, x, 1e-6)[2]
         monkeypatch.setattr(nsw.linalg.lapack, "dgetrf", lambda A: (A.copy(), None, 0))
         monkeypatch.setattr(nsw.linalg.lapack, "dgetrs",
                             lambda M, piv, g: (np.linalg.solve(M, g), 0))
-        dense = _pd_step(V, b, c, o, x, 1e-6)[2]
+        dense = _pd_step(V, c, o, x, 1e-6)[2]
         for got, want in zip(step, dense):
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
@@ -743,17 +744,16 @@ class TestNewtonStep:
         off = uniform_disagreement(inst) if bargaining else None
         problem = NswProblem.create(inst, offsets=off)
         st = nsw._start(problem, None)
-        V, b, c, o = st.V[st.live], st.b[st.live], st.c, st.o[st.live]
+        V, c, o = st.V[st.live], st.c, st.o[st.live]
         filled = []
         fill = nsw._pd_fill
 
-        def recording(V, b, c, o, buf):
+        def recording(V, c, o, buf):
             filled.append(buf)
-            return fill(V, b, c, o, buf)
+            return fill(V, c, o, buf)
 
         monkeypatch.setattr(nsw, "_pd_fill", recording)
-        *_, iters = nsw._primal_dual_solve(V[None], b[None], c[None], o[None],
-                                           st.x0[None], nsw.ITERATION_CAP, None)
+        *_, iters = nsw._primal_dual_solve(V[None], c[None], o[None], st.x0[None], None)
         monkeypatch.undo()
         vals = nsw._pd_views(filled[-1], *V.shape)
         p, s, r, d, beta, z, t, q = vals
@@ -899,9 +899,8 @@ def _random_polish_state(seed):
     C = {j for j in range(mk) if rng.uniform() < 0.5}
     t = rng.uniform(-0.2, 1.0, mk)
     q = rng.uniform(-0.2, 1.0, na)
-    b = rng.uniform(0.5, 1.0, na)
     c = rng.uniform(0.5, 1.0, mk)
-    return V, b, c, o, p, t, q, S, R, C
+    return V, c, o, p, t, q, S, R, C
 
 
 class TestPolishSystem:
@@ -947,11 +946,11 @@ class TestPolishSystem:
         # Same float operations in the same order: bit-identical, signed
         # zeros included.
         for seed in range(300):
-            V, b, c, o, p, t, q, S, R, C = _random_polish_state(seed)
+            V, c, o, p, t, q, S, R, C = _random_polish_state(seed)
             masks = _masks(V.shape, S, R, C)
-            F, s = nsw._polish_residual(V, b, c, o, p, t, q, *masks)
+            F, s = nsw._polish_residual(V, c, o, p, t, q, *masks)
             J = nsw._polish_jacobian(V, s, *masks)
-            F_ref, J_ref = _polish_system_loop(V, b, c, o, p, t, q, S, R, C)
+            F_ref, J_ref = _polish_system_loop(V, np.ones(len(V)), c, o, p, t, q, S, R, C)
             assert F.tobytes() == F_ref.tobytes()
             assert J.shape == J_ref.shape and J.tobytes() == J_ref.tobytes()
 
@@ -961,7 +960,7 @@ class TestPolishSystem:
         # and the next Newton call sees the rest of the support.
         seen = []
 
-        def newton(V, b, c, o, p, S, R, C, t0, q0):
+        def newton(V, c, o, p, S, R, C, t0, q0):
             seen.append(S.copy())
             if len(seen) > 1:
                 return None, 0
@@ -969,7 +968,7 @@ class TestPolishSystem:
 
         monkeypatch.setattr(nsw, "_polish_newton", newton)
         V = np.array([[1.0, 2.0], [2.0, 1.0]])
-        nsw._polish(V, np.ones(2), np.ones(2), np.zeros(2), np.full((2, 2), 0.25),
+        nsw._polish(V, np.ones(2), np.zeros(2), np.full((2, 2), 0.25),
                     1e-9, np.zeros(2), np.zeros(2))
         assert len(seen) == 2 and seen[0].all()
         assert seen[1].tolist() == [[False, True], [True, True]]
@@ -977,7 +976,7 @@ class TestPolishSystem:
     def test_violated_pairs_match_pair_loop(self):
         found = 0
         for seed in range(300):
-            V, b, c, o, p, t, q, S, R, C = _random_polish_state(seed)
+            V, c, o, p, t, q, S, R, C = _random_polish_state(seed)
             for threshold in (1e-10, 0.5):
                 gi, gj = nsw._violated_pairs(V, o, p, t, q, *_masks(V.shape, S, R, C),
                                              threshold)
@@ -1101,10 +1100,12 @@ class TestSolveMany:
         assert nsw.solve_many([flat])[0].metadata["barrier"] is None
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
-    def test_raises_what_the_sequential_loop_raises_first(self, order):
-        # With max_iter=1 the live problem fails in its last stage
-        # (NoConvergence) and the infeasible one in its first (Infeasible);
-        # the earlier of the two in the list decides, as in a loop.
+    def test_raises_what_the_sequential_loop_raises_first(self, order, monkeypatch):
+        # With every polish uncertified the live problem fails in its last
+        # stage (NoConvergence) and the infeasible one in its first
+        # (Infeasible); the earlier of the two in the list decides, as in a
+        # loop.
+        _infeasible_polish(monkeypatch)
         live = NswProblem.create(instances.gen_random(4, seed=0))
         inst = validate_instance([[1.0, 0.0], [1.0, 0.0]])
         infeasible = NswProblem.create(inst, offsets=np.array([0.9, 0.9]))
@@ -1112,9 +1113,9 @@ class TestSolveMany:
         expected = (NoConvergence, Infeasible)[order[0]]
         with pytest.raises(expected):
             for problem in problems:
-                solve(problem, max_iter=1)
+                solve(problem)
         with pytest.raises(expected):
-            nsw.solve_many(problems, max_iter=1)
+            nsw.solve_many(problems)
 
     def test_no_live_rows_and_empty_input(self):
         inst = validate_instance([[3.0, 1.0], [3.0, 1.0]])
@@ -1313,10 +1314,9 @@ def _random_screen_lp(seed):
          else rng.uniform(size=(na, mk)) * (rng.uniform(size=(na, mk)) < 0.5))
     if seed % 5 == 0:
         V[rng.integers(na)] = 0.0                    # a zero row
-    b = rng.choice([1.0, 0.6, 0.25], na)
     c = rng.choice([1.0, 0.7, 0.3, 0.0], mk)
     o = V.mean(axis=1) * rng.choice([0.0, 0.5, 1.0, 1.2])
-    return V, b, c, o
+    return V, c, o
 
 
 class TestPairIncidence:
@@ -1329,8 +1329,9 @@ class TestPairIncidence:
     def test_screen_lps_match_dense_builders(self):
         wide = tall = zero_row = feasible = 0
         for seed in range(150):
-            V, b, c, o = _random_screen_lp(seed)
-            x, delta = nsw._max_min_surplus_lp(V, b, c, o)
+            V, c, o = _random_screen_lp(seed)
+            b = np.ones(len(V))
+            x, delta = nsw._max_min_surplus_lp(V, c, o)
             x_ref, delta_ref = _max_min_surplus_lp_dense(V, b, c, o)
             assert np.array_equal(x, x_ref) and delta == delta_ref
             k = seed % V.shape[0]
@@ -1338,9 +1339,9 @@ class TestPairIncidence:
             ref = _max_one_surplus_lp_dense(V, b, c, o_one, k)
             if ref is None:
                 with pytest.raises(Infeasible):
-                    nsw._max_one_surplus_lp(V, b, c, o_one, k)
+                    nsw._max_one_surplus_lp(V, c, o_one, k)
             else:
-                x, best = nsw._max_one_surplus_lp(V, b, c, o_one, k)
+                x, best = nsw._max_one_surplus_lp(V, c, o_one, k)
                 assert np.array_equal(x, ref[0]) and best == ref[1]
                 feasible += 1
             tall += V.shape[0] > V.shape[1]
@@ -1380,7 +1381,7 @@ class TestPairIncidence:
         V = np.asarray(instances.gen_random(128, seed=0).values)
         tracemalloc.start()
         try:
-            nsw._max_min_surplus_lp(V, np.ones(128), np.ones(128), 1.2 * V.mean(axis=1))
+            nsw._max_min_surplus_lp(V, np.ones(128), 1.2 * V.mean(axis=1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
