@@ -117,10 +117,7 @@ def cmd_solve(args) -> int:
     if args.trace and args.out:
         with open(os.path.join(args.out, "trace.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
-            # The primal-dual path logs mu, not a Newton decrement, in the
-            # third column.
-            third = "mu" if sol.metadata["barrier"] == "primal-dual" else "newton_decrement"
-            writer.writerow(["iteration", "objective", third])
+            writer.writerow(["iteration", "objective", "mu"])
             writer.writerows(trace)
     us = ", ".join(f"{u:.6g}" for u in sol.utilities)
     print(f"solve: utilities ({us}), kkt residual {sol.kkt_residual:.2e}"

@@ -33,8 +33,8 @@ def gen_random(n: int, distribution: str = "uniform01",
 
     distributions:
       * ``uniform01`` — i.i.d. uniform values on [0, 1];
-      * ``grid`` — values drawn from {0, 1/k, ..., 1} (``param`` = k,
-        default 4);
+      * ``grid`` — values drawn from {0, 1/k, ..., 1} (``param`` = k, a
+        finite whole number >= 1 such as 4 or 4.0, default 4);
       * ``sparse`` — each value is zero with probability ``param``
         (default 0.5), otherwise uniform on [0, 1].
     """
@@ -44,10 +44,10 @@ def gen_random(n: int, distribution: str = "uniform01",
     if distribution == "uniform01":
         values = rng.uniform(size=(n, n))
     elif distribution == "grid":
-        k = int(param) if param is not None else 4
-        if k < 1:
-            raise DimensionMismatch("grid resolution must be >= 1")
-        values = rng.integers(0, k + 1, size=(n, n)) / k
+        k = 4.0 if param is None else float(param)
+        if not (k.is_integer() and k >= 1):      # False for inf and nan
+            raise DimensionMismatch(f"grid resolution must be a whole number >= 1, not {param}")
+        values = rng.integers(0, int(k) + 1, size=(n, n)) / int(k)
     elif distribution == "sparse":
         p = float(param) if param is not None else 0.5
         if not 0.0 <= p <= 1.0:

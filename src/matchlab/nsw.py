@@ -21,23 +21,23 @@ item prices ``t_j >= 0`` and agent prices ``q_i >= 0`` with
 
 and the maximal violation of these conditions (the KKT residual) is
 reported honestly.  Internally the solver follows the central path to
-identify the optimal support.  A lone :func:`solve` below 150 (agent,
-item) pairs takes damped Newton steps on the primal log barrier in p with
-the explicit (na mk)^2 Hessian.  Every other problem runs Mehrotra's
-primal-dual predictor-corrector method in (p, beta, t, q), beta = 1/s,
-whose Newton system reduces to a matrix of order 2 na + mk, LU-factored
-once per iteration for both of its solves.  Problems of one shape (a
-mechanism's leave-one-out or subset solves, through :func:`solve_many`)
-always take that path, in lockstep, K systems solved at once, down to
-mu = 1e-8: their utilities are :func:`solve`'s to round-off, but where
-the optimum is not unique their assignment may be another optimal one.
-It then
-polishes primal variables and prices together on that support by Newton
-on the square stationarity system, whose singular Jacobian takes
-minimum-norm least-squares steps by QR with column pivoting, with an
-active-set repair loop.  The polish tries four support thresholds in
-turn until a candidate's certificate is well within tolerance; a problem
-that none of them certifies raises :class:`NoConvergence`.
+identify the optimal support, by Mehrotra's primal-dual predictor-corrector
+method in (p, beta, t, q), beta = 1/s, whose Newton system reduces to a
+matrix of order 2 na + mk, LU-factored once per iteration for both of its
+solves.  Problems of one shape (a mechanism's leave-one-out or subset
+solves, through :func:`solve_many`) run it in lockstep, K systems solved at
+once, down to mu = 1e-8.  A lone :func:`solve` below 150 (agent, item)
+pairs instead ends the path centred at mu = 1e-8, the point of the
+central path there: where the optimum is not unique that point fixes the
+assignment, which PA scales, while a batch's utilities are the lone
+solve's to round-off but its assignment may be another optimal one.  The
+solver then polishes primal variables and prices together on that
+support by Newton on the square stationarity system, whose singular
+Jacobian takes minimum-norm least-squares steps by QR with column
+pivoting, with an active-set repair loop.  The polish tries three support
+thresholds in turn until a candidate's certificate is well within
+tolerance; a problem that none of them certifies raises
+:class:`NoConvergence`.
 
 Agents whose maximum achievable surplus is zero (for instance constant
 value rows under an average-value offset) cannot appear in the log
@@ -86,10 +86,11 @@ _SUPPLY_EPS = 1e-12
 # Pairs above this mass count as support when a candidate is ranked.
 _SUPPORT_TOL = 1e-9
 
-# Barrier Newton steps.  From this many (agent, item) pairs on, a lone solve's
-# barrier is a primal-dual path whose Newton matrix has 2 na + mk rows instead
-# of na mk; a lockstep batch takes that path at every size.
-_PD_MIN_PAIRS = 150
+# A lone solve below this many live (agent, item) pairs ends its barrier path
+# centred at mu = _MU_END, every product p z, t d and q r equal to _MU_END to
+# _CENTRE_TOL relative; batches and larger lone solves stop at mu <= _MU_END.
+_CENTRE_PAIRS = 150
+_CENTRE_TOL = 1e-6
 # The primal-dual path stops a problem only once max |1 - beta s| is this small.
 _PD_SURPLUS_TOL = 1e-6
 # One lockstep barrier call holds at most this many bytes of Newton matrices
@@ -98,7 +99,7 @@ _LOCKSTEP_BYTES = 2 ** 22
 # The barrier's final mu, and the support thresholds the polish tries there,
 # in order: a pair counts as support when its mass exceeds the threshold.
 _MU_END = 1e-8
-_TAUS = (3e-5, 1e-6, 1e-3, 1e-7)
+_TAUS = (3e-5, 1e-3, 1e-7)
 # Repair rounds of one polish, and Newton steps of one round.
 _POLISH_ROUNDS = 40
 _POLISH_NEWTON_ITERS = 40
@@ -659,115 +660,12 @@ def _interior_start(V, c, o, base):
     return None
 
 
-def _dense_hessian(V, p, s, r, d, mu):
-    """The primal barrier's negative Hessian of one problem, explicitly:
-    the (na*mk, na*mk) matrix H = diag(mu/p^2) + W W^T, where row (i, j)
-    of W holds V_ij/s_i in agent i's value column, sqrt(mu)/r_i in agent
-    i's row-slack column and sqrt(mu)/d_j in item j's column.  Agent blocks,
-    the diagonal and the item coupling are written, in that order, through
-    diagonal views of one buffer, without a loop over agents or items.
-    """
-    na, mk = p.shape
-    H = np.zeros((na * mk, na * mk))
-    H4 = H.reshape(na, mk, na, mk)
-    # Agent blocks V_ij V_il / s_i^2 + mu / r_i^2, at H[(i, j), (i, l)].
-    np.einsum("ijil->ijl", H4)[...] = (V[:, :, None] * V[:, None, :] / (s ** 2)[:, None, None]
-                                       + (mu / r ** 2)[:, None, None])
-    np.einsum("ii->i", H)[...] += (mu / p ** 2).ravel()
-    np.einsum("ijkj->ikj", H4)[...] += mu / d ** 2            # H[(i, j), (k, j)]
-    return H
-
-
-def _primal_phi(V, c, o, p, mu):
-    """The primal barrier sum_i log s_i + mu (sum log p + sum log r +
-    sum log d) of one problem; -inf or nan outside the domain (a log of a
-    value <= 0), and no comparison accepts either."""
-    return (np.log(_surplus(V, p, o)).sum()
-            + mu * (np.log(p).sum() + np.log(1 - p.sum(axis=1)).sum()
-                    + np.log(c - p.sum(axis=0)).sum()))
-
-
-def _primal_newton(V, c, o, p, mu):
-    """(Newton step, Newton decrement, largest step length along the step
-    that keeps p, the surpluses s and the slacks r and d positive) of the
-    primal barrier of one problem.  A Hessian whose solve raises
-    ``LinAlgError`` is solved once more with 1e-12 max|H| added to its
-    diagonal.  The step length is inf when nothing decreases and nan when
-    a derivative is."""
-    s = _surplus(V, p, o)
-    r = 1 - p.sum(axis=1)
-    d = c - p.sum(axis=0)
-    g = V / s[:, None] + mu / p - mu / r[:, None] - mu / d[None, :]
-    H = _dense_hessian(V, p, s, r, d, mu)
-    try:
-        dp = np.linalg.solve(H, g.ravel())
-    except np.linalg.LinAlgError:
-        np.einsum("ii->i", H)[...] += 1e-12 * np.max(np.abs(H))
-        dp = np.linalg.solve(H, g.ravel())
-    dp = dp.reshape(p.shape)
-    vals = np.concatenate([p.ravel(), s, r, d])
-    dvals = np.concatenate([dp.ravel(), np.einsum("ij,ij->i", V, dp), -dp.sum(axis=1),
-                            -dp.sum(axis=0)])
-    return dp, g.ravel() @ dp.ravel(), _max_step(vals[None], dvals[None])[0]
-
-
 def _max_step(vals, dvals):
     """The largest step along ``dvals`` that keeps the positive ``vals``
     positive, per problem (inf when none decreases); both are (K, n)."""
     # The min of -vals / dvals over dvals < 0: vals / -0.0 = -inf drops
     # the other entries.
     return -(vals / np.minimum(dvals, -0.0)).max(axis=1)
-
-
-def _primal_solve(V, c, o, p, trace):
-    """Damped primal Newton steps down the barrier path of one problem.
-
-    mu starts at 0.05 and falls 50-fold to ``_MU_END``; at each mu the
-    point is centred until the Newton decrement is below mu (0.3 mu at the
-    end), for at most 60 steps, each 0.99 of the way to the boundary at
-    most and halved until it meets the Armijo condition.  A step that
-    cannot move (a step length that is not positive) ends centring at that
-    mu.  Returns (p, t, q, iterations),
-    with the prices t = mu / d and q = mu / r of the last mu.  ``trace``,
-    when given, gets (iteration, sum_i log s_i, Newton decrement) for each
-    step that moved.
-    """
-    iters = 0
-    mu = 0.05
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while True:
-            phi_p = math.nan               # phi(p, mu) where known
-            for _ in range(60):
-                dp, decrement, step = _primal_newton(V, c, o, p, mu)
-                iters += 1
-                alpha = np.minimum(1.0, 0.99 * step)
-                if not alpha > 0:          # nan too: no step at this mu
-                    p = p + 0.0 * dp       # nan wherever dp is nan
-                    break
-                # Armijo backtracking from phi(p), known unless mu just moved
-                # or the last search ran out.
-                if math.isnan(phi_p):
-                    phi_p = _primal_phi(V, c, o, p, mu)
-                trial = phi_p
-                while alpha > 1e-14:
-                    trial = _primal_phi(V, c, o, p + alpha * dp, mu)
-                    if trial >= phi_p + 0.25 * alpha * decrement:
-                        break
-                    alpha *= 0.5
-                p = p + alpha * dp
-                # An accepted search kept its alpha, so the last trial is phi
-                # at the new p.
-                phi_p = trial if alpha > 1e-14 else math.nan
-                if trace is not None:
-                    trace.append((iters, float(np.log(_surplus(V, p, o)).sum()),
-                                  float(decrement)))
-                loose = 1.0 if mu > _MU_END else 0.3
-                if decrement < max(loose * mu, 1e-16):
-                    break
-            if mu <= _MU_END:
-                break
-            mu = max(mu * 0.02, _MU_END)
-    return p, mu / (c - p.sum(axis=0)), mu / (1 - p.sum(axis=1)), iters
 
 
 def _pd_views(buf, na, mk):
@@ -818,8 +716,8 @@ def _pd_matrix(V, vals):
     diag(s/beta + sum_j w V^2), beta-t -w V, beta-q diag(-sum_j w V), t-t
     diag(sum_i w + d/t), t-q w^T and q-q diag(sum_j w + r/q).  The matrix
     is symmetric, so ``dgetrf`` factors its transpose, a Fortran-order
-    view; an exactly singular matrix is regularized as in
-    :func:`_primal_newton`."""
+    view; an exactly singular matrix is factored once more with 1e-12 of
+    its largest entry added to its diagonal."""
     p, s, r, d, beta, z, t, q = vals
     K, na, mk = V.shape
     w = p / z
@@ -880,14 +778,20 @@ def _pd_direction(V, vals, factors, scale, rz, rt, rq, rb, out=None):
     return dvals
 
 
-def _pd_done(vals, mu):
-    """Problems whose mu is at most ``_MU_END`` and whose surpluses meet
-    beta s = 1 to ``_PD_SURPLUS_TOL``."""
+def _pd_done(vals, mu, centre):
+    """Problems whose surpluses meet beta s = 1 to ``_PD_SURPLUS_TOL`` and
+    whose mu is at most ``_MU_END``; with ``centre``, whose products p z,
+    t d and q r are all ``_MU_END`` to ``_CENTRE_TOL`` relative instead."""
     p, s, r, d, beta, z, t, q = vals
-    return (mu <= _MU_END) & (np.abs(1.0 - beta * s).max(axis=1) <= _PD_SURPLUS_TOL)
+    if centre:
+        products = np.concatenate([(p * z).reshape(len(p), -1), t * d, q * r], axis=1)
+        ended = np.abs(products - _MU_END).max(axis=1) <= _CENTRE_TOL * _MU_END
+    else:
+        ended = mu <= _MU_END
+    return ended & (np.abs(1.0 - beta * s).max(axis=1) <= _PD_SURPLUS_TOL)
 
 
-def _primal_dual_solve(V, c, o, x0, trace):
+def _primal_dual_solve(V, c, o, x0, trace, centre=False):
     """Mehrotra's predictor-corrector path, with the batch axis.
 
     The state x = (p, beta, t, q) keeps p, the surplus s = V.p - o, the
@@ -900,11 +804,14 @@ def _primal_dual_solve(V, c, o, x0, trace):
     that keeps them positive.  The eight positive quantities live in one
     flat buffer and each direction's derivatives in a second one (see
     :func:`_pd_views`), so a step length is one reduction over the pair.
-    A problem stops once :func:`_pd_done`, or when its step is shorter than
-    1e-8 or not finite, or after 60 steps, as many as the primal path takes
-    at one mu.  Each call steps only the problems still running.  Returns
-    (p, t, q, iterations), each with the batch axis.  ``trace``, when given,
-    gets one row per Newton step of the first problem.
+    With ``centre`` the path ends on the central path at mu = ``_MU_END``:
+    the corrector's target sigma mu is floored at ``_MU_END``, and once it
+    reaches it the second-order terms are dropped, so the step only
+    centres.  A problem stops once :func:`_pd_done`, or when its step is
+    shorter than 1e-8 or not finite, or after 60 steps.  Each call steps
+    only the problems still running.  Returns (p, t, q, iterations), each
+    with the batch axis.  ``trace``, when given, gets one row per Newton
+    step of the first problem.
     """
     K, na, mk = V.shape
     nx = x0.shape[1]
@@ -914,7 +821,7 @@ def _primal_dual_solve(V, c, o, x0, trace):
     D = np.empty_like(P)
     iters = np.zeros(K, dtype=int)
     mu = _pd_mu(vals)
-    running = ~_pd_done(vals, mu)
+    running = ~_pd_done(vals, mu, centre)
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
             running &= iters < 60
@@ -938,10 +845,15 @@ def _primal_dual_solve(V, c, o, x0, trace):
                              z + a3 * dz_a, t + a2 * dt_a, q + a2 * dq_a))
             mu_k = mu[k]
             target = (mu_aff / mu_k) ** 3 * mu_k
+            second = dp_a * dz_a, dt_a * dd_a, dq_a * dr_a
+            if centre:
+                target = np.maximum(target, _MU_END)
+                for term in second:
+                    term[target <= _MU_END] = 0.0
             _pd_direction(Vk, cur, factors, scale,
-                          target[:, None, None] - p * z - dp_a * dz_a,
-                          target[:, None] - t * d - dt_a * dd_a,
-                          target[:, None] - q * r - dq_a * dr_a, rb, out=Dk)
+                          target[:, None, None] - p * z - second[0],
+                          target[:, None] - t * d - second[1],
+                          target[:, None] - q * r - second[2], rb, out=Dk)
             dx = Dk[:, :nx]
             alpha = np.minimum(1.0, 0.99 * _max_step(Pk, Dk))
             moving = (alpha > 1e-8) & np.isfinite(dx).all(axis=1)    # false for nan
@@ -958,7 +870,7 @@ def _primal_dual_solve(V, c, o, x0, trace):
             if trace is not None and running[0]:
                 trace.append((int(iters[0]), float(np.log(vals[1][0]).sum()), float(mu[0])))
             running[k[~moving]] = False
-            running &= ~_pd_done(vals, mu)
+            running &= ~_pd_done(vals, mu, centre)
     p, _, _, _, _, _, t, q = vals
     return p, t, q, iters
 
@@ -1222,25 +1134,12 @@ class _Start:
     x0: np.ndarray | None      # None when no row is live
     seconds: float             # wall time of these stages
 
-    @property
-    def barrier(self) -> str | None:
-        """The barrier path ``x0`` starts: ``"primal-dual"`` for a flat
-        primal-dual state, ``"primal"`` for a primal point p, and None when
-        no row is live."""
-        if self.x0 is None:
-            return None
-        return "primal-dual" if self.x0.ndim == 1 else "primal"
 
-
-def _start(problem: NswProblem, warm_start: np.ndarray | None = None,
-           lockstep: bool = False) -> _Start:
+def _start(problem: NswProblem, warm_start: np.ndarray | None = None) -> _Start:
     """The stages before the barrier: degeneracy screen and start point, and
-    an interior primal point.  For a problem of a lockstep batch, and for
-    any problem from ``_PD_MIN_PAIRS`` live pairs on, that point is extended
-    to the primal-dual state of :func:`_pd_start`, so its barrier takes the
-    primal-dual path; only a lone problem below that keeps the primal path.
-    ``warm_start``, a finite n_agents-by-n_items matrix, is the screen's
-    hint; any other raises :class:`DimensionMismatch`."""
+    an interior primal point, extended to the primal-dual state of
+    :func:`_pd_start`.  ``warm_start``, a finite n_agents-by-n_items matrix,
+    is the screen's hint; any other raises :class:`DimensionMismatch`."""
     began = perf_counter()
     inst = problem.instance
     active = list(problem.active_agents)
@@ -1267,23 +1166,18 @@ def _start(problem: NswProblem, warm_start: np.ndarray | None = None,
         x0 = _interior_start(V[live], c, o[live], base)
         if x0 is None:
             raise Infeasible("no strictly interior point with positive surplus")
-        if lockstep or len(live) * len(keep) >= _PD_MIN_PAIRS:
-            x0 = _pd_start(V[live], o[live], x0)
+        x0 = _pd_start(V[live], o[live], x0)
     return _Start(V=V, c=c, o=o, keep=keep, live=live, degenerate=degenerate,
                   x0=x0, seconds=perf_counter() - began)
 
 
-def _barriers(starts: list[_Start], trace=None):
-    """The barrier paths of problems with one live shape and one path: the
-    primal-dual path of :func:`_primal_dual_solve`, in lockstep, or the
-    primal path of :func:`_primal_solve`, which only a lone solve takes, so
-    for one problem.  One (p, t, q, iterations) per problem; ``trace``, when
-    given, gets one row per Newton step of the first problem."""
+def _barriers(starts: list[_Start], trace=None, centre=False):
+    """The primal-dual barrier paths of problems with one live shape, in
+    lockstep, by :func:`_primal_dual_solve` with its ``trace`` and
+    ``centre``.  One (p, t, q, iterations) per problem."""
     rows = [(st.V[st.live], st.c, st.o[st.live], st.x0) for st in starts]
-    if starts[0].barrier == "primal":
-        return [_primal_solve(*rows[0], trace)]
     V, c, o, x0 = (np.stack(x) for x in zip(*rows))
-    p, t, q, iters = _primal_dual_solve(V, c, o, x0, trace)
+    p, t, q, iters = _primal_dual_solve(V, c, o, x0, trace, centre)
     return [(p[k], t[k], q[k], int(iters[k])) for k in range(len(starts))]
 
 
@@ -1326,7 +1220,8 @@ def solve_many(problems: Sequence[NswProblem], tol: float = DEFAULT_KKT_TOL,
     that of a batch of one, ``solve_many([problem])[0]``; its utilities
     equal :func:`solve`'s to 1e-9, but where the optimum is not unique its
     assignment may be another optimal one, since a lone solve below
-    ``_PD_MIN_PAIRS`` pairs takes the primal path.  ``warm_start`` (a full
+    ``_CENTRE_PAIRS`` pairs ends its path centred and a batch does not.
+    ``warm_start`` (a full
     n_agents-by-n_items matrix, for instance the solution of the full
     market) is each problem's screen start point wherever it gives every
     live row a clearly positive surplus; it only changes where the barrier
@@ -1341,7 +1236,7 @@ def solve_many(problems: Sequence[NswProblem], tol: float = DEFAULT_KKT_TOL,
     starts: list[_Start | MatchingError] = []
     for problem in problems:
         try:
-            starts.append(_start(problem, warm_start, lockstep=True))
+            starts.append(_start(problem, warm_start))
         except MatchingError as err:     # raised in turn, by solve
             starts.append(err)
     groups: dict[tuple, list[int]] = {}
@@ -1370,16 +1265,16 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
 
     The returned solution satisfies ``kkt_residual <= tol``; by concavity
     plus the certificate its objective is within ``tol`` of optimal.  The
-    solve makes one attempt: one barrier path, then the polish at each
-    support threshold in turn.  A problem below ``_PD_MIN_PAIRS`` live
-    pairs takes the primal path here and the primal-dual path in
+    solve makes one attempt: one primal-dual barrier path, then the polish
+    at each support threshold in turn.  Below ``_CENTRE_PAIRS`` live pairs
+    the path ends centred at mu = ``_MU_END`` here but not in
     :func:`solve_many`; both reach the unique optimal utilities, but where
     the optimal assignment is not unique they may reach different ones.
     Raises :class:`Infeasible` when an active agent cannot reach
     non-negative surplus, and :class:`NoConvergence` when no polished
     candidate meets ``tol``.
-    ``metadata["barrier"]`` names the barrier path that ran, ``"primal"``
-    or ``"primal-dual"`` (None when no row is live and no barrier ran);
+    ``metadata["barrier"]`` names the barrier path that ran,
+    ``"primal-dual"`` (None when no row is live and no barrier ran);
     ``metadata["iterations"]`` counts its Newton steps and
     ``metadata["polish_steps"]`` the least-squares steps of every polish
     the solve tried; ``metadata["polish"]`` is the support threshold tau of
@@ -1390,14 +1285,14 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
     stages: ``start`` (screen and interior start), ``barrier``, ``polish``
     (every polish tried) and ``finish`` (assembly and the certificate
     check).  ``trace``, when given, gets one row per Newton step of the
-    barrier: (iteration, sum_i log s_i, m), where m is the Newton decrement
-    on the primal path and mu on the primal-dual path.
+    barrier: (iteration, sum_i log s_i, mu).
     """
     _check_tol(tol)
     if _prepared is None:
         start = _start(problem)
         began = perf_counter()
-        path = None if start.x0 is None else _barriers([start], trace)[0]
+        centre = len(start.live) * len(start.keep) < _CENTRE_PAIRS
+        path = None if start.x0 is None else _barriers([start], trace, centre)[0]
         _prepared = (start, path, 1, perf_counter() - began)
     start, path, batch, barrier_s = _prepared     # from solve_many, or just made
     if isinstance(start, MatchingError):
@@ -1478,7 +1373,7 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
         kkt_residual=residual,
         degenerate_agents=degenerate,
         metadata={"iterations": iters_used,
-                  "barrier": start.barrier,
+                  "barrier": "primal-dual" if start.live else None,
                   "polish": winner,
                   "polish_steps": polish_steps,
                   "barrier_batch": batch,

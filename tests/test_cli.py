@@ -68,7 +68,7 @@ class TestSolveCommand:
                      "--trace"])
         assert code == 0
         lines = (out / "trace.csv").read_text().strip().splitlines()
-        assert lines[0] == "iteration,objective,newton_decrement"
+        assert lines[0] == "iteration,objective,mu"
         assert len(lines) > 2
 
     def test_trace_header_names_mu_on_the_primal_dual_path(self, tmp_path):
@@ -214,6 +214,17 @@ class TestGenCommand:
         assert main(["gen", "random:3,grid,2", "--seed", "7",
                      "--out-file", str(f2)]) == 0
         assert f1.read_text() == f2.read_text()
+
+    @pytest.mark.parametrize("argv", [["gen", "random:3,grid,inf", "--out-file"],
+                                      ["solve", "--gen", "random:3,grid,1e400", "--out"],
+                                      ["gen", "random:5,grid,2.5", "--out-file"]],
+                             ids=["gen-inf", "solve-1e400", "gen-2.5"])
+    def test_bad_grid_resolution_exit_1(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([*argv, str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "grid resolution" in err
+        assert "Traceback" not in err and not out.exists()
 
 
 class TestDecomposeCommand:

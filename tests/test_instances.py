@@ -33,6 +33,14 @@ class TestRandom:
         zeros = int((np.asarray(inst.values) == 0).sum())
         assert abs(zeros - 18) <= 9
 
+    @pytest.mark.parametrize("k", [float("inf"), float("nan"), 2.5, 0.0])
+    def test_grid_resolution_must_be_a_whole_number(self, k):
+        with pytest.raises(DimensionMismatch):
+            gen_random(5, "grid", seed=0, param=k)
+
+    def test_whole_float_grid_resolution(self):
+        assert gen_random(5, "grid", seed=0, param=4.0) == gen_random(5, "grid", seed=0)
+
     def test_bad_distribution(self):
         with pytest.raises(DimensionMismatch):
             gen_random(3, "weird", seed=0)

@@ -79,6 +79,18 @@ class TestSolveExamples:
         assert sol.utilities[0] == pytest.approx(best_x, abs=1e-4)
         assert np.allclose(sol.utilities, [0.5, 0.5], atol=1e-9)
 
+    # Ties leave the optimal assignment open.  A lone solve of this size
+    # ends its barrier path centred, and the polish keeps that point's
+    # symmetric split; a batch stops off centre and may return another
+    # optimal assignment, so only the lone solve is pinned.
+    @pytest.mark.parametrize("values,tied,share", [
+        ([[1, 1, 1], [1, 1, 1], [1, 1, 1]], 3, 1 / 3),
+        ([[2, 2, 1], [2, 2, 1], [0, 0, 1]], 2, 0.5)])
+    def test_lone_solve_splits_ties_evenly(self, values, tied, share):
+        sol = solve(NswProblem.create(validate_instance(values)))
+        assert sol.kkt_residual <= DEFAULT_KKT_TOL
+        assert np.allclose(sol.assignment.probs[:tied, :tied], share, atol=1e-7)
+
 
 class TestKktCheck:
     def test_printed_initial_duals_are_clean(self, table1):
@@ -482,8 +494,6 @@ class TestSolveContracts:
     def test_n64_certifies(self, bargaining):
         _assert_certifies_structured(64, 0, bargaining)
 
-    # Past 64 x 64 pairs an explicit primal Hessian is too large to
-    # allocate.
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("bargaining", [False, True])
     def test_n128_certifies(self, bargaining, seed):
@@ -506,21 +516,21 @@ class TestSolveContracts:
     # Each of these is certified only after the polish at the first
     # support threshold, tau = 3e-5, has failed.  With the first-threshold
     # wins they pin every tau of the polish, so that none is trimmed
-    # unnoticed.  The last two cases are subset solves: agents 2-4 of a
-    # 5 x 5 market (one of rho_exact's), and a grid market without agent 0
-    # under bargaining offsets, which only the last threshold certifies.
-    @pytest.mark.parametrize("n,dist,seed,bargaining,agents,winner", [
-        pytest.param(4, "uniform01", 4, False, None, 1e-3, id="4-4-False"),
-        pytest.param(4, "uniform01", 4, True, None, 1e-3, id="4-4-True"),
-        pytest.param(4, "uniform01", 62, True, None, 1e-3, id="4-62-True"),
-        pytest.param(6, "uniform01", 98, True, None, 1e-6, id="6-98-True"),
-        pytest.param(5, "uniform01", 100007, False, (2, 3, 4), 1e-3, id="5-100007-agents234"),
-        pytest.param(8, "grid", 6, True, tuple(range(1, 8)), 1e-7, id="8-grid-6-True-agents1to7")])
-    def test_won_past_the_first_rung(self, n, dist, seed, bargaining, agents, winner):
-        inst = instances.gen_random(n, dist, seed=seed)
+    # unnoticed.  The last case is one of AC-09's rho_exact subset solves,
+    # agents 1, 3 and 4 of a 5 x 5 market, in a batch as rho_exact solves
+    # it; only the last threshold certifies it.
+    @pytest.mark.parametrize("n,seed,agents,bargaining,batched,winner", [
+        pytest.param(4, 4, None, False, False, 1e-3, id="4-4-False"),
+        pytest.param(4, 4, None, True, False, 1e-3, id="4-4-True"),
+        pytest.param(4, 62, None, True, False, 1e-3, id="4-62-True"),
+        pytest.param(5, 2197912127921429414, (1, 3, 4), False, True, 1e-7,
+                     id="5-ac09-agents134-batched")])
+    def test_won_past_the_first_rung(self, n, seed, agents, bargaining, batched, winner):
+        inst = instances.gen_random(n, seed=seed)
         off = uniform_disagreement(inst) if bargaining else np.zeros(n)
         agents = list(range(n) if agents is None else agents)
-        sol = solve(NswProblem.create(inst, agents, off[agents]))
+        problem = NswProblem.create(inst, agents, off[agents])
+        sol = nsw.solve_many([problem])[0] if batched else solve(problem)
         assert sol.kkt_residual <= DEFAULT_KKT_TOL
         assert sol.metadata["polish"] == winner
         assert winner in nsw._TAUS
@@ -533,7 +543,7 @@ class TestSolveContracts:
         assert isinstance(sol.metadata["stage_s"]["barrier"], float)
         assert sol.metadata["iterations"] > 0
 
-    # (4, 4) is won only at tau = 1e-3, so its count spans three polishes.
+    # (4, 4) is won only at tau = 1e-3, so its count spans two polishes.
     @pytest.mark.parametrize("n,seed", [(32, 0), (4, 4)])
     def test_polish_steps_count_every_least_squares_step(self, n, seed, monkeypatch):
         calls = []
@@ -583,27 +593,6 @@ def _assert_certifies_structured(n, seed, bargaining):
     assert meta["barrier"] == "primal-dual" and meta["iterations"] > 0
 
 
-def _late_path_state(seed, mu, n=8):
-    """A strictly interior point like those late on the primal barrier path.
-
-    Each agent holds one item (a random permutation); every other pair and
-    every row and column slack are of order ``mu``.  Returns the
-    arguments of a Newton step: (V, p, s, r, d, g).
-    """
-    rng = np.random.default_rng(seed)
-    V = rng.uniform(0.0, 1.0, (n, n))
-    noise = rng.uniform(0.5, 2.0, (n, n))
-    P = np.eye(n)[rng.permutation(n)]
-    alpha = 1.0 - mu * (max(noise.sum(axis=1).max(),
-                            noise.sum(axis=0).max()) + 1.0)
-    p = alpha * P + mu * noise
-    s = (V * p).sum(axis=1)
-    r = 1.0 - p.sum(axis=1)
-    d = 1.0 - p.sum(axis=0)
-    g = V / s[:, None] + mu / p - mu / r[:, None] - mu / d[None, :]
-    return V, p, s, r, d, g
-
-
 def _pd_state(seed, K, n=13):
     """K random n x n problems with a random strictly interior primal-dual
     state x = (p, beta, t, q): (V, c, o, x), each with the batch axis."""
@@ -639,23 +628,6 @@ _PD_MARKETS = {
 
 
 class TestNewtonStep:
-    def test_dense_hessians_are_diag_plus_w_wt(self):
-        # The fill against H = diag(mu/p^2) + W W^T with W written out
-        # column by column.
-        mu = 1e-4
-        for seed in range(4):
-            V, p, s, r, d, g = _late_path_state(seed, mu, n=5)
-            H = nsw._dense_hessian(V, p, s, r, d, mu)
-            na, mk = V.shape
-            W = np.zeros((na * mk, 2 * na + mk))
-            for i in range(na):
-                for j in range(mk):
-                    W[i * mk + j, i] = V[i, j] / s[i]
-                    W[i * mk + j, na + i] = math.sqrt(mu) / r[i]
-                    W[i * mk + j, 2 * na + j] = math.sqrt(mu) / d[j]
-            ref = np.diag(mu / p.ravel() ** 2) + W @ W.T
-            assert np.allclose(H, ref, rtol=1e-12, atol=0.0)
-
     @pytest.mark.parametrize("mu", [1e-2, 1e-6, 1e-10])
     def test_pd_direction_meets_linearized_equations(self, mu):
         # At random interior states of a batch, the direction meets
@@ -735,11 +707,14 @@ class TestNewtonStep:
                 assert np.array_equal(nsw._max_step(P, D), nsw._max_step(*flat),
                                       equal_nan=True)
 
-    @pytest.mark.parametrize("market", sorted(_PD_MARKETS))
-    def test_pd_path_stops_interior(self, market, monkeypatch):
-        # The path ends strictly interior, with mu <= 1e-8 and beta s = 1
-        # to 1e-6, and the solve certifies.  The final state is the one
-        # the path's last _pd_fill computed.
+    @pytest.mark.parametrize("market,centre", [
+        *(pytest.param(market, False, id=market) for market in sorted(_PD_MARKETS)),
+        *(pytest.param(market, True, id=f"{market}-centred") for market in sorted(_PD_MARKETS))])
+    def test_pd_path_stops_interior(self, market, centre, monkeypatch):
+        # The path ends strictly interior, with mu <= 1e-8 (centred: every
+        # product p z, t d and q r 1e-8 to 1e-6 relative) and beta s = 1 to
+        # 1e-6, and the solve certifies.  The final state is the one the
+        # path's last _pd_fill computed.
         inst, bargaining = _PD_MARKETS[market]
         off = uniform_disagreement(inst) if bargaining else None
         problem = NswProblem.create(inst, offsets=off)
@@ -753,61 +728,29 @@ class TestNewtonStep:
             return fill(V, c, o, buf)
 
         monkeypatch.setattr(nsw, "_pd_fill", recording)
-        *_, iters = nsw._primal_dual_solve(V[None], c[None], o[None], st.x0[None], None)
+        *_, iters = nsw._primal_dual_solve(V[None], c[None], o[None], st.x0[None], None,
+                                           centre)
         monkeypatch.undo()
         vals = nsw._pd_views(filled[-1], *V.shape)
         p, s, r, d, beta, z, t, q = vals
         assert 0 < iters[0] < 60
         assert all(np.all(v > 0) for v in vals)
-        assert nsw._pd_mu(vals)[0] <= 1e-8
+        if centre:
+            products = np.concatenate([(p * z).ravel(), (t * d).ravel(), (q * r).ravel()])
+            assert np.max(np.abs(products - 1e-8)) <= 1e-6 * 1e-8
+        else:
+            assert nsw._pd_mu(vals)[0] <= 1e-8
         assert np.max(np.abs(1.0 - beta * s)) <= 1e-6
         assert solve(problem).kkt_residual <= DEFAULT_KKT_TOL
 
-    def test_primal_singular_hessian_takes_the_diagonal_retry(self, monkeypatch):
-        # The first Hessian solve of a lone primal solve raises LinAlgError:
-        # that step solves H + 1e-12 max|H| I instead, and the solve still
-        # certifies.
-        problem = NswProblem.create(instances.gen_random(6, seed=2))
-        real_solve, solves, steps = np.linalg.solve, [], []
-        newton = nsw._primal_newton
-
-        def failing_once(H, g):
-            solves.append((H.copy(), g.copy()))
-            if len(solves) == 1:
-                raise np.linalg.LinAlgError("Singular matrix")
-            return real_solve(H, g)
-
-        def recording(*args):
-            out = newton(*args)
-            steps.append(out[0])
-            return out
-
-        monkeypatch.setattr(nsw.np.linalg, "solve", failing_once)
-        monkeypatch.setattr(nsw, "_primal_newton", recording)
-        sol = solve(problem)
-        monkeypatch.undo()
-        (H, g), (retry, g_retry) = solves[:2]
-        assert np.array_equal(retry, H + 1e-12 * np.max(np.abs(H)) * np.eye(len(H)))
-        assert np.array_equal(g_retry, g)
-        assert np.array_equal(steps[0].ravel(), np.linalg.solve(retry, g))
-        assert len(steps) == sol.metadata["iterations"] and len(solves) == len(steps) + 1
-        assert sol.metadata["barrier"] == "primal"
-        assert sol.kkt_residual <= DEFAULT_KKT_TOL
-
     def test_small_problems_take_dense_steps(self):
-        sol = solve(NswProblem.create(instances.gen_random(12, seed=0)))
-        assert sol.metadata["barrier"] == "primal"
-        assert sol.metadata["iterations"] > 0
-
-    def test_large_problems_build_no_dense_hessian(self, monkeypatch):
-        # 13 x 13 = 169 pairs: every step is a primal-dual step.
-        def no_dense(*args):
-            raise AssertionError("dense Hessian built above the crossover")
-
-        monkeypatch.setattr(nsw, "_dense_hessian", no_dense)
-        sol = solve(NswProblem.create(instances.gen_random(13, seed=1)))
-        assert sol.kkt_residual <= DEFAULT_KKT_TOL
-        assert sol.metadata["barrier"] == "primal-dual" and sol.metadata["iterations"] > 0
+        # 12 x 12 = 144 pairs: a lone solve below 150 pairs takes the
+        # primal-dual path too, and ends it centred at mu = 1e-8.
+        trace = []
+        sol = solve(NswProblem.create(instances.gen_random(12, seed=0)), trace=trace)
+        assert sol.metadata["barrier"] == "primal-dual"
+        assert sol.metadata["iterations"] == len(trace) > 0
+        assert trace[-1][2] == pytest.approx(1e-8, rel=1e-6)
 
 
 class TestSolveTrace:
@@ -1028,15 +971,15 @@ class TestSolveMany:
         shapes = []
         for problem, sol in zip(problems, many):
             # Bit for bit a batch of one; utilities those of a lone cold
-            # solve, which below 150 pairs takes the primal path.
+            # solve, which below 150 pairs ends its path centred.
             _assert_same_solution(sol, nsw.solve_many([problem], warm_start=warm)[0])
             alone = solve(problem)
             assert np.allclose(sol.utilities, alone.utilities, rtol=0.0, atol=1e-9)
             assert sol.kkt_residual <= DEFAULT_KKT_TOL
             assert alone.metadata["barrier_batch"] == 1
             if case == "structured":
-                # From 150 pairs on a lone solve takes the primal-dual path
-                # too, and gives a cold batch's result bit for bit.
+                # From 150 pairs on a lone solve is not centred, and gives
+                # a cold batch's result bit for bit.
                 assert alone.metadata["barrier"] == "primal-dual"
                 _assert_same_solution(nsw.solve_many([problem])[0], alone)
             shapes.append(len(problem.active_agents) - len(sol.degenerate_agents))
@@ -1089,11 +1032,11 @@ class TestSolveMany:
             _assert_same_solution(sol, nsw.solve_many([problem])[0])
 
     def test_barrier_names_the_path_that_ran(self):
-        # Below 150 pairs a lone solve takes the primal path and a batch
-        # the primal-dual path; with no live row no barrier runs.
+        # A lone solve and a batch both take the primal-dual path; with no
+        # live row no barrier runs.
         problem = NswProblem.create(instances.gen_random(5, seed=0))
         assert nsw.solve_many([problem])[0].metadata["barrier"] == "primal-dual"
-        assert solve(problem).metadata["barrier"] == "primal"
+        assert solve(problem).metadata["barrier"] == "primal-dual"
         inst = validate_instance([[3.0, 1.0], [3.0, 1.0]])
         flat = NswProblem.create(inst, offsets=uniform_disagreement(inst))
         assert solve(flat).metadata["barrier"] is None

@@ -9,7 +9,8 @@ times and the best wall time counts.  For every solve it records the
 three times, the Newton iterations, the polish's least-squares steps
 and the solve's stage times (``metadata["stage_s"]`` of the best run,
 with the barrier's time under ``barrier``), the barrier path
-(``metadata["barrier"]``, "primal" or "primal-dual"), each null for a
+(``metadata["barrier"]``, "primal-dual", or "primal" from a source
+that still had the primal barrier), each null for a
 source that does not report it, the winning polish's support threshold
 tau (a [mu_end, tau] pair for a source whose barrier had several rungs)
 and the KKT residual.

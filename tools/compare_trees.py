@@ -18,7 +18,10 @@ and the ``lottery.sample`` draws; for each tree, the total lottery terms,
 the largest reconstruction error of a lottery against the marginals it
 decomposed and the lotteries with more than (n-1)^2+1 terms, n the rows
 of those marginals, since lotteries need not match bit for bit to be
-valid; and the largest fingerprint deviation between the trees and
+valid; for each tree, the winning polish thresholds tau
+(``metadata["polish"]``) and the Newton steps (``metadata["iterations"]``)
+of its lone ``nsw.solve`` calls and of the solves that ``nsw.solve_many``
+batched; and the largest fingerprint deviation between the trees and
 against the reference.
 """
 
@@ -30,6 +33,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,7 +77,8 @@ def run_tree(src: str) -> dict:
     """Every catalogue op of each workload on the ``matchlab`` under ``src``:
     per op key, its failure, its fingerprint and, for each kind of
     ``RECORDED``, the digests of the results it made, in call order, and
-    the :func:`_lottery_stats` of its lotteries."""
+    the :func:`_lottery_stats` of its lotteries and the (path, tau, Newton
+    steps) of its solves."""
     sys.path[:0] = [os.path.abspath(src), str(PERFBENCH)]
     import matchlab
     from matchlab import lottery, nsw
@@ -84,6 +89,7 @@ def run_tree(src: str) -> dict:
 
     digests: dict[str, list[str]] = {kind: [] for kind in RECORDED}
     stats: list[list] = []
+    solve_paths: list[list] = []
 
     def recording(kind, real):
         def wrapper(*args, **kwargs):
@@ -91,6 +97,12 @@ def run_tree(src: str) -> dict:
             digests[kind].append(RECORDED[kind](result))
             if kind == "lotteries":
                 stats.append(_lottery_stats(result, args[0] if args else kwargs["p"]))
+            if kind == "solves":
+                # solve_many hands each problem to nsw.solve with its
+                # barrier path already run.
+                path = "batched" if "_prepared" in kwargs else "lone"
+                solve_paths.append([path, result.metadata["polish"],
+                                result.metadata["iterations"]])
             return result
         return wrapper
 
@@ -110,13 +122,14 @@ def run_tree(src: str) -> dict:
         phase = Phase(wl, reference.get(name, {}))
         ops = out[name] = {}
         for task in wl.catalogue(wl.setup(0)):
-            for made in (*digests.values(), stats):
+            for made in (*digests.values(), stats, solve_paths):
                 made.clear()
             recorded = _Recorded(task)
             phase.run_op(recorded, task.key)
             ops[task.key] = {"failure": phase.failures.get(task.key),
                              "fingerprint": recorded.fingerprint,
                              "lottery_stats": list(stats),
+                             "solve_paths": list(solve_paths),
                              **{kind: list(made) for kind, made in digests.items()}}
     return out
 
@@ -155,6 +168,14 @@ def _deviation(a, b) -> float:
     return max((abs(x - y) for x, y in zip(a, b)), default=0.0)
 
 
+def _tally(winners: Counter) -> str:
+    """Counts of winning thresholds, in increasing tau, "none" (no live
+    row) last, or "-" when there are none."""
+    order = sorted(winners, key=lambda tau: (tau is None, tau or 0.0))
+    return ", ".join(f"{tau if tau is not None else 'none'} x{winners[tau]}"
+                     for tau in order) or "-"
+
+
 def report(name: str, parent: dict, change: dict, reference: dict) -> list[str]:
     keys = sorted(set(parent) | set(change))
     failed = [sum(1 for k in keys if k not in run or run[k]["failure"])
@@ -178,6 +199,13 @@ def report(name: str, parent: dict, change: dict, reference: dict) -> list[str]:
             f"{max((st[1] for st in lots[1]), default=0.0):.2e}",
             f"  lotteries over (n-1)^2+1 terms   "
             f"{sum(st[2] for st in lots[0])} / {sum(st[2] for st in lots[1])}"]
+    for path in ("lone", "batched"):
+        solves = [[(tau, steps) for k in run for kind, tau, steps in run[k]["solve_paths"]
+                   if kind == path] for run in (parent, change)]
+        counts += [f"  tau winners, {path:<20}"
+                   + " / ".join(_tally(Counter(tau for tau, _ in s)) for s in solves),
+                   f"  Newton steps, {path:<19}"
+                   + " / ".join(str(sum(steps for _, steps in s)) for s in solves)]
     between = max((_deviation(parent.get(k, {}).get("fingerprint"),
                               change.get(k, {}).get("fingerprint")) for k in keys),
                   default=0.0)
