@@ -105,7 +105,10 @@ def pa_run(inst: Instance, offsets: np.ndarray | None = None,
 
     fractions = np.ones(len(active))
     loo_utils: dict[int, np.ndarray] = {}
-    left_out = [agent for agent in active if agent not in base.degenerate_agents]
+    # A lone agent's fraction is the empty product, 1: there is no one to
+    # leave her out for, so no leave-one-out problem.
+    left_out = [] if len(active) == 1 else [
+        agent for agent in active if agent not in base.degenerate_agents]
     problems = []
     for agent in left_out:
         rest = tuple(a for a in active if a != agent)

@@ -24,18 +24,20 @@ reported honestly.  Internally the solver follows the central path to
 identify the optimal support, by Mehrotra's primal-dual predictor-corrector
 method in (p, beta, t, q), beta = 1/s, whose Newton system reduces to a
 matrix of order 2 na + mk, LU-factored once per iteration for both of its
-solves.  Problems of one shape (a mechanism's leave-one-out or subset
-solves, through :func:`solve_many`) run it in lockstep, K systems solved at
-once, down to mu = 1e-8.  A lone :func:`solve` below 150 (agent, item)
-pairs instead ends the path centred at mu = 1e-8, the point of the
-central path there: where the optimum is not unique that point fixes the
-assignment, which PA scales, while a batch's utilities are the lone
-solve's to round-off but its assignment may be another optimal one.  The
-solver then polishes primal variables and prices together on that
-support by Newton on the square stationarity system, whose singular
-Jacobian takes minimum-norm least-squares steps by QR with column
-pivoting, with an active-set repair loop.  The polish tries three support
-thresholds in turn until a candidate's certificate is well within
+solves.  A lone :func:`solve` and a batch of :func:`solve_many` (a
+mechanism's leave-one-out or subset solves) take one preparation path:
+problems of one shape run the path in lockstep, K systems solved at once,
+down to mu = 1e-8, and a lone solve is a batch of one.  A lone solve below
+150 (agent, item) pairs instead ends the path centred at mu = 1e-8, the
+point of the central path there: where the optimum is not unique that
+point fixes the assignment, which PA scales, while a batch's utilities
+are the lone solve's to round-off but its assignment may be another
+optimal one.  The solver then polishes primal variables and prices
+together on a guessed support by Newton on the square stationarity
+system, whose singular Jacobian takes minimum-norm least-squares steps by
+QR with column pivoting, with an active-set repair loop.  Each of three
+thresholds gives a support guess, and the polish tries the distinct
+guesses in turn until a candidate's certificate is well within
 tolerance; a problem that none of them certifies raises
 :class:`NoConvergence`.
 
@@ -96,8 +98,9 @@ _PD_SURPLUS_TOL = 1e-6
 # One lockstep barrier call holds at most this many bytes of Newton matrices
 # (8 n^2 per problem of order n = 2 na + mk); a larger group of one shape is split.
 _LOCKSTEP_BYTES = 2 ** 22
-# The barrier's final mu, and the support thresholds the polish tries there,
-# in order: a pair counts as support when its mass exceeds the threshold.
+# The barrier's final mu, and the thresholds whose support guesses the polish
+# tries there, in order: a pair is in a threshold's guess when its mass
+# exceeds it, and a row or column is tight when its slack is below it.
 _MU_END = 1e-8
 _TAUS = (3e-5, 1e-3, 1e-7)
 # Repair rounds of one polish, and Newton steps of one round.
@@ -887,23 +890,22 @@ def _pd_start(V, o, p):
 # Active-set polish
 # ---------------------------------------------------------------------------
 
-def _polish(V, c, o, p_in, support_tol, t0, q0):
+def _polish(V, c, o, p_in, S, R, C, t0, q0):
     """Newton on the stationarity system of a guessed active set.
 
     The guess is three bool masks: the support S (na, mk), the tight rows
-    R (na,) and the tight columns C (mk,).  Iteratively repairs it
-    (dropping negative variables or prices, adding violated constraints or
-    support pairs) and returns the best (p, t, q) found, with exact zeros
-    off support.  Prices are warmstarted from the barrier duals so
-    underdetermined price components stay near the central-path values.
-    Returns the candidate (None only when no usable iterate exists), its
-    :func:`_quick_residual` (inf for None) and the number of least-squares
-    steps taken.
+    R (na,) and the tight columns C (mk,); the masks passed in are not
+    changed.  Starting from ``p_in`` on S, it iteratively repairs the
+    guess (dropping negative variables or prices, adding violated
+    constraints or support pairs) and returns the best (p, t, q) found,
+    with exact zeros off support.  Prices are warmstarted from the barrier
+    duals ``t0`` and ``q0`` so underdetermined price components stay near
+    the central-path values.  Returns the candidate (None only when no
+    usable iterate exists), its :func:`_quick_residual` (inf for None) and
+    the number of least-squares steps taken.
     """
     scale = _value_scale(V)
-    S = p_in > support_tol
-    R = 1 - p_in.sum(axis=1) < support_tol
-    C = c - _column_sums(p_in) < support_tol
+    S, R, C = S.copy(), R.copy(), C.copy()
     p = np.where(S, p_in, 0.0)
 
     best = None
@@ -1105,14 +1107,11 @@ def _degenerate_fill(full_p, degenerate, supplies):
     if not degenerate:
         return full_p
     residual = np.maximum(np.asarray(supplies) - full_p.sum(axis=0), 0.0)
-    k = len(degenerate)
-    share = residual / k
-    for i in sorted(degenerate):
-        row = share.copy()
-        total = row.sum()
-        if total > 1:
-            row *= 1 / total
-        full_p[i] = row
+    row = residual / len(degenerate)       # every degenerate row gets this one
+    total = row.sum()
+    if total > 1:
+        row *= 1 / total
+    full_p[sorted(degenerate)] = row
     return full_p
 
 
@@ -1123,7 +1122,8 @@ def _degenerate_fill(full_p, degenerate, supplies):
 @dataclass
 class _Start:
     """A problem reduced to its active rows and kept (positive-supply)
-    columns, screened, with the barrier's start for its live rows."""
+    columns, screened, with the barrier's start for its live rows and,
+    once :func:`_prepare` has run the barrier, its end point."""
 
     V: np.ndarray
     c: np.ndarray
@@ -1133,12 +1133,16 @@ class _Start:
     degenerate: set[int]
     x0: np.ndarray | None      # None when no row is live
     seconds: float             # wall time of these stages
+    end: tuple | None = None   # the barrier's (p, t, q) on the live rows
+    iterations: int = 0        # its Newton steps
+    batch: int = 1             # the problems of its lockstep call
+    barrier_s: float = 0.0     # that call's wall time
 
 
 def _start(problem: NswProblem, warm_start: np.ndarray | None = None) -> _Start:
-    """The stages before the barrier: degeneracy screen and start point, and
-    an interior primal point, extended to the primal-dual state of
-    :func:`_pd_start`.  ``warm_start``, a finite n_agents-by-n_items matrix,
+    """The stages of :func:`_prepare` before the barrier, for one problem:
+    degeneracy screen and start point, and an interior primal point,
+    extended to the primal-dual state of :func:`_pd_start`.  ``warm_start``, a finite n_agents-by-n_items matrix,
     is the screen's hint; any other raises :class:`DimensionMismatch`."""
     began = perf_counter()
     inst = problem.instance
@@ -1171,29 +1175,66 @@ def _start(problem: NswProblem, warm_start: np.ndarray | None = None) -> _Start:
                   x0=x0, seconds=perf_counter() - began)
 
 
-def _barriers(starts: list[_Start], trace=None, centre=False):
-    """The primal-dual barrier paths of problems with one live shape, in
-    lockstep, by :func:`_primal_dual_solve` with its ``trace`` and
-    ``centre``.  One (p, t, q, iterations) per problem."""
-    rows = [(st.V[st.live], st.c, st.o[st.live], st.x0) for st in starts]
-    V, c, o, x0 = (np.stack(x) for x in zip(*rows))
-    p, t, q, iters = _primal_dual_solve(V, c, o, x0, trace, centre)
-    return [(p[k], t[k], q[k], int(iters[k])) for k in range(len(starts))]
+def _prepare(problems, warm_start=None, trace=None, centre=False):
+    """Screen and start every problem, then run the barrier of each one
+    that has a live row; one :class:`_Start` per problem, or the
+    :class:`MatchingError` its start raised, kept so that :func:`solve`
+    raises it in turn.
+
+    Problems of one live shape run :func:`_primal_dual_solve` in one
+    lockstep call, several when their Newton matrices would pass
+    ``_LOCKSTEP_BYTES``.  With ``centre`` a call below ``_CENTRE_PAIRS``
+    live pairs ends its path centred; ``trace`` gets the Newton steps of a
+    call's first problem.  Each start records its end point, its Newton
+    steps, the problems of its call and that call's wall time.
+    """
+    starts: list[_Start | MatchingError] = []
+    for problem in problems:
+        try:
+            starts.append(_start(problem, warm_start))
+        except MatchingError as err:
+            starts.append(err)
+    groups: dict[tuple, list[_Start]] = {}
+    for st in starts:
+        if isinstance(st, _Start) and st.x0 is not None:
+            groups.setdefault((len(st.live), len(st.keep)), []).append(st)
+    for (na, mk), group in groups.items():
+        per_call = max(1, _LOCKSTEP_BYTES // (8 * (2 * na + mk) ** 2))
+        for at in range(0, len(group), per_call):
+            part = group[at:at + per_call]
+            began = perf_counter()
+            V, c, o, x0 = (np.stack(x) for x in zip(
+                *[(st.V[st.live], st.c, st.o[st.live], st.x0) for st in part]))
+            p, t, q, iters = _primal_dual_solve(V, c, o, x0, trace,
+                                                centre and na * mk < _CENTRE_PAIRS)
+            seconds = perf_counter() - began
+            for k, st in enumerate(part):
+                st.end, st.iterations = (p[k], t[k], q[k]), int(iters[k])
+                st.batch, st.barrier_s = len(part), seconds
+    return starts
 
 
-def _best_polish(start: _Start, path, tol):
-    """Polish the barrier point ``path`` at each support threshold of
-    ``_TAUS`` in turn, until a candidate's residual is at most tol / 2.
-    Returns the best candidate's (residual, (p, t, q), tau), which is
-    (inf, None, None) when no polish gave one, and the least-squares steps
-    taken."""
+def _best_polish(start: _Start, tol):
+    """Polish the barrier's end point on the support guess of each
+    threshold of ``_TAUS`` in turn, until a candidate's residual is at
+    most tol / 2.  A threshold's guess is the pairs whose mass exceeds it,
+    with the rows and columns whose slack is below it tight; a guess
+    equal to one already polished is skipped, since its polish would
+    repeat bit for bit.  Returns the best candidate's (residual, (p, t, q),
+    tau), which is (inf, None, None) when no polish gave one, and the
+    least-squares steps taken."""
     live = start.live
-    Vl, ol = start.V[live], start.o[live]
-    p_bar, t_bar, q_bar, _ = path
+    Vl, ol, c = start.V[live], start.o[live], start.c
+    p_bar, t_bar, q_bar = start.end
     best = (math.inf, None, None)
     steps = 0
+    tried = []
     for tau in _TAUS:
-        polished, resid, taken = _polish(Vl, start.c, ol, p_bar, tau, t_bar, q_bar)
+        guess = (p_bar > tau, 1 - p_bar.sum(axis=1) < tau, c - _column_sums(p_bar) < tau)
+        if any(all(map(np.array_equal, guess, seen)) for seen in tried):
+            continue
+        tried.append(guess)
+        polished, resid, taken = _polish(Vl, c, ol, p_bar, *guess, t_bar, q_bar)
         steps += taken
         if polished is not None and resid < best[0]:
             best = (resid, polished, tau)
@@ -1213,15 +1254,15 @@ def solve_many(problems: Sequence[NswProblem], tol: float = DEFAULT_KKT_TOL,
     tol)``, bit for bit a batch of one, with one lockstep primal-dual
     barrier per live shape.
 
-    Each problem is screened and started on its own; then problems of one
-    live shape run the primal-dual barrier in one lockstep call (several
-    when their Newton matrices would pass ``_LOCKSTEP_BYTES``), and
-    :func:`solve` finishes each from there.  Every result is, bit for bit,
-    that of a batch of one, ``solve_many([problem])[0]``; its utilities
-    equal :func:`solve`'s to 1e-9, but where the optimum is not unique its
-    assignment may be another optimal one, since a lone solve below
-    ``_CENTRE_PAIRS`` pairs ends its path centred and a batch does not.
-    ``warm_start`` (a full
+    :func:`_prepare` screens and starts each problem and runs the barriers
+    of each live shape in lockstep (several calls when their Newton
+    matrices would pass ``_LOCKSTEP_BYTES``), the path :func:`solve` takes
+    for a lone problem, and :func:`solve` finishes each from there.  Every
+    result is, bit for bit, that of a batch of one,
+    ``solve_many([problem])[0]``; its utilities equal :func:`solve`'s to
+    1e-9, but where the optimum is not unique its assignment may be
+    another optimal one, since a lone solve below ``_CENTRE_PAIRS`` pairs
+    ends its path centred and a batch does not.  ``warm_start`` (a full
     n_agents-by-n_items matrix, for instance the solution of the full
     market) is each problem's screen start point wherever it gives every
     live row a clearly positive surplus; it only changes where the barrier
@@ -1233,30 +1274,10 @@ def solve_many(problems: Sequence[NswProblem], tol: float = DEFAULT_KKT_TOL,
     shared by its problems.
     """
     _check_tol(tol)
-    starts: list[_Start | MatchingError] = []
-    for problem in problems:
-        try:
-            starts.append(_start(problem, warm_start))
-        except MatchingError as err:     # raised in turn, by solve
-            starts.append(err)
-    groups: dict[tuple, list[int]] = {}
-    for k, st in enumerate(starts):
-        if isinstance(st, _Start) and st.x0 is not None:
-            groups.setdefault((len(st.live), len(st.keep)), []).append(k)
-    prepared = [(st, None, 1, 0.0) for st in starts]
-    for (na, mk), group in groups.items():
-        per_call = max(1, _LOCKSTEP_BYTES // (8 * (2 * na + mk) ** 2))
-        for at in range(0, len(group), per_call):
-            ks = group[at:at + per_call]
-            began = perf_counter()
-            paths = _barriers([starts[k] for k in ks])
-            seconds = perf_counter() - began
-            for k, path in zip(ks, paths):
-                prepared[k] = (starts[k], path, len(ks), seconds)
     # ``solve`` is looked up at call time, so a wrapper around nsw.solve
     # sees every problem finished.
-    return [solve(problem, tol=tol, _prepared=prep)
-            for problem, prep in zip(problems, prepared)]
+    return [solve(problem, tol=tol, _prepared=start)
+            for problem, start in zip(problems, _prepare(problems, warm_start))]
 
 
 def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
@@ -1265,11 +1286,13 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
 
     The returned solution satisfies ``kkt_residual <= tol``; by concavity
     plus the certificate its objective is within ``tol`` of optimal.  The
-    solve makes one attempt: one primal-dual barrier path, then the polish
-    at each support threshold in turn.  Below ``_CENTRE_PAIRS`` live pairs
-    the path ends centred at mu = ``_MU_END`` here but not in
-    :func:`solve_many`; both reach the unique optimal utilities, but where
-    the optimal assignment is not unique they may reach different ones.
+    solve makes one attempt: :func:`_prepare` screens the problem and runs
+    one primal-dual barrier path, as for a batch of one, and the polish
+    then tries the support guess of each threshold in turn.  Below
+    ``_CENTRE_PAIRS`` live pairs the path ends centred at mu = ``_MU_END``
+    here but not in :func:`solve_many`; both reach the unique optimal
+    utilities, but where the optimal assignment is not unique they may
+    reach different ones.
     Raises :class:`Infeasible` when an active agent cannot reach
     non-negative surplus, and :class:`NoConvergence` when no polished
     candidate meets ``tol``.
@@ -1277,8 +1300,8 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
     ``"primal-dual"`` (None when no row is live and no barrier ran);
     ``metadata["iterations"]`` counts its Newton steps and
     ``metadata["polish_steps"]`` the least-squares steps of every polish
-    the solve tried; ``metadata["polish"]`` is the support threshold tau of
-    the winning candidate (None when no row is live);
+    the solve tried; ``metadata["polish"]`` is the support threshold tau
+    whose guess gave the winning candidate (None when no row is live);
     ``metadata["barrier_batch"]`` is the number of problems whose barrier
     ran in one lockstep call (1 here; see :func:`solve_many`); and
     ``metadata["stage_s"]`` holds the ``perf_counter`` seconds of the
@@ -1288,24 +1311,18 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
     barrier: (iteration, sum_i log s_i, mu).
     """
     _check_tol(tol)
-    if _prepared is None:
-        start = _start(problem)
-        began = perf_counter()
-        centre = len(start.live) * len(start.keep) < _CENTRE_PAIRS
-        path = None if start.x0 is None else _barriers([start], trace, centre)[0]
-        _prepared = (start, path, 1, perf_counter() - began)
-    start, path, batch, barrier_s = _prepared     # from solve_many, or just made
+    start = (_prepare([problem], trace=trace, centre=True)[0] if _prepared is None
+             else _prepared)
     if isinstance(start, MatchingError):
         raise start
-    stages = {"start": start.seconds, "barrier": barrier_s, "polish": 0.0}
-    iters_used = 0
+    stages = {"start": start.seconds, "barrier": start.barrier_s, "polish": 0.0}
+    iters_used = start.iterations
     polish_steps = 0
     winner = None
 
     if start.live:
         mark = perf_counter()
-        iters_used = path[3]
-        (best_resid, best, winner), polish_steps = _best_polish(start, path, tol)
+        (best_resid, best, winner), polish_steps = _best_polish(start, tol)
         stages["polish"] = perf_counter() - mark
         if best_resid > tol:
             # The best candidate is not certified and may not even be
@@ -1376,7 +1393,7 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
                   "barrier": "primal-dual" if start.live else None,
                   "polish": winner,
                   "polish_steps": polish_steps,
-                  "barrier_batch": batch,
+                  "barrier_batch": start.batch,
                   "stage_s": stages,
                   "active_agents": tuple(active),
                   "offsets": offsets_full.tolist()},

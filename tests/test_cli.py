@@ -187,6 +187,15 @@ class TestAuditCommand:
         out = capsys.readouterr().out
         assert "worst gain" in out
 
+    @pytest.mark.parametrize("command,shown", [
+        pytest.param("mech", "max ratio 1", id="mech"),
+        pytest.param("audit", "worst gain 0.000e+00", id="audit")])
+    def test_pa_single_agent(self, command, shown, capsys):
+        # One agent: PA gives her the whole share, and no misreport gains.
+        code = main([command, "pa", "--gen", "random:1", "--seed", "0"])
+        assert code == 0
+        assert shown in capsys.readouterr().out
+
     def test_zero_misreports_exit_1(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = main(["audit", "pa", "--gen", "random:3", "--seed", "3",

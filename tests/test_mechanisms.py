@@ -116,6 +116,19 @@ class TestPartialAllocation:
                         fractions[agent] *= base.surplus[other] / loo.surplus[other]
             assert np.allclose(out.fractions, fractions, rtol=1e-12, atol=0.0)
 
+    def test_one_active_agent_keeps_her_whole_share(self):
+        # With one agent there is no one to leave out: her fraction is the
+        # empty product, 1, and no leave-one-out problem is built.
+        out = pa_run(validate_instance([[1.0]]))
+        assert out.fractions.tolist() == [1.0]
+        assert out.leave_one_out_utilities == {}
+        assert np.allclose(out.assignment.probs, [[1.0]], atol=1e-8)
+        inst = gen_random(4, seed=0)
+        out = pa_run(inst, active_agents=(2,))
+        assert out.fractions.tolist() == [1.0]
+        assert np.array_equal(out.assignment.probs, out.base.assignment.probs)
+        assert out.assignment.probs[2].sum() == pytest.approx(1.0, abs=1e-8)
+
     def test_all_degenerate_uniform(self):
         inst = validate_instance([[1.0, 1.0], [1.0, 1.0]])
         from matchlab.core import uniform_disagreement

@@ -350,7 +350,7 @@ def _shift_components_loop(vhat, t, q, support, tight_rows, tight_cols):
 def _infeasible_polish(monkeypatch):
     """Make every polish return the barrier point doubled, a candidate whose
     rows sum to about 2, with its residual and no least-squares steps."""
-    def doubled(V, c, o, p_in, support_tol, t0, q0):
+    def doubled(V, c, o, p_in, S, R, C, t0, q0):
         cand = (2.0 * p_in, t0, q0)
         return cand, nsw._quick_residual(V, c, o, *cand), 0
 
@@ -534,6 +534,25 @@ class TestSolveContracts:
         assert sol.kkt_residual <= DEFAULT_KKT_TOL
         assert sol.metadata["polish"] == winner
         assert winner in nsw._TAUS
+
+    def test_each_distinct_guess_polished_once(self, monkeypatch):
+        # On AC-09's batched subset solve the guesses of tau = 3e-5 and
+        # 1e-3 are equal, so only two polishes run, on different guesses,
+        # and the last threshold's still wins.
+        guesses = []
+        polish = nsw._polish
+
+        def recording(V, c, o, p_in, S, R, C, t0, q0):
+            guesses.append((S.copy(), R.copy(), C.copy()))
+            return polish(V, c, o, p_in, S, R, C, t0, q0)
+
+        monkeypatch.setattr(nsw, "_polish", recording)
+        inst = instances.gen_random(5, seed=2197912127921429414)
+        sol = nsw.solve_many([NswProblem.create(inst, (1, 3, 4))])[0]
+        assert len(guesses) == 2
+        assert not all(map(np.array_equal, *guesses))
+        assert sol.metadata["polish"] == 1e-7
+        assert sol.kkt_residual <= DEFAULT_KKT_TOL
 
     @pytest.mark.parametrize("n,seed", [(5, 0), (13, 1)])
     def test_first_rung_win_records_one_rung(self, n, seed):
@@ -910,9 +929,10 @@ class TestPolishSystem:
             return (np.array([[0.0, 0.5], [0.5, 0.0]]), np.zeros(2), np.zeros(2)), 1
 
         monkeypatch.setattr(nsw, "_polish_newton", newton)
-        V = np.array([[1.0, 2.0], [2.0, 1.0]])
-        nsw._polish(V, np.ones(2), np.zeros(2), np.full((2, 2), 0.25),
-                    1e-9, np.zeros(2), np.zeros(2))
+        V, c, p_in = np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2), np.full((2, 2), 0.25)
+        # The guess of the threshold 1e-9: every pair, no tight row or column.
+        S, R, C = p_in > 1e-9, 1 - p_in.sum(axis=1) < 1e-9, c - p_in.sum(axis=0) < 1e-9
+        nsw._polish(V, c, np.zeros(2), p_in, S, R, C, np.zeros(2), np.zeros(2))
         assert len(seen) == 2 and seen[0].all()
         assert seen[1].tolist() == [[False, True], [True, True]]
 

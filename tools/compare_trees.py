@@ -19,10 +19,11 @@ the largest reconstruction error of a lottery against the marginals it
 decomposed and the lotteries with more than (n-1)^2+1 terms, n the rows
 of those marginals, since lotteries need not match bit for bit to be
 valid; for each tree, the winning polish thresholds tau
-(``metadata["polish"]``) and the Newton steps (``metadata["iterations"]``)
-of its lone ``nsw.solve`` calls and of the solves that ``nsw.solve_many``
-batched; and the largest fingerprint deviation between the trees and
-against the reference.
+(``metadata["polish"]``), the Newton steps (``metadata["iterations"]``)
+and the polish steps (``metadata["polish_steps"]``) of its lone
+``nsw.solve`` calls and of the solves that ``nsw.solve_many`` batched;
+and the largest fingerprint deviation between the trees and against the
+reference.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def run_tree(src: str) -> dict:
     per op key, its failure, its fingerprint and, for each kind of
     ``RECORDED``, the digests of the results it made, in call order, and
     the :func:`_lottery_stats` of its lotteries and the (path, tau, Newton
-    steps) of its solves."""
+    steps, polish steps) of its solves."""
     sys.path[:0] = [os.path.abspath(src), str(PERFBENCH)]
     import matchlab
     from matchlab import lottery, nsw
@@ -101,8 +102,9 @@ def run_tree(src: str) -> dict:
                 # solve_many hands each problem to nsw.solve with its
                 # barrier path already run.
                 path = "batched" if "_prepared" in kwargs else "lone"
-                solve_paths.append([path, result.metadata["polish"],
-                                result.metadata["iterations"]])
+                meta = result.metadata
+                solve_paths.append([path, meta["polish"], meta["iterations"],
+                                    meta["polish_steps"]])
             return result
         return wrapper
 
@@ -200,12 +202,13 @@ def report(name: str, parent: dict, change: dict, reference: dict) -> list[str]:
             f"  lotteries over (n-1)^2+1 terms   "
             f"{sum(st[2] for st in lots[0])} / {sum(st[2] for st in lots[1])}"]
     for path in ("lone", "batched"):
-        solves = [[(tau, steps) for k in run for kind, tau, steps in run[k]["solve_paths"]
-                   if kind == path] for run in (parent, change)]
-        counts += [f"  tau winners, {path:<20}"
-                   + " / ".join(_tally(Counter(tau for tau, _ in s)) for s in solves),
-                   f"  Newton steps, {path:<19}"
-                   + " / ".join(str(sum(steps for _, steps in s)) for s in solves)]
+        solves = [[rest for k in run for kind, *rest in run[k]["solve_paths"] if kind == path]
+                  for run in (parent, change)]
+        counts.append(f"  tau winners, {path:<20}"
+                      + " / ".join(_tally(Counter(s[0] for s in ss)) for ss in solves))
+        for at, label in ((1, "Newton steps"), (2, "polish steps")):
+            counts.append(f"  {label}, {path:<19}"
+                          + " / ".join(str(sum(s[at] for s in ss)) for ss in solves))
     between = max((_deviation(parent.get(k, {}).get("fingerprint"),
                               change.get(k, {}).get("fingerprint")) for k in keys),
                   default=0.0)
