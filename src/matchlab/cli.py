@@ -315,10 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, gen=True):
+    def common(p):
         p.add_argument("--instance", help="instance JSON file")
-        if gen:
-            p.add_argument("--gen", help="generator spec name:args")
+        p.add_argument("--gen", help="generator spec name:args")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--tol", type=float, default=_default_tol())
         p.add_argument("--out", help="output directory")

@@ -334,11 +334,6 @@ class FractionalAssignment:
             if np.any(self.col_sums() > supplies + tol):
                 raise NotDecomposable("a column sum exceeds the item supply")
 
-    def finalized(self) -> "FractionalAssignment":
-        """Copy with entries clamped to [0, 1]."""
-        return FractionalAssignment(
-            probs=_frozen(np.clip(self.probs, 0.0, 1.0)), tolerance=self.tolerance)
-
 
 def utilities(inst: Instance, assignment: FractionalAssignment | np.ndarray) -> np.ndarray:
     """Expected utility of each agent: the row-wise inner product v_i . p_i."""
@@ -350,17 +345,12 @@ def utilities(inst: Instance, assignment: FractionalAssignment | np.ndarray) -> 
     return np.einsum("ij,ij->i", inst.values, p)
 
 
-def uniform_disagreement(inst: Instance, agent_count: int | None = None) -> np.ndarray:
+def uniform_disagreement(inst: Instance) -> np.ndarray:
     """Expected utility of each agent for a uniformly random unit of supply.
 
     With unit supplies on a square market this is the per-row average value.
-    ``agent_count`` overrides the divisor for markets where fewer agents
-    share the supplies.
     """
-    divisor = inst.n_agents if agent_count is None else agent_count
-    if divisor <= 0:
-        raise DimensionMismatch("agent_count must be positive")
-    return inst.values @ np.asarray(inst.supplies) / float(divisor)
+    return inst.values @ np.asarray(inst.supplies) / float(inst.n_agents)
 
 
 # ---------------------------------------------------------------------------

@@ -480,18 +480,12 @@ class LowerBoundMarket:
 
     def total_agents(self) -> int:
         """Expanded unit-agent count (equals the expanded item count)."""
-        p = self.params
+        k = self.params.k
+        total = sum(k[r] * sum(tbl.bidders.values())
+                    for (r, eq), tbl in self.level_tables.items() if eq == "initial")
         # Base copies without their h bidders, which are counted once as
         # the a bidders of level 1.
-        total = p.k[0] * (17000 + 850 + 816 + 34 + 33 + 6)
-        for r in range(1, p.s + 1):
-            lp = p.level(r)
-            own = (lp.s_a + lp.s_b + lp.s_d + lp.s_c + lp.s_f + lp.s_g
-                   + lp.s_h)
-            if r == p.s:
-                own += 2                # loser e and exiting bidder i
-            total += p.k[r] * own
-        return total
+        return int(total - k[0] * self.level_tables[(0, "initial")].bidders["h"])
 
     def loser_ratio(self) -> Fraction:
         """Exact drop of the loser's utility from initial to final: v_s.
@@ -575,19 +569,12 @@ def gen_lowerbound(s: int) -> LowerBoundMarket:
         for r in range(1, s + 1):
             tables[(r, eq)] = chain_market_table(params, r, eq)
 
-    removal: list[dict[str, Any]] = []
-    for cls, size in (("c", 816), ("e", 33)):
-        removal.append({"level": 0, "class": cls, "size_per_copy": size,
-                        "copies": params.k[0],
-                        "total": size * params.k[0]})
-    for r in range(1, s + 1):
-        lp = params.level(r)
-        for cls, size in (("f", lp.s_f), ("g", lp.s_g), ("h", lp.s_h)):
-            removal.append({"level": r, "class": cls, "size_per_copy": size,
-                            "copies": params.k[r],
-                            "total": size * params.k[r]})
-    removal.append({"level": s, "class": "i", "size_per_copy": 1,
-                    "copies": 1, "total": 1})
+    # The exit classes: each level's initial bidders absent from its final table.
+    removal = [{"level": r, "class": cls, "size_per_copy": int(size),
+                "copies": params.k[r], "total": int(size) * params.k[r]}
+               for r in range(s + 1)
+               for cls, size in tables[(r, "initial")].bidders.items()
+               if cls not in tables[(r, "final")].bidders]
     loser = {"level": s, "class": "e", "size": 1}
     return LowerBoundMarket(params=params, level_tables=tables,
                             removal=removal, loser=loser)

@@ -279,8 +279,10 @@ def recover_duals(inst: Instance, assignment: FractionalAssignment,
 
     Solves the linear feasibility system {vhat_ij = t_j + q_i on the
     support, vhat_ij <= t_j + q_i off it, t >= 0, q >= 0, complementary
-    slackness}.  Raises :class:`NotOptimal` with the worst-violating
-    (agent, item) pair when no prices exist within ``tol``.
+    slackness} by one LP that minimizes its largest violation, and accepts
+    the prices when :func:`kkt_check` puts them within ``tol``.  Raises
+    :class:`NotOptimal` with the worst-violating (agent, item) pair when
+    no prices exist within ``tol``.
     """
     skip = set(int(i) for i in skip_agents)
     n, m = inst.n_agents, inst.n_items
@@ -298,15 +300,10 @@ def recover_duals(inst: Instance, assignment: FractionalAssignment,
     pi, pj = pairs.T
     on_support = p[pi, pj] > support_tol
 
-    duals = _duals_from_support(vhat, n, m, pairs[on_support], tight_rows, tight_cols)
-    if kkt_check(inst, assignment, duals, offsets, skip_agents=skip) <= tol:
-        return duals
-
     duals = _duals_by_lp(vhat, n, m, pairs, on_support, tight_rows, tight_cols)
-    if duals is not None:
-        resid = kkt_check(inst, assignment, duals, offsets, skip_agents=skip)
-        if resid <= tol:
-            return duals
+    if duals is not None and kkt_check(inst, assignment, duals, offsets,
+                                       skip_agents=skip) <= tol:
+        return duals
 
     # No certificate: report the worst support/feasibility violation, the
     # first pair in row-major order, and (0, 0) when no pair violates.
@@ -409,33 +406,11 @@ def _pair_incidence(n, m, pairs):
                              shape=(n + m, i.size))
 
 
-def _price_system(n, m, pairs, tight_rows, tight_cols):
-    """One row per pair over the unknown prices: t on ``tight_cols``, then
-    q on ``tight_rows``."""
-    unknown = np.r_[n + np.asarray(tight_cols, dtype=int), np.asarray(tight_rows, dtype=int)]
-    return _pair_incidence(n, m, pairs).tocsr()[unknown].T
-
-
-def _duals_from_support(vhat, n, m, support, tight_rows, tight_cols):
-    """Least-squares prices from the support equalities, plus per-component
-    shifts to repair sign constraints."""
-    sol, *_ = np.linalg.lstsq(_price_system(n, m, support, tight_rows, tight_cols).toarray(),
-                              vhat[support[:, 0], support[:, 1]], rcond=None)
-    t = np.zeros(m)
-    q = np.zeros(n)
-    t[tight_cols] = sol[:len(tight_cols)]
-    q[tight_rows] = sol[len(tight_cols):]
-    on = np.zeros((n, m), dtype=bool)
-    on[support[:, 0], support[:, 1]] = True
-    _shift_components(vhat, t, q, on, np.isin(np.arange(n), tight_rows),
-                      np.isin(np.arange(m), tight_cols))
-    return Duals(t, q)
-
-
 def _duals_by_lp(vhat, n, m, pairs, on_support, tight_rows, tight_cols):
-    """Feasibility LP for the price system; minimizes the total violation
-    eps.  Each pair gives the row vhat - t - q - eps <= 0, followed on the
-    support by t + q - vhat - eps <= 0."""
+    """Feasibility LP for the price system: t >= 0 on ``tight_cols`` and
+    q >= 0 on ``tight_rows`` (zero elsewhere) minimizing the largest
+    violation eps.  Each pair gives the row vhat - t - q - eps <= 0,
+    followed on the support by t + q - vhat - eps <= 0."""
     if not len(pairs):
         return Duals(np.zeros(m), np.zeros(n))
     k = np.arange(len(pairs))
@@ -444,7 +419,8 @@ def _duals_by_lp(vhat, n, m, pairs, on_support, tight_rows, tight_cols):
     sign = sparse.csr_matrix(               # row r is -1 or +1 times one pair
         (np.r_[-np.ones(k.size), np.ones(nrows - k.size)],
          (np.r_[at, at[on_support] + 1], np.r_[k, k[on_support]])), shape=(nrows, k.size))
-    system = sign @ _price_system(n, m, pairs, tight_rows, tight_cols)
+    unknown = np.r_[n + np.asarray(tight_cols, dtype=int), np.asarray(tight_rows, dtype=int)]
+    system = sign @ _pair_incidence(n, m, pairs).tocsr()[unknown].T
     nvar = system.shape[1]
     c = np.zeros(nvar + 1)
     c[nvar] = 1.0

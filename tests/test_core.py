@@ -99,7 +99,7 @@ class TestDisagreement:
     def test_supply_weighted(self):
         inst = validate_instance({"values": [[1.0, 3.0]],
                                   "supplies": [1.0, 0.5]})
-        assert np.allclose(uniform_disagreement(inst, agent_count=1), [2.5])
+        assert np.allclose(uniform_disagreement(inst), [2.5])
 
 
 class TestSerialization:
@@ -185,9 +185,3 @@ class TestAssignmentChecks:
         fa = FractionalAssignment.from_probs([[0.7], [0.7]])
         with pytest.raises(Exception):
             fa.check_valid(supplies=np.array([1.0]))
-
-    def test_finalized_clamps(self):
-        fa = FractionalAssignment.from_probs([[1.0 + 5e-10, -5e-10]],
-                                             tolerance=1e-9)
-        out = fa.finalized()
-        assert out.probs[0, 0] == 1.0 and out.probs[0, 1] == 0.0

@@ -258,7 +258,6 @@ class TestRecoverDuals:
             prices = Duals(rng.integers(0, 3, m) / 2.0, rng.integers(0, 3, n) / 2.0)
             if seed % 10 == 0:
                 prices = Duals(np.full(m, 1e3), np.zeros(n))    # nothing violates
-            monkeypatch.setattr(nsw, "_duals_from_support", lambda *a: prices)
             monkeypatch.setattr(nsw, "_duals_by_lp", lambda *a: prices)
             vhat, _ = renormalize(inst, assignment, skip_agents=skip)
             worst, witness = 0.0, (0, 0)
@@ -359,15 +358,27 @@ def _infeasible_polish(monkeypatch):
 
 class TestSolveContracts:
     def test_certificate_soundness_random(self, rng):
-        for n in (3, 4, 5):
-            for _ in range(5):
-                inst = validate_instance(rng.uniform(size=(n, n)))
-                sol = solve(NswProblem.create(inst))
-                duals = recover_duals(inst, sol.assignment,
+        # recover_duals certifies every solver output: uniform, grid and
+        # sparse markets, plain and bargaining offsets, and a market whose
+        # constant rows are degenerate under the bargaining offsets.
+        markets = [validate_instance(rng.uniform(size=(n, n)))
+                   for n in (3, 4, 5) for _ in range(5)]
+        markets += [instances.gen_random(n, dist, seed) for n in (4, 6)
+                    for dist in ("grid", "sparse") for seed in range(3)]
+        flat = rng.uniform(size=(5, 5))
+        flat[[1, 3]] = 0.5
+        markets.append(validate_instance(flat))
+        degenerate = 0
+        for inst in markets:
+            for offsets in (None, uniform_disagreement(inst)):
+                sol = solve(NswProblem.create(inst, offsets=offsets))
+                duals = recover_duals(inst, sol.assignment, offsets=offsets,
                                       skip_agents=sol.degenerate_agents)
-                resid = kkt_check(inst, sol.assignment, duals,
+                resid = kkt_check(inst, sol.assignment, duals, offsets=offsets,
                                   skip_agents=sol.degenerate_agents)
                 assert resid <= 1e-7
+                degenerate += len(sol.degenerate_agents)
+        assert degenerate >= 2
 
     def test_concavity_oracle(self, rng):
         # The solver's objective must beat thousands of random feasible
@@ -1230,23 +1241,6 @@ def _price_rows_loop(pairs, tight_rows, tight_cols, sign=1.0):
     return rows
 
 
-def _duals_from_support_loop(vhat, n, m, support, tight_rows, tight_cols):
-    """Reference for ``nsw._duals_from_support``, one row per support pair."""
-    nvar = len(tight_cols) + len(tight_rows)
-    rows = _price_rows_loop(support, tight_rows, tight_cols)
-    if nvar == 0:
-        return Duals(np.zeros(m), np.zeros(n))
-    sol = np.zeros(nvar)
-    if rows:
-        sol, *_ = np.linalg.lstsq(np.array(rows), np.array([vhat[i, j] for i, j in support]),
-                                  rcond=None)
-    t, q = np.zeros(m), np.zeros(n)
-    t[tight_cols] = sol[:len(tight_cols)]
-    q[tight_rows] = sol[len(tight_cols):]
-    nsw._shift_components(vhat, t, q, *_masks((n, m), support, tight_rows, tight_cols))
-    return Duals(t, q)
-
-
 def _duals_by_lp_loop(vhat, n, m, pairs, support, tight_rows, tight_cols):
     """Reference for ``nsw._duals_by_lp``: each pair's row, then its support row."""
     nvar = len(tight_cols) + len(tight_rows)
@@ -1329,9 +1323,6 @@ class TestPairIncidence:
                                          replace=False).tolist())
                 cols = sorted(rng.choice(m, size=int(rng.integers(0, m + 1)),
                                          replace=False).tolist())
-            got = nsw._duals_from_support(vhat, n, m, pairs[on_support], rows, cols)
-            ref = _duals_from_support_loop(vhat, n, m, support, rows, cols)
-            assert np.array_equal(got.t, ref.t) and np.array_equal(got.q, ref.q)
             got = nsw._duals_by_lp(vhat, n, m, pairs, on_support, rows, cols)
             ref = _duals_by_lp_loop(vhat, n, m, pairs.tolist(), set(support), rows, cols)
             assert np.array_equal(got.t, ref.t) and np.array_equal(got.q, ref.q)
