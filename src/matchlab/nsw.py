@@ -187,23 +187,32 @@ def renormalize(inst: Instance, assignment: FractionalAssignment,
     unscaled with factor 1.  Raises :class:`DegenerateNormalization` when a
     non-skipped agent has surplus <= 0.
     """
-    skip = set(int(i) for i in skip_agents)
+    return _renormalize(inst, assignment, offsets, _checked_rows(inst.n_agents, skip_agents))
+
+
+def _checked_rows(n, skip_agents):
+    """The (n,) mask of the rows that ``skip_agents`` does not name."""
+    skip = np.fromiter(map(int, skip_agents), dtype=np.intp)
+    checked = np.ones(n, dtype=bool)
+    checked[skip[(skip >= 0) & (skip < n)]] = False
+    return checked
+
+
+def _renormalize(inst, assignment, offsets, checked):
+    """:func:`renormalize` of the rows of the mask ``checked``."""
     u = core_utilities(inst, assignment)
     o = np.zeros(inst.n_agents) if offsets is None else np.asarray(offsets, dtype=float)
     if o.shape != (inst.n_agents,):
         raise DimensionMismatch("offsets must have one entry per agent")
     s = u - o
-    scale = _value_scale(inst.values)
+    low = np.flatnonzero(checked & (s <= _value_scale(inst.values) * 1e-15))
+    if len(low):
+        raise DegenerateNormalization(
+            f"agent {low[0]} has surplus {s[low[0]]:.3e}; cannot renormalize")
     vhat = np.array(inst.values, dtype=float)
+    np.divide(vhat, s[:, None], out=vhat, where=checked[:, None])
     factors = np.ones(inst.n_agents)
-    for i in range(inst.n_agents):
-        if i in skip:
-            continue
-        if s[i] <= scale * 1e-15:
-            raise DegenerateNormalization(
-                f"agent {i} has surplus {s[i]:.3e}; cannot renormalize")
-        vhat[i] /= s[i]
-        factors[i] = 1.0 / s[i]
+    np.divide(1.0, s, out=factors, where=checked)
     return vhat, factors
 
 
@@ -225,7 +234,6 @@ def kkt_check(inst: Instance, assignment: FractionalAssignment,
     (inactive or degenerate rows) are excluded from (c) and from the row
     part of (b); their consumption still counts toward column sums.
     """
-    skip = set(int(i) for i in skip_agents)
     p = assignment.probs
     if p.shape != (inst.n_agents, inst.n_items):
         raise DimensionMismatch("assignment shape does not match instance")
@@ -233,8 +241,8 @@ def kkt_check(inst: Instance, assignment: FractionalAssignment,
     q = np.asarray(duals.q, dtype=float)
     if t.shape != (inst.n_items,) or q.shape != (inst.n_agents,):
         raise DimensionMismatch("dual vector lengths do not match instance")
-    vhat, _ = renormalize(inst, assignment, offsets, skip_agents=skip)
-    checked = np.array([i not in skip for i in range(inst.n_agents)], dtype=bool)
+    checked = _checked_rows(inst.n_agents, skip_agents)
+    vhat, _ = _renormalize(inst, assignment, offsets, checked)
     row_slack = 1.0 - p.sum(axis=1)
     col_slack = np.asarray(inst.supplies) - p.sum(axis=0)
     residual = _certificate_residual(vhat[checked], p[checked], t, q[checked],
@@ -250,11 +258,12 @@ def _certificate_residual(vhat, p, t, q, row_slack, col_slack, support_tol):
     already renormalized; ``col_slack`` counts every row's consumption.
     """
     gap = vhat - t[None, :] - q[:, None]
-    return max(0.0, float(np.max(-t, initial=0.0)), float(np.max(-q, initial=0.0)),
-               float(np.max(np.abs(t * col_slack), initial=0.0)),
-               float(np.max(np.abs(q * row_slack), initial=0.0)),
-               float(np.max(gap, initial=0.0)),
-               float(np.max(np.abs(gap[p > support_tol]), initial=0.0)))
+    top = np.maximum.reduce          # np.max without its Python wrapper
+    return max(0.0, float(top(-t, initial=0.0)), float(top(-q, initial=0.0)),
+               float(top(np.abs(t * col_slack), initial=0.0)),
+               float(top(np.abs(q * row_slack), initial=0.0)),
+               float(top(gap, axis=None, initial=0.0)),
+               float(top(np.abs(gap[p > support_tol]), initial=0.0)))
 
 
 def _quick_residual(V, c, o, p, t, q):
@@ -267,8 +276,9 @@ def _quick_residual(V, c, o, p, t, q):
     rows, cols = p.sum(axis=1), p.sum(axis=0)
     return max(_certificate_residual(V / s[:, None], p, t, q, 1.0 - rows, c - cols,
                                      _SUPPORT_TOL),
-               float(np.max(-p, initial=0.0)), float(np.max(rows - 1.0, initial=0.0)),
-               float(np.max(cols - c, initial=0.0)))
+               float(np.maximum.reduce(-p, axis=None, initial=0.0)),
+               float(np.maximum.reduce(rows - 1.0, initial=0.0)),
+               float(np.maximum.reduce(cols - c, initial=0.0)))
 
 
 def recover_duals(inst: Instance, assignment: FractionalAssignment,
@@ -644,130 +654,165 @@ def _max_step(vals, dvals):
     positive, per problem (inf when none decreases); both are (K, n)."""
     # The min of -vals / dvals over dvals < 0: vals / -0.0 = -inf drops
     # the other entries.
-    return -(vals / np.minimum(dvals, -0.0)).max(axis=1)
+    ratio = np.minimum(dvals, -0.0)
+    return -np.maximum.reduce(np.divide(vals, ratio, out=ratio), axis=1)
 
 
-def _pd_views(buf, na, mk):
-    """The primal-dual quantities (p, s, r, d, beta, z, t, q) as views of one
-    flat (K, L) buffer.  The buffer holds the state x = (p, beta, t, q)
-    first and (s, r, d, z) after it, both na mk + 2 na + mk wide, so x is
-    the buffer's first half; a direction's derivatives use the same layout."""
-    K = len(buf)
+def _mu(xy, na, mk):
+    """Average complementarity (p.z + t.d + q.r) / (na mk + na + mk) of
+    the products xy = (p z, beta s, t d, q r), summed in that order."""
     n = na * mk
-    nx = n + 2 * na + mk
-    return (buf[:, :n].reshape(K, na, mk), buf[:, nx:nx + na],
-            buf[:, nx + na:nx + 2 * na], buf[:, nx + 2 * na:nx + 2 * na + mk],
-            buf[:, n:n + na], buf[:, nx + 2 * na + mk:].reshape(K, na, mk),
-            buf[:, n + na:n + na + mk], buf[:, n + na + mk:nx])
+    total = (np.add.reduce(xy[:, :n], axis=1) + np.add.reduce(xy[:, n + na:n + na + mk], axis=1)
+             + np.add.reduce(xy[:, n + na + mk:], axis=1))
+    return total / (n + na + mk)
 
 
-def _pd_fill(V, c, o, buf):
-    """Compute (s, r, d, z) in ``buf`` from the state in its first half and
-    return the views of :func:`_pd_views`."""
-    vals = _pd_views(buf, *V.shape[1:])
-    p, s, r, d, beta, z, t, q = vals
-    np.subtract(np.einsum("kij,kij->ki", V, p), o, out=s)
-    np.subtract(1.0, p.sum(axis=2), out=r)
-    np.subtract(c, p.sum(axis=1), out=d)
-    np.subtract(t[:, None, :] + q[:, :, None], beta[:, :, None] * V, out=z)
-    return vals
+def _strided(base, offset, shape, steps):
+    """The view of the C-contiguous (K, L) array ``base`` whose entry
+    [k, i, j, ...] is base[k, offset + i steps[0] + j steps[1] + ...];
+    ``steps`` are in entries, one per axis of ``shape``."""
+    size = base.itemsize
+    return np.ndarray((len(base), *shape), base.dtype, buffer=base, offset=offset * size,
+                      strides=(base.strides[0], *(step * size for step in steps)))
 
 
-def _pd_buffer(x):
-    """A new flat primal-dual buffer whose first half holds the states x."""
-    buf = np.empty((len(x), 2 * x.shape[1]))
-    buf[:, :x.shape[1]] = x
-    return buf
+class _PdPlan:
+    """The buffers of one lockstep barrier call over K problems of one
+    (na, mk) shape, with every view of them built once.
 
+    ``P`` is the flat (K, 2 L) state: x = (p, beta, t, q) in its first
+    half and the partners y = (z, s, d, r) in its second, L = na mk + 2 na
+    + mk wide each, so ``x * y`` holds every product (p z, beta s, t d,
+    q r) at once.  ``D`` holds a direction's derivatives in the same layout
+    and ``M`` the scaled Newton matrices in (dbeta, dt, dq).  The beta and
+    q rows of the matrix, and the beta and q parts of its diagonal, scale
+    and right-hand side, are paired by strided views, so that each pair is
+    one operation.  Each value is computed by the IEEE operations of the
+    plain formulas (``-V`` enters where they subtract a multiple of V), so
+    a problem's path does not depend on the others of its call.
+    """
 
-def _pd_mu(vals):
-    """Average complementarity (p.z + t.d + q.r) / (na mk + na + mk); s and
-    beta are not read."""
-    p, s, r, d, beta, z, t, q = vals
-    total = (p * z).sum(axis=(1, 2)) + (t * d).sum(axis=1) + (q * r).sum(axis=1)
-    return total / (p[0].size + r.shape[1] + d.shape[1])
+    def __init__(self, V, c, o, P):
+        K, na, mk = V.shape
+        n = na * mk
+        nx = n + 2 * na + mk
+        N = 2 * na + mk
+        self.shape = na, mk
+        self.V, self.Vn, self.o, self.P = V, -V, o, P
+        # (d, r) = (c, 1) - (column sums, row sums).
+        self.cr = np.concatenate([c, np.ones((K, na))], axis=1)
+        self.D = np.empty_like(P)
+        self.x, self.y = P[:, :nx], P[:, nx:]
+        self.p, self.z = P[:, :n].reshape(K, na, mk), P[:, nx:nx + n].reshape(K, na, mk)
+        self.beta, self.t, self.q = P[:, n:n + na], P[:, n + na:n + na + mk], P[:, n + na + mk:nx]
+        self.s, self.dr = P[:, nx + n:nx + n + na], P[:, nx + n + na:]
+        self.xtail, self.ytail = P[:, n:nx], P[:, nx + n:]     # (beta, t, q), (s, d, r)
+        D = self.D
+        self.dx, self.dp = D[:, :nx], D[:, :n].reshape(K, na, mk)
+        self.dz = D[:, nx:nx + n].reshape(K, na, mk)
+        self.dbeta, self.dt, self.dq = D[:, n:n + na], D[:, n + na:n + na + mk], D[:, n + na + mk:nx]
+        self.dtail, self.ds, self.ddr = D[:, n:nx], D[:, nx + n:nx + n + na], D[:, nx + n + na:]
+        self.xy = np.empty((K, nx))
+        self.sums = np.empty((K, mk + na))
+        self.tmp = np.empty((K, na, mk))
+        # Pairs over (beta, q): (-w V, w) with w = p/z, (-V, 1) to weigh
+        # them, and a direction's (-V a, a).
+        self.w2, self.a2, self.tmp2 = (np.empty((K, 2, na, mk)) for _ in range(3))
+        self.nwv, self.w, self.a = self.w2[:, 0], self.w2[:, 1], self.a2[:, 1]
+        self.vn1 = np.stack([self.Vn, np.ones_like(V)], axis=1)
+        self.diag, self.scale, self.g = (np.empty((K, N)) for _ in range(3))
+        self.diag_bq, self.scale_bq, self.g_bq = (
+            _strided(x, 0, (2, na), (na + mk, 1)) for x in (self.diag, self.scale, self.g))
+        # One matrix buffer for the call; the zero blocks are never written.
+        self.M = np.zeros((K, N, N))
+        flat = self.M.reshape(K, N * N)
+        self.mdiag = flat[:, ::N + 1]
+        self.bq = _strided(flat, na + mk, (2, na), ((na + mk) * (N - 1), N + 1))  # beta-q, q-beta
+        self.blocks = _strided(flat, na, (2, na, mk), ((na + mk) * N, N, 1))      # beta-t, q-t
+        self.blocks_t = _strided(flat, na * N, (2, mk, na), (na + mk, N, 1))      # t-beta, t-q
 
+    def gather(self, keep):
+        """The plan of the problems ``keep`` (a mask) selects, with their
+        state and products."""
+        plan = _PdPlan(self.V[keep], self.cr[keep, :self.V.shape[2]], self.o[keep],
+                       self.P[keep])
+        plan.xy[...] = self.xy[keep]
+        return plan
 
-def _pd_matrix(V, vals):
-    """LU factors of the reduced Newton matrix of the perturbed KKT system
-    in (dbeta, dt, dq), scaled to a unit diagonal, one (lu, piv) per
-    problem, and the scale.  With w = p/z its blocks are beta-beta
-    diag(s/beta + sum_j w V^2), beta-t -w V, beta-q diag(-sum_j w V), t-t
-    diag(sum_i w + d/t), t-q w^T and q-q diag(sum_j w + r/q).  The matrix
-    is symmetric, so ``dgetrf`` factors its transpose, a Fortran-order
-    view; an exactly singular matrix is factored once more with 1e-12 of
-    its largest entry added to its diagonal."""
-    p, s, r, d, beta, z, t, q = vals
-    K, na, mk = V.shape
-    w = p / z
-    wv = w * V
-    ib, it = np.arange(na), na + np.arange(mk)
-    iq = na + mk + ib
-    M = np.zeros((K, 2 * na + mk, 2 * na + mk))
-    M[:, ib, ib] = s / beta + (wv * V).sum(axis=2)
-    M[:, ib, iq] = M[:, iq, ib] = -wv.sum(axis=2)
-    M[:, it, it] = w.sum(axis=1) + d / t
-    M[:, iq, iq] = w.sum(axis=2) + r / q
-    M[:, :na, na:na + mk] = -wv
-    M[:, na:na + mk, :na] = -wv.transpose(0, 2, 1)
-    M[:, na:na + mk, na + mk:] = w.transpose(0, 2, 1)
-    M[:, na + mk:, na:na + mk] = w
-    dg = np.arange(2 * na + mk)
-    scale = np.sqrt(M[:, dg, dg])
-    M /= scale[:, :, None] * scale[:, None, :]
-    factors = []
-    for Mk in M:
-        lu, piv, info = linalg.lapack.dgetrf(Mk.T)
-        if info > 0:
-            Mk[dg, dg] += 1e-12 * np.max(np.abs(Mk))
+    def fill(self):
+        """Compute y = (z, s, d, r) and the products ``xy`` from the state
+        x, and return each problem's :func:`_mu`."""
+        na, mk = self.shape
+        p, xy = self.p, self.xy
+        np.subtract(np.einsum("kij,kij->ki", self.V, p), self.o, out=self.s)
+        np.add.reduce(p, axis=1, out=self.sums[:, :mk])
+        np.add.reduce(p, axis=2, out=self.sums[:, mk:])
+        np.subtract(self.cr, self.sums, out=self.dr)
+        np.add(self.t[:, None, :], self.q[:, :, None], out=self.z)
+        self.z += np.multiply(self.beta[:, :, None], self.Vn, out=self.tmp)
+        return _mu(np.multiply(self.x, self.y, out=xy), na, mk)
+
+    def matrix(self):
+        """LU factors of the reduced Newton matrix of the perturbed KKT
+        system in (dbeta, dt, dq), scaled to a unit diagonal, one (lu, piv)
+        per problem, and the scale.  With w = p/z its blocks are beta-beta
+        diag(s/beta + sum_j w V^2), beta-t -w V, beta-q diag(-sum_j w V),
+        t-t diag(sum_i w + d/t), t-q w^T and q-q diag(sum_j w + r/q).  The
+        diagonal comes first, and each block is written already divided by
+        its rows' and columns' scales.  The matrix is symmetric, so
+        ``dgetrf`` factors its transpose, a Fortran-order view; an exactly
+        singular matrix is factored once more with 1e-12 of its largest
+        entry added to its diagonal."""
+        na, mk = self.shape
+        w2, w = self.w2, self.w
+        np.divide(self.p, self.z, out=w)
+        np.multiply(w, self.Vn, out=self.nwv)
+        diag = np.divide(self.ytail, self.xtail, out=self.diag)      # s/beta, d/t, r/q
+        self.diag_bq += np.add.reduce(np.multiply(w2, self.vn1, out=self.tmp2), axis=3)
+        diag[:, na:na + mk] += np.add.reduce(w, axis=1)
+        scale = np.sqrt(diag, out=self.scale)
+        sbq = self.scale_bq
+        np.divide(diag, scale * scale, out=self.mdiag)
+        np.divide(np.add.reduce(self.nwv, axis=2)[:, None], (sbq[:, 0] * sbq[:, 1])[:, None],
+                  out=self.bq)
+        np.divide(w2, np.multiply(sbq[:, :, :, None], scale[:, None, None, na:na + mk],
+                                  out=self.tmp2), out=self.blocks)
+        self.blocks_t[...] = self.blocks.transpose(0, 1, 3, 2)
+        factors = []
+        for Mk in self.M:
             lu, piv, info = linalg.lapack.dgetrf(Mk.T)
-        factors.append((lu, piv))
-    return factors, scale
+            if info > 0:
+                Mk.reshape(-1)[::len(Mk) + 1] += 1e-12 * np.max(np.abs(Mk))
+                lu, piv, info = linalg.lapack.dgetrf(Mk.T)
+            factors.append((lu, piv))
+        return factors, scale
 
-
-def _pd_direction(V, vals, factors, scale, rz, rt, rq, rb, out=None):
-    """The Newton direction that meets the linearized equations
-    z dp + p dz = rz, d dt + t dd = rt, r dq + q dr = rq and
-    beta ds + s dbeta = rb, as the derivatives of ``vals``:
-    (dp, ds, dr, dd, dbeta, dz, dt, dq), views of the flat buffer ``out``
-    (a new one when None) in the layout of :func:`_pd_views`, whose first
-    half is then the state's derivative.  ``factors`` and ``scale`` come
-    from :func:`_pd_matrix`, so both of an iteration's directions reuse
-    one factorization."""
-    p, s, r, d, beta, z, t, q = vals
-    K, na, mk = V.shape
-    n = na * mk
-    if out is None:
-        out = np.empty((K, 2 * (n + 2 * na + mk)))
-    dvals = _pd_views(out, na, mk)
-    dp, ds, dr, dd, dbeta, dz, dt, dq = dvals
-    a = rz / z                           # dp = a - (p/z) dz
-    g = np.concatenate([rb / beta - (V * a).sum(axis=2),
-                        rt / t + a.sum(axis=1),
-                        rq / q + a.sum(axis=2)], axis=1) / scale
-    dx = out[:, n:n + 2 * na + mk]       # (dbeta, dt, dq)
-    for k, (lu, piv) in enumerate(factors):
-        dx[k] = linalg.lapack.dgetrs(lu, piv, g[k])[0]
-    dx /= scale
-    np.subtract(dt[:, None, :] + dq[:, :, None], dbeta[:, :, None] * V, out=dz)
-    np.subtract(a, p / z * dz, out=dp)
-    np.einsum("kij,kij->ki", V, dp, out=ds)
-    np.negative(dp.sum(axis=2), out=dr)
-    np.negative(dp.sum(axis=1), out=dd)
-    return dvals
-
-
-def _pd_done(vals, mu, centre):
-    """Problems whose surpluses meet beta s = 1 to ``_PD_SURPLUS_TOL`` and
-    whose mu is at most ``_MU_END``; with ``centre``, whose products p z,
-    t d and q r are all ``_MU_END`` to ``_CENTRE_TOL`` relative instead."""
-    p, s, r, d, beta, z, t, q = vals
-    if centre:
-        products = np.concatenate([(p * z).reshape(len(p), -1), t * d, q * r], axis=1)
-        ended = np.abs(products - _MU_END).max(axis=1) <= _CENTRE_TOL * _MU_END
-    else:
-        ended = mu <= _MU_END
-    return ended & (np.abs(1.0 - beta * s).max(axis=1) <= _PD_SURPLUS_TOL)
+    def direction(self, factors, scale, rhs):
+        """Write into ``D`` the Newton direction that meets the linearized
+        equations z dp + p dz = rz, beta ds + s dbeta = rb, d dt + t dd = rt
+        and r dq + q dr = rq, where ``rhs`` = (rz, rb, rt, rq) is laid out
+        like x; ``factors`` and ``scale`` come from :meth:`matrix`, whose w
+        = p/z it reuses, so both of an iteration's directions share one
+        factorization."""
+        na, mk = self.shape
+        n = na * mk
+        a = np.divide(rhs[:, :n].reshape(self.a.shape), self.z, out=self.a)  # dp = a - w dz
+        np.multiply(self.Vn, a, out=self.a2[:, 0])
+        g = np.divide(rhs[:, n:], self.xtail, out=self.g)          # rb/beta, rt/t, rq/q
+        self.g_bq += np.add.reduce(self.a2, axis=3)
+        g[:, na:na + mk] += np.add.reduce(a, axis=1)
+        g /= scale
+        dtail = self.dtail
+        for k, (lu, piv) in enumerate(factors):
+            dtail[k] = linalg.lapack.dgetrs(lu, piv, g[k])[0]
+        dtail /= scale
+        dz = np.add(self.dt[:, None, :], self.dq[:, :, None], out=self.dz)
+        dz += np.multiply(self.dbeta[:, :, None], self.Vn, out=self.tmp)
+        dp = np.subtract(a, np.multiply(self.w, dz, out=self.tmp), out=self.dp)
+        np.einsum("kij,kij->ki", self.V, dp, out=self.ds)
+        np.add.reduce(dp, axis=1, out=self.ddr[:, :mk])
+        np.add.reduce(dp, axis=2, out=self.ddr[:, mk:])
+        np.negative(self.ddr, out=self.ddr)
 
 
 def _primal_dual_solve(V, c, o, x0, trace, centre=False):
@@ -775,83 +820,89 @@ def _primal_dual_solve(V, c, o, x0, trace, centre=False):
 
     The state x = (p, beta, t, q) keeps p, the surplus s = V.p - o, the
     slacks r = 1 - sum_j p and d = c - sum_i p, beta, z, t and q strictly
-    positive, and each iteration drives (1 - beta s, p z, t d, q r) toward
-    (0, sigma mu, sigma mu, sigma mu): one LU of the reduced matrix, two
+    positive, and each iteration drives (p z, 1 - beta s, t d, q r) toward
+    (sigma mu, 0, sigma mu, sigma mu): one LU of the reduced matrix, two
     solves with it (the affine step, then the corrector with
     sigma = (mu_aff / mu)^3 and the second-order terms of the three
     products), and one step length for all variables, 0.99 of the largest
-    that keeps them positive.  The eight positive quantities live in one
-    flat buffer and each direction's derivatives in a second one (see
-    :func:`_pd_views`), so a step length is one reduction over the pair.
-    With ``centre`` the path ends on the central path at mu = ``_MU_END``:
-    the corrector's target sigma mu is floored at ``_MU_END``, and once it
-    reaches it the second-order terms are dropped, so the step only
-    centres.  A problem stops once :func:`_pd_done`, or when its step is
-    shorter than 1e-8 or not finite, or after 60 steps.  Each call steps
-    only the problems still running.  Returns (p, t, q, iterations), each
-    with the batch axis.  ``trace``, when given, gets one row per Newton
-    step of the first problem.
+    that keeps them positive.  The state and its partners live in one flat
+    buffer and each direction's derivatives in a second one (see
+    :class:`_PdPlan`), so the products, the right-hand sides and a step
+    length are each one or two operations over the pair.  With ``centre``
+    the path ends on the central path at mu = ``_MU_END``: the corrector's
+    target sigma mu is floored at ``_MU_END``, and once it reaches it the
+    second-order terms are dropped, so the step only centres.  A problem
+    stops once its surpluses meet beta s = 1 to ``_PD_SURPLUS_TOL`` and
+    its mu is at most ``_MU_END`` (with ``centre``: its products p z, t d
+    and q r are all ``_MU_END`` to ``_CENTRE_TOL`` relative), or when its
+    step is shorter than 1e-8 or not finite, or after 60 steps.  The call
+    then carries on with a plan of the problems still running.  Returns
+    (p, t, q, iterations), each with the batch axis.  ``trace``, when
+    given, gets one row per Newton step of the first problem.
     """
     K, na, mk = V.shape
-    nx = x0.shape[1]
-    P = _pd_buffer(x0)
-    x = P[:, :nx]
-    vals = _pd_fill(V, c, o, P)
-    D = np.empty_like(P)
+    n, nx = na * mk, x0.shape[1]
+    out = x0.copy()
     iters = np.zeros(K, dtype=int)
-    mu = _pd_mu(vals)
-    running = ~_pd_done(vals, mu, centre)
+    ids = np.arange(K)                   # the problems of the plan
+    P = np.empty((K, 2 * nx))
+    P[:, :nx] = x0
+    plan = _PdPlan(V, c, o, P)
+    steps = 0
+    moving = True
     with np.errstate(divide="ignore", invalid="ignore"):
+        mu = plan.fill()
         while True:
-            running &= iters < 60
-            if not running.any():
-                break
-            k = np.flatnonzero(running)
-            if len(k) == K:              # no gather while every problem runs
-                Vk, Pk, Dk, cur = V, P, D, vals
+            xy = plan.xy
+            rb = 1.0 - xy[:, n:n + na]
+            if centre:
+                gap = np.abs(xy - _MU_END)
+                gap[:, n:n + na] = 0.0
+                ended = np.maximum.reduce(gap, axis=1) <= _CENTRE_TOL * _MU_END
             else:
-                Vk, Pk = V[k], P[k]
-                Dk = np.empty_like(Pk)
-                cur = _pd_views(Pk, na, mk)
-            p, s, r, d, beta, z, t, q = cur
-            factors, scale = _pd_matrix(Vk, cur)
-            rb = 1.0 - beta * s
-            dp_a, _, dr_a, dd_a, _, dz_a, dt_a, dq_a = _pd_direction(
-                Vk, cur, factors, scale, -p * z, -t * d, -q * r, rb, out=Dk)
-            a_aff = np.minimum(1.0, _max_step(Pk, Dk))
-            a2, a3 = a_aff[:, None], a_aff[:, None, None]
-            mu_aff = _pd_mu((p + a3 * dp_a, None, r + a2 * dr_a, d + a2 * dd_a, None,
-                             z + a3 * dz_a, t + a2 * dt_a, q + a2 * dq_a))
-            mu_k = mu[k]
-            target = (mu_aff / mu_k) ** 3 * mu_k
-            second = dp_a * dz_a, dt_a * dd_a, dq_a * dr_a
+                ended = mu <= _MU_END
+            if ended.any():
+                ended &= np.maximum.reduce(np.abs(rb), axis=1) <= _PD_SURPLUS_TOL
+            running = ~ended & moving
+            if steps == 60:
+                running[:] = False
+            if not running.all():
+                out[ids[~running]] = plan.x[~running]
+                iters[ids[~running]] = steps
+                if not running.any():
+                    break
+                ids, plan, mu, rb = ids[running], plan.gather(running), mu[running], rb[running]
+                xy = plan.xy
+            P, D, dx = plan.P, plan.D, plan.dx
+            factors, scale = plan.matrix()
+            rhs = np.negative(xy)
+            rhs[:, n:n + na] = rb
+            plan.direction(factors, scale, rhs)
+            a_aff = np.minimum(1.0, _max_step(P, D))
+            aff = P + a_aff[:, None] * D
+            mu_aff = _mu(np.multiply(aff[:, :nx], aff[:, nx:], out=aff[:, :nx]), na, mk)
+            target = (mu_aff / mu) ** 3 * mu
+            second = dx * D[:, nx:]
             if centre:
                 target = np.maximum(target, _MU_END)
-                for term in second:
-                    term[target <= _MU_END] = 0.0
-            _pd_direction(Vk, cur, factors, scale,
-                          target[:, None, None] - p * z - second[0],
-                          target[:, None] - t * d - second[1],
-                          target[:, None] - q * r - second[2], rb, out=Dk)
-            dx = Dk[:, :nx]
-            alpha = np.minimum(1.0, 0.99 * _max_step(Pk, Dk))
-            moving = (alpha > 1e-8) & np.isfinite(dx).all(axis=1)    # false for nan
+                second[target <= _MU_END] = 0.0
+            np.subtract(target[:, None], xy, out=rhs)
+            rhs -= second
+            rhs[:, n:n + na] = rb
+            plan.direction(factors, scale, rhs)
+            alpha = np.minimum(1.0, 0.99 * _max_step(P, D))
+            moving = (alpha > 1e-8) & np.logical_and.reduce(np.isfinite(dx), axis=1)
             # Only where moving: a stopped problem's direction may not be
             # finite, and 0 * inf would write nan into its state.
-            move = np.where(moving[:, None], alpha[:, None] * dx, 0.0)
-            if Pk is P:
-                x += move
-            else:
-                x[k] += move
-            iters[k] += 1
-            vals = _pd_fill(V, c, o, P)
-            mu = _pd_mu(vals)
-            if trace is not None and running[0]:
-                trace.append((int(iters[0]), float(np.log(vals[1][0]).sum()), float(mu[0])))
-            running[k[~moving]] = False
-            running &= ~_pd_done(vals, mu, centre)
-    p, _, _, _, _, _, t, q = vals
-    return p, t, q, iters
+            move = np.multiply(alpha[:, None], dx, out=second)
+            if not moving.all():
+                move[~moving] = 0.0
+            plan.x += move
+            steps += 1
+            mu = plan.fill()
+            if trace is not None and ids[0] == 0:
+                trace.append((steps, float(np.log(plan.s[0]).sum()), float(mu[0])))
+    return out[:, :n].reshape(K, na, mk), out[:, n + na:n + na + mk], out[:, n + na + mk:], iters
 
 
 def _pd_start(V, o, p):
@@ -876,9 +927,12 @@ def _polish(V, c, o, p_in, S, R, C, t0, q0):
     constraints or support pairs) and returns the best (p, t, q) found,
     with exact zeros off support.  Prices are warmstarted from the barrier
     duals ``t0`` and ``q0`` so underdetermined price components stay near
-    the central-path values.  Returns the candidate (None only when no
-    usable iterate exists), its :func:`_quick_residual` (inf for None) and
-    the number of least-squares steps taken.
+    the central-path values.  A round whose candidate is already within
+    1e-12 of the value scale ends the polish; any other round first moves
+    its prices by :func:`_shift_components` and ranks the shifted
+    candidate.  Returns the candidate (None only when no usable iterate
+    exists), its :func:`_quick_residual` (inf for None) and the number of
+    least-squares steps taken.
     """
     scale = _value_scale(V)
     S, R, C = S.copy(), R.copy(), C.copy()
@@ -893,11 +947,15 @@ def _polish(V, c, o, p_in, S, R, C, t0, q0):
             break
         p, t, q = out
         t0, q0 = t, q
-        s_cur = _surplus(V, p, o)
-        if np.all(s_cur > 0):
-            _shift_components(V / s_cur[:, None], t, q, S, R, C)
         cand = (np.maximum(p, 0.0), np.maximum(t, 0.0), np.maximum(q, 0.0))
         resid = _quick_residual(V, c, o, *cand)
+        if resid >= 1e-12 * scale:
+            # The round missed: shift the prices and rank the shifted candidate.
+            s_cur = _surplus(V, p, o)
+            if np.all(s_cur > 0):
+                _shift_components(V / s_cur[:, None], t, q, S, R, C)
+                cand = (cand[0], np.maximum(t, 0.0), np.maximum(q, 0.0))
+                resid = _quick_residual(V, c, o, *cand)
         if best is None or resid < best[0]:
             best = (resid, cand)
         if resid < 1e-12 * scale:
@@ -973,26 +1031,37 @@ def _column_sums(p):
     return np.ascontiguousarray(p.T).sum(axis=1)
 
 
-def _polish_jacobian(V, s, S, R, C):
-    """Jacobian of :func:`_polish_residual` in (p on the support S, t on
-    the tight columns C, q on the tight rows R)."""
+def _jacobian_frame(V, S, R, C):
+    """What the Jacobian of :func:`_polish_residual` keeps while the guess
+    (S, R, C) stays: its shape and +-1 entries, in (p on the support S, t
+    on the tight columns C, q on the tight rows R), and the parts of its
+    support block, -v_a v_b / s_i^2 over pairs a, b of one agent i."""
     Si, Sj = np.nonzero(S)
     nS, nR, nC = len(Si), np.count_nonzero(R), np.count_nonzero(C)
     r_at, c_at = np.cumsum(R) - 1, np.cumsum(C) - 1    # positions within R and C
-    J = np.zeros((nS + nR + nC, nS + nC + nR))
     v = V[Si, Sj]
+    k = np.arange(nS)
+    on_c, on_r = C[Sj], R[Si]
+    kc, kr = k[on_c], k[on_r]
+    tc, tr = c_at[Sj[on_c]], r_at[Si[on_r]]
+    ones = (np.concatenate([kc, kr, nS + tr, nS + nR + tc]),
+            np.concatenate([nS + tc, nS + nC + tr, kr, kc]),
+            np.repeat([-1.0, 1.0], len(kc) + len(kr)))
+    return (nS + nR + nC, nS + nC + nR), ones, Si, Si[:, None] == Si[None, :], \
+        -v[:, None] * v[None, :]
+
+
+def _polish_jacobian(frame, s):
+    """Jacobian of :func:`_polish_residual` at the surpluses s, from the
+    :func:`_jacobian_frame` of its guess."""
+    shape, (rows, cols, ones), Si, same_agent, vv = frame
+    J = np.zeros(shape)
     # s_i ** 2 by the scalar operator (C pow): the array square x * x
     # differs from it in the last bit for about one x in a thousand, and
     # the polish path can turn on that bit.
     s2 = np.array([x ** 2 for x in s.tolist()])
-    same_agent = Si[:, None] == Si[None, :]
-    J[:nS, :nS] += np.where(same_agent, -v[:, None] * v[None, :] / s2[Si][:, None], 0.0)
-    k = np.arange(nS)
-    on_c, on_r = C[Sj], R[Si]
-    J[k[on_c], nS + c_at[Sj[on_c]]] = -1.0
-    J[k[on_r], nS + nC + r_at[Si[on_r]]] = -1.0
-    J[nS + r_at[Si[on_r]], k[on_r]] = 1.0
-    J[nS + nR + c_at[Sj[on_c]], k[on_c]] = 1.0
+    J[:len(Si), :len(Si)] += np.where(same_agent, vv / s2[Si][:, None], 0.0)
+    J[rows, cols] = ones
     return J
 
 
@@ -1022,13 +1091,15 @@ def _polish_newton(V, c, o, p_in, S, R, C, t0, q0):
     t[C] = np.maximum(t0[C], 0.0)
     q[R] = np.maximum(q0[R], 0.0)
 
+    frame = _jacobian_frame(V, S, R, C)
     for it in range(_POLISH_NEWTON_ITERS):
         F, s = _polish_residual(V, c, o, p, t, q, S, R, C)
         if F is None:
             return None, it
-        if np.max(np.abs(F)) < 1e-13 * max(1.0, float(np.max(np.abs(V / s[:, None])))):
+        if (np.maximum.reduce(np.abs(F)) < 1e-13 * max(
+                1.0, float(np.maximum.reduce(np.abs(V / s[:, None]), axis=None)))):
             return (p, t, q), it
-        step = _polish_step(_polish_jacobian(V, s, S, R, C), F)
+        step = _polish_step(_polish_jacobian(frame, s), F)
 
         # Damp to keep every surplus positive.
         dp = np.zeros_like(p)
@@ -1260,9 +1331,14 @@ def solve(problem: NswProblem, tol: float = DEFAULT_KKT_TOL,
           trace: list | None = None, *, _prepared=None) -> NswSolution:
     """Solve the welfare program and certify the result.
 
-    The returned solution satisfies ``kkt_residual <= tol``; by concavity
-    plus the certificate its objective is within ``tol`` of optimal.  The
-    solve makes one attempt: :func:`_prepare` screens the problem and runs
+    The returned solution satisfies ``kkt_residual <= tol``: on values
+    renormalized to unit surplus for every live agent, its prices are
+    non-negative, complementary slack and price feasible, tight on the
+    support, each to within ``tol`` (see :func:`kkt_check`).  That bounds
+    the violation of the optimality conditions; it does not put the
+    objective within ``tol`` of the optimum.  By weak duality it puts the
+    objective within about (2 n_agents + 2 n_items) times the residual.
+    The solve makes one attempt: :func:`_prepare` screens the problem and runs
     one primal-dual barrier path, as for a batch of one, and the polish
     then tries the support guess of each threshold in turn.  Below
     ``_CENTRE_PAIRS`` live pairs the path ends centred at mu = ``_MU_END``

@@ -155,6 +155,49 @@ class TestRenormalize:
         with pytest.raises(DegenerateNormalization):
             renormalize(inst, FractionalAssignment.from_probs([[0.0, 0.0]]))
 
+    def test_rows_match_agent_loop(self):
+        # The array expressions against the agent-by-agent loop, bit for
+        # bit, with skip sets that hold agents out of range; where several
+        # checked agents have no surplus, the error names the first.
+        raised = 0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n, m = (int(x) for x in rng.integers(1, 8, size=2))
+            inst = validate_instance(rng.uniform(0.0, 2.0, (n, m)))
+            p = rng.uniform(size=(n, m)) / m
+            p[rng.uniform(size=n) < 0.2] = 0.0                # no surplus
+            assignment = FractionalAssignment.from_probs(p)
+            offsets = rng.uniform(0.0, 0.05, n) * (seed % 2)
+            skip = {int(i) for i in rng.integers(-2, n + 2, size=rng.integers(0, n + 1))}
+            try:
+                want = _renormalize_loop(inst, assignment, offsets, skip)
+            except DegenerateNormalization as err:
+                with pytest.raises(DegenerateNormalization) as got:
+                    renormalize(inst, assignment, offsets, skip_agents=skip)
+                assert str(got.value) == str(err)
+                raised += 1
+                continue
+            for a, b in zip(renormalize(inst, assignment, offsets, skip_agents=skip), want):
+                assert a.tobytes() == b.tobytes()
+        assert 20 <= raised <= 180
+
+
+def _renormalize_loop(inst, assignment, offsets, skip):
+    """Reference for ``nsw.renormalize``: one agent at a time."""
+    s = utilities(inst, assignment) - offsets
+    scale = max(1.0, float(np.max(inst.values)))
+    vhat = np.array(inst.values, dtype=float)
+    factors = np.ones(inst.n_agents)
+    for i in range(inst.n_agents):
+        if i in skip:
+            continue
+        if s[i] <= scale * 1e-15:
+            raise DegenerateNormalization(
+                f"agent {i} has surplus {s[i]:.3e}; cannot renormalize")
+        vhat[i] /= s[i]
+        factors[i] = 1.0 / s[i]
+    return vhat, factors
+
 
 class TestRecoverDuals:
     def test_table1_initial(self, table1):
@@ -565,6 +608,36 @@ class TestSolveContracts:
         assert sol.metadata["polish"] == 1e-7
         assert sol.kkt_residual <= DEFAULT_KKT_TOL
 
+    def test_prices_shift_only_where_a_round_misses(self, monkeypatch):
+        # Each polish round ranks its unshifted candidate first.  One within
+        # 1e-12 of the value scale ends the polish unshifted; only a round
+        # that misses calls _shift_components, as rounds of AC-09's batched
+        # subset solve do.
+        events = []
+        quick, shift = nsw._quick_residual, nsw._shift_components
+
+        def ranking(V, c, o, p, t, q):
+            resid = quick(V, c, o, p, t, q)
+            events.append("hit" if resid < 1e-12 * nsw._value_scale(V) else "miss")
+            return resid
+
+        def shifting(*args):
+            events.append("shift")
+            return shift(*args)
+
+        monkeypatch.setattr(nsw, "_quick_residual", ranking)
+        monkeypatch.setattr(nsw, "_shift_components", shifting)
+        sol = solve(NswProblem.create(instances.gen_random(13, seed=1)))
+        assert sol.kkt_residual <= DEFAULT_KKT_TOL
+        assert events[-1] == "hit" and "shift" not in events
+        events.clear()
+        inst = instances.gen_random(5, seed=2197912127921429414)
+        sol = nsw.solve_many([NswProblem.create(inst, (1, 3, 4))])[0]
+        assert sol.kkt_residual <= DEFAULT_KKT_TOL
+        assert events.count("shift") > 0
+        assert all(before == "miss" for before, now in zip(events, events[1:])
+                   if now == "shift")
+
     @pytest.mark.parametrize("n,seed", [(5, 0), (13, 1)])
     def test_first_rung_win_records_one_rung(self, n, seed):
         # Won by the first threshold: one barrier, timed once.
@@ -637,14 +710,201 @@ def _pd_state(seed, K, n=13):
     return V, c, o, np.concatenate([p.reshape(K, -1), beta, t, q], axis=1)
 
 
+def _pd_plan(V, c, o, x):
+    """A barrier plan whose state is x, its partners computed."""
+    P = np.empty((len(x), 2 * x.shape[1]))
+    P[:, :x.shape[1]] = x
+    plan = nsw._PdPlan(V, c, o, P)
+    plan.fill()
+    return plan
+
+
 def _pd_step(V, c, o, x, mu):
-    """The primal-dual values at x and the direction toward mu, as the
-    path computes them: (values, targets, direction)."""
-    vals = nsw._pd_fill(V, c, o, nsw._pd_buffer(x))
+    """The plan at x, the right-hand side toward mu laid out like x,
+    (mu - p z, 1 - beta s, mu - t d, mu - q r), and a copy of the direction
+    the path computes for it."""
+    plan = _pd_plan(V, c, o, x)
+    n, na = V[0].size, V.shape[1]
+    rhs = mu - plan.xy
+    rhs[:, n:n + na] = 1.0 - plan.xy[:, n:n + na]
+    factors, scale = plan.matrix()
+    plan.direction(factors, scale, rhs)
+    return plan, rhs, plan.D.copy()
+
+
+# The barrier loop as it was before the complementary-pair layout: the
+# state x = (p, beta, t, q) followed by (s, r, d, z), the Newton matrix
+# scattered by fancy indices and divided by its scales in full, and every
+# problem's state filled on each step.  The path must match it bit for bit.
+
+def _ref_views(buf, na, mk):
+    K, n = len(buf), na * mk
+    nx = n + 2 * na + mk
+    return (buf[:, :n].reshape(K, na, mk), buf[:, nx:nx + na],
+            buf[:, nx + na:nx + 2 * na], buf[:, nx + 2 * na:nx + 2 * na + mk],
+            buf[:, n:n + na], buf[:, nx + 2 * na + mk:].reshape(K, na, mk),
+            buf[:, n + na:n + na + mk], buf[:, n + na + mk:nx])
+
+
+def _ref_fill(V, c, o, buf):
+    vals = _ref_views(buf, *V.shape[1:])
     p, s, r, d, beta, z, t, q = vals
-    targets = (mu - p * z, mu - t * d, mu - q * r, 1.0 - beta * s)
-    M, scale = nsw._pd_matrix(V, vals)
-    return vals, targets, nsw._pd_direction(V, vals, M, scale, *targets)
+    np.subtract(np.einsum("kij,kij->ki", V, p), o, out=s)
+    np.subtract(1.0, p.sum(axis=2), out=r)
+    np.subtract(c, p.sum(axis=1), out=d)
+    np.subtract(t[:, None, :] + q[:, :, None], beta[:, :, None] * V, out=z)
+    return vals
+
+
+def _ref_mu(vals):
+    p, s, r, d, beta, z, t, q = vals
+    total = (p * z).sum(axis=(1, 2)) + (t * d).sum(axis=1) + (q * r).sum(axis=1)
+    return total / (p[0].size + r.shape[1] + d.shape[1])
+
+
+def _ref_max_step(vals, dvals):
+    return -(vals / np.minimum(dvals, -0.0)).max(axis=1)
+
+
+def _ref_matrix(V, vals):
+    p, s, r, d, beta, z, t, q = vals
+    K, na, mk = V.shape
+    w = p / z
+    wv = w * V
+    ib, it = np.arange(na), na + np.arange(mk)
+    iq = na + mk + ib
+    M = np.zeros((K, 2 * na + mk, 2 * na + mk))
+    M[:, ib, ib] = s / beta + (wv * V).sum(axis=2)
+    M[:, ib, iq] = M[:, iq, ib] = -wv.sum(axis=2)
+    M[:, it, it] = w.sum(axis=1) + d / t
+    M[:, iq, iq] = w.sum(axis=2) + r / q
+    M[:, :na, na:na + mk] = -wv
+    M[:, na:na + mk, :na] = -wv.transpose(0, 2, 1)
+    M[:, na:na + mk, na + mk:] = w.transpose(0, 2, 1)
+    M[:, na + mk:, na:na + mk] = w
+    dg = np.arange(2 * na + mk)
+    scale = np.sqrt(M[:, dg, dg])
+    M /= scale[:, :, None] * scale[:, None, :]
+    factors = []
+    for Mk in M:
+        lu, piv, info = scipy_linalg.lapack.dgetrf(Mk.T)
+        if info > 0:
+            Mk[dg, dg] += 1e-12 * np.max(np.abs(Mk))
+            lu, piv, info = scipy_linalg.lapack.dgetrf(Mk.T)
+        factors.append((lu, piv))
+    return factors, scale
+
+
+def _ref_direction(V, vals, factors, scale, rz, rt, rq, rb, out):
+    p, s, r, d, beta, z, t, q = vals
+    K, na, mk = V.shape
+    n = na * mk
+    dvals = _ref_views(out, na, mk)
+    dp, ds, dr, dd, dbeta, dz, dt, dq = dvals
+    a = rz / z
+    g = np.concatenate([rb / beta - (V * a).sum(axis=2),
+                        rt / t + a.sum(axis=1),
+                        rq / q + a.sum(axis=2)], axis=1) / scale
+    dx = out[:, n:n + 2 * na + mk]
+    for k, (lu, piv) in enumerate(factors):
+        dx[k] = scipy_linalg.lapack.dgetrs(lu, piv, g[k])[0]
+    dx /= scale
+    np.subtract(dt[:, None, :] + dq[:, :, None], dbeta[:, :, None] * V, out=dz)
+    np.subtract(a, p / z * dz, out=dp)
+    np.einsum("kij,kij->ki", V, dp, out=ds)
+    np.negative(dp.sum(axis=2), out=dr)
+    np.negative(dp.sum(axis=1), out=dd)
+    return dvals
+
+
+def _ref_done(vals, mu, centre):
+    p, s, r, d, beta, z, t, q = vals
+    if centre:
+        products = np.concatenate([(p * z).reshape(len(p), -1), t * d, q * r], axis=1)
+        ended = np.abs(products - 1e-8).max(axis=1) <= 1e-6 * 1e-8
+    else:
+        ended = mu <= 1e-8
+    return ended & (np.abs(1.0 - beta * s).max(axis=1) <= 1e-6)
+
+
+def _primal_dual_solve_loop(V, c, o, x0, trace, centre=False):
+    """Reference for ``nsw._primal_dual_solve``."""
+    K, na, mk = V.shape
+    nx = x0.shape[1]
+    P = np.empty((K, 2 * nx))
+    P[:, :nx] = x0
+    x = P[:, :nx]
+    vals = _ref_fill(V, c, o, P)
+    D = np.empty_like(P)
+    iters = np.zeros(K, dtype=int)
+    mu = _ref_mu(vals)
+    running = ~_ref_done(vals, mu, centre)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            running &= iters < 60
+            if not running.any():
+                break
+            k = np.flatnonzero(running)
+            if len(k) == K:
+                Vk, Pk, Dk, cur = V, P, D, vals
+            else:
+                Vk, Pk = V[k], P[k]
+                Dk = np.empty_like(Pk)
+                cur = _ref_views(Pk, na, mk)
+            p, s, r, d, beta, z, t, q = cur
+            factors, scale = _ref_matrix(Vk, cur)
+            rb = 1.0 - beta * s
+            dp_a, _, dr_a, dd_a, _, dz_a, dt_a, dq_a = _ref_direction(
+                Vk, cur, factors, scale, -p * z, -t * d, -q * r, rb, out=Dk)
+            a_aff = np.minimum(1.0, _ref_max_step(Pk, Dk))
+            a2, a3 = a_aff[:, None], a_aff[:, None, None]
+            mu_aff = _ref_mu((p + a3 * dp_a, None, r + a2 * dr_a, d + a2 * dd_a, None,
+                              z + a3 * dz_a, t + a2 * dt_a, q + a2 * dq_a))
+            mu_k = mu[k]
+            target = (mu_aff / mu_k) ** 3 * mu_k
+            second = dp_a * dz_a, dt_a * dd_a, dq_a * dr_a
+            if centre:
+                target = np.maximum(target, 1e-8)
+                for term in second:
+                    term[target <= 1e-8] = 0.0
+            _ref_direction(Vk, cur, factors, scale,
+                           target[:, None, None] - p * z - second[0],
+                           target[:, None] - t * d - second[1],
+                           target[:, None] - q * r - second[2], rb, out=Dk)
+            dx = Dk[:, :nx]
+            alpha = np.minimum(1.0, 0.99 * _ref_max_step(Pk, Dk))
+            moving = (alpha > 1e-8) & np.isfinite(dx).all(axis=1)
+            move = np.where(moving[:, None], alpha[:, None] * dx, 0.0)
+            if Pk is P:
+                x += move
+            else:
+                x[k] += move
+            iters[k] += 1
+            vals = _ref_fill(V, c, o, P)
+            mu = _ref_mu(vals)
+            if trace is not None and running[0]:
+                trace.append((int(iters[0]), float(np.log(vals[1][0]).sum()), float(mu[0])))
+            running[k[~moving]] = False
+            running &= ~_ref_done(vals, mu, centre)
+    p, _, _, _, _, _, t, q = vals
+    return p, t, q, iters
+
+
+def _pd_group(n, dist, K, seed=0):
+    """The barrier inputs (V, c, o, x0) of up to K solves of
+    ``gen_random(n, dist)`` markets, plain and bargaining by turns, whose
+    rows are all live, stacked as one lockstep call stacks them."""
+    starts = []
+    for k in range(4 * K):
+        inst = instances.gen_random(n, dist, seed=seed + k)
+        off = uniform_disagreement(inst) if k % 2 else None
+        st = nsw._start(NswProblem.create(inst, offsets=off), None)
+        if st.x0 is not None and len(st.live) == n:
+            starts.append(st)
+        if len(starts) == K:
+            break
+    return (np.stack(x) for x in zip(*[(st.V[st.live], st.c, st.o[st.live], st.x0)
+                                       for st in starts]))
 
 
 _PD_MARKETS = {
@@ -666,20 +926,23 @@ class TestNewtonStep:
         # dz, ds, dr and dd recomputed from (dp, dbeta, dt, dq); and each
         # problem of the batch gets the direction it gets alone.
         V, c, o, x = _pd_state(0, K=3)
-        vals, targets, step = _pd_step(V, c, o, x, mu)
-        p, s, r, d, beta, z, t, q = vals
-        dp, _, _, _, dbeta, _, dt, dq = step
+        plan, rhs, step = _pd_step(V, c, o, x, mu)
+        n, na, mk = V[0].size, *V.shape[1:]
+        p, z, beta, s, t, q = plan.p, plan.z, plan.beta, plan.s, plan.t, plan.q
+        d, r = plan.dr[:, :mk], plan.dr[:, mk:]
+        dp, dbeta, dt, dq = plan.dp, plan.dbeta, plan.dt, plan.dq
         dz = dt[:, None, :] + dq[:, :, None] - dbeta[:, :, None] * V
         ds, dr, dd = (V * dp).sum(axis=2), -dp.sum(axis=2), -dp.sum(axis=1)
-        for (u, du, w, dw), rhs in zip([(z, dp, p, dz), (d, dt, t, dd), (r, dq, q, dr),
-                                        (beta, ds, s, dbeta)], targets):
+        rz, rb, rt, rq = (rhs[:, :n].reshape(p.shape), rhs[:, n:n + na],
+                          rhs[:, n + na:n + na + mk], rhs[:, n + na + mk:])
+        for (u, du, w, dw), want in zip([(z, dp, p, dz), (d, dt, t, dd), (r, dq, q, dr),
+                                         (beta, ds, s, dbeta)], [rz, rt, rq, rb]):
             lhs = u * du + w * dw
-            size = np.abs(u * du) + np.abs(w * dw) + np.abs(rhs)
-            assert np.max(np.abs(lhs - rhs)) <= 1e-10 * np.max(size)
+            size = np.abs(u * du) + np.abs(w * dw) + np.abs(want)
+            assert np.max(np.abs(lhs - want)) <= 1e-10 * np.max(size)
         for k in range(len(x)):
             alone = _pd_step(V[k:k + 1], c[k:k + 1], o[k:k + 1], x[k:k + 1], mu)[2]
-            for batched, single in zip(step, alone):
-                assert np.array_equal(batched[k], single[0])
+            assert np.array_equal(step[k], alone[0])
 
     @pytest.mark.parametrize("n", [13, 32])
     def test_pd_lu_direction_matches_dense_solve(self, n, monkeypatch):
@@ -691,16 +954,20 @@ class TestNewtonStep:
         monkeypatch.setattr(nsw.linalg.lapack, "dgetrs",
                             lambda M, piv, g: (np.linalg.solve(M, g), 0))
         dense = _pd_step(V, c, o, x, 1e-6)[2]
-        for got, want in zip(step, dense):
+        n, na, mk = n * n, n, n
+        nx = n + 2 * na + mk
+        at = [n, n + na, n + na + mk, nx, nx + n, nx + n + na, nx + n + na + mk]
+        for got, want in zip(np.split(step, at, axis=1), np.split(dense, at, axis=1)):
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_pd_singular_matrix_takes_the_diagonal_retry(self, monkeypatch):
         # One agent and one item with w = p/z = 1 and V = 1, where s/beta,
         # d/t and r/q vanish beside 1: the scaled matrix is exactly
         # [[1, -1, -1], [-1, 1, 1], [-1, 1, 1]], of rank 1.
-        one, tiny = np.ones((1, 1)), np.full((1, 1), 1e-40)
         V = np.ones((1, 1, 1))
-        vals = (V, tiny, tiny, tiny, one, V, one, one)     # (p, s, r, d, beta, z, t, q)
+        # x = (p, beta, t, q) = 1 and y = (z, s, d, r) = (1, tiny, tiny, tiny).
+        plan = nsw._PdPlan(V, np.ones((1, 1)), np.zeros((1, 1)),
+                           np.array([[1.0, 1.0, 1.0, 1.0, 1.0, 1e-40, 1e-40, 1e-40]]))
         seen = []
         dgetrf = nsw.linalg.lapack.dgetrf
 
@@ -710,13 +977,13 @@ class TestNewtonStep:
             return out
 
         monkeypatch.setattr(nsw.linalg.lapack, "dgetrf", recording)
-        factors, scale = nsw._pd_matrix(V, vals)
+        factors, scale = plan.matrix()
         (first, info), (retry, retry_info) = seen
         assert np.array_equal(first, [[1, -1, -1], [-1, 1, 1], [-1, 1, 1]])
         assert info > 0 and retry_info == 0
         assert np.array_equal(retry, first + 1e-12 * np.eye(3))
-        step = nsw._pd_direction(V, vals, factors, scale, one[:, :, None], one, one, one)
-        assert all(np.all(np.isfinite(d)) for d in step)
+        plan.direction(factors, scale, np.ones((1, 4)))
+        assert np.all(np.isfinite(plan.D))
 
     def test_max_step_over_flat_buffer_matches_concatenation(self):
         # One reduction over the flat buffers against the max over the eight
@@ -727,14 +994,19 @@ class TestNewtonStep:
         for trial in range(200):
             K, na, mk = (int(x) for x in rng.integers(1, 5, size=3))
             width = 2 * (na * mk + 2 * na + mk)
-            P, D = rng.uniform(1e-3, 2.0, (K, width)), rng.normal(size=(K, width))
-            for buf in (P, D):
+            plan = nsw._PdPlan(np.zeros((K, na, mk)), np.zeros((K, mk)), np.zeros((K, na)),
+                               rng.uniform(1e-3, 2.0, (K, width)))
+            plan.D[...] = rng.normal(size=(K, width))
+            for buf in (plan.P, plan.D):
                 at = rng.uniform(size=buf.shape) < 0.2 * (trial % 3 != 0)
                 buf[at] = rng.choice(special, size=int(at.sum()))
-            flat = [np.concatenate([v.reshape(K, -1) for v in nsw._pd_views(buf, na, mk)],
-                                   axis=1) for buf in (P, D)]
+            flat = [np.concatenate([v.reshape(K, -1) for v in views], axis=1) for views in (
+                (plan.p, plan.s, plan.dr[:, mk:], plan.dr[:, :mk], plan.beta, plan.z,
+                 plan.t, plan.q),
+                (plan.dp, plan.ds, plan.ddr[:, mk:], plan.ddr[:, :mk], plan.dbeta, plan.dz,
+                 plan.dt, plan.dq))]
             with np.errstate(divide="ignore", invalid="ignore"):
-                assert np.array_equal(nsw._max_step(P, D), nsw._max_step(*flat),
+                assert np.array_equal(nsw._max_step(plan.P, plan.D), nsw._max_step(*flat),
                                       equal_nan=True)
 
     @pytest.mark.parametrize("market,centre", [
@@ -744,34 +1016,75 @@ class TestNewtonStep:
         # The path ends strictly interior, with mu <= 1e-8 (centred: every
         # product p z, t d and q r 1e-8 to 1e-6 relative) and beta s = 1 to
         # 1e-6, and the solve certifies.  The final state is the one the
-        # path's last _pd_fill computed.
+        # path's last fill computed.
         inst, bargaining = _PD_MARKETS[market]
         off = uniform_disagreement(inst) if bargaining else None
         problem = NswProblem.create(inst, offsets=off)
         st = nsw._start(problem, None)
         V, c, o = st.V[st.live], st.c, st.o[st.live]
         filled = []
-        fill = nsw._pd_fill
+        fill = nsw._PdPlan.fill
 
-        def recording(V, c, o, buf):
-            filled.append(buf)
-            return fill(V, c, o, buf)
+        def recording(plan):
+            mu = fill(plan)
+            filled.append((plan, mu))
+            return mu
 
-        monkeypatch.setattr(nsw, "_pd_fill", recording)
+        monkeypatch.setattr(nsw._PdPlan, "fill", recording)
         *_, iters = nsw._primal_dual_solve(V[None], c[None], o[None], st.x0[None], None,
                                            centre)
         monkeypatch.undo()
-        vals = nsw._pd_views(filled[-1], *V.shape)
-        p, s, r, d, beta, z, t, q = vals
+        plan, mu = filled[-1]
+        n, na = V.size, V.shape[0]
         assert 0 < iters[0] < 60
-        assert all(np.all(v > 0) for v in vals)
+        assert np.all(plan.P > 0)
         if centre:
-            products = np.concatenate([(p * z).ravel(), (t * d).ravel(), (q * r).ravel()])
+            products = np.delete(plan.xy[0], np.s_[n:n + na])     # p z, t d, q r
             assert np.max(np.abs(products - 1e-8)) <= 1e-6 * 1e-8
         else:
-            assert nsw._pd_mu(vals)[0] <= 1e-8
-        assert np.max(np.abs(1.0 - beta * s)) <= 1e-6
+            assert mu[0] <= 1e-8
+        assert np.max(np.abs(1.0 - plan.beta * plan.s)) <= 1e-6
         assert solve(problem).kkt_residual <= DEFAULT_KKT_TOL
+
+    @pytest.mark.parametrize("dist", ["uniform01", "sparse", "grid"])
+    @pytest.mark.parametrize("centre", [False, True], ids=["end", "centred"])
+    def test_path_matches_reference_loop(self, dist, centre):
+        # Bit for bit the loop before the complementary-pair layout: the
+        # end point, the Newton steps and the trace, for lone problems and
+        # lockstep groups of three.  Some groups stop their problems at
+        # different steps, so the path carries on with a gathered plan.
+        staggered = 0
+        for n in (4, 7, 12, 16, 24, 32):
+            for K in (1, 3):
+                V, c, o, x0 = _pd_group(n, dist, K, seed=10 * n)
+                got_trace, want_trace = [], []
+                got = nsw._primal_dual_solve(V, c, o, x0, got_trace, centre)
+                want = _primal_dual_solve_loop(V, c, o, x0, want_trace, centre)
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b)
+                assert got_trace == want_trace
+                staggered += len(set(got[3].tolist())) > 1
+        assert staggered >= 1
+
+    @pytest.mark.parametrize("centre", [False, True], ids=["end", "centred"])
+    def test_non_square_path_matches_reference_loop(self, centre):
+        # The same on shapes with na != mk: the 8 x 9 leave-one-out
+        # problems of a PA run in one group, and 11 agents on 16 items of
+        # fractional supply alone.
+        _, problems = _loo_problems(instances.gen_random(9, seed=3),
+                                    uniform_disagreement(instances.gen_random(9, seed=3)))
+        inst, _ = _PD_MARKETS["fractional11x16"]
+        for group in (problems, [NswProblem.create(inst)]):
+            starts = [nsw._start(problem, None) for problem in group]
+            V, c, o, x0 = (np.stack(x) for x in zip(*[(st.V[st.live], st.c, st.o[st.live],
+                                                      st.x0) for st in starts]))
+            assert V.shape[1] != V.shape[2]
+            got_trace, want_trace = [], []
+            got = nsw._primal_dual_solve(V, c, o, x0, got_trace, centre)
+            want = _primal_dual_solve_loop(V, c, o, x0, want_trace, centre)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+            assert got_trace == want_trace
 
     def test_small_problems_take_dense_steps(self):
         # 12 x 12 = 144 pairs: a lone solve below 150 pairs takes the
@@ -802,7 +1115,8 @@ class TestSolveTrace:
 
 def _polish_system_loop(V, b, c, o, p, t, q, S, R, C):
     """Reference for the polish's residual F and Jacobian J: the pair loops
-    that ``nsw._polish_residual`` and ``nsw._polish_jacobian`` replace."""
+    that ``nsw._polish_residual``, ``nsw._jacobian_frame`` and
+    ``nsw._polish_jacobian`` replace."""
     na, mk = V.shape
     S_list, R_list, C_list = sorted(S), sorted(R), sorted(C)
     s_pos = {ij: k for k, ij in enumerate(S_list)}
@@ -922,7 +1236,7 @@ class TestPolishSystem:
             V, c, o, p, t, q, S, R, C = _random_polish_state(seed)
             masks = _masks(V.shape, S, R, C)
             F, s = nsw._polish_residual(V, c, o, p, t, q, *masks)
-            J = nsw._polish_jacobian(V, s, *masks)
+            J = nsw._polish_jacobian(nsw._jacobian_frame(V, *masks), s)
             F_ref, J_ref = _polish_system_loop(V, np.ones(len(V)), c, o, p, t, q, S, R, C)
             assert F.tobytes() == F_ref.tobytes()
             assert J.shape == J_ref.shape and J.tobytes() == J_ref.tobytes()

@@ -2,6 +2,7 @@
 """Run the benchmark's catalogues on two source trees and compare them.
 
     python3 tools/compare_trees.py PARENT_SRC CHANGE_SRC
+    python3 tools/compare_trees.py --time PASSES [--workload NAME ...] PARENT_SRC CHANGE_SRC
 
 Each ``*_SRC`` is a directory holding a ``matchlab`` package, for instance
 the ``src`` of a checkout of a parent commit and this repository's ``src``.
@@ -24,16 +25,33 @@ and the polish steps (``metadata["polish_steps"]``) of its lone
 ``nsw.solve`` calls and of the solves that ``nsw.solve_many`` batched;
 and the largest fingerprint deviation between the trees and against the
 reference.
+
+With ``--time PASSES`` it times the trees against each other instead, op
+by op, so that drift of the host on a scale of seconds cancels out.  Two
+long-lived worker processes, one BLAS thread each, hold one tree each and
+a fresh catalogue of the workload per pass (so memos start empty), after
+its warm-up.  Each op runs on both trees, tree A (PARENT_SRC) first on
+even ops and tree B (CHANGE_SRC) first on odd ones, one at a time; only
+``task.run()`` is timed.  Between passes the trees swap workers, which
+cancels a bias of either process when PASSES is even.  For each workload
+(all three unless ``--workload`` names some) it prints, per pass, the B/A
+ratio of total op time and a 95% bootstrap interval over ops, and over
+all passes the ratio and an interval that resamples passes, then ops; below
+1 means B is faster.  An op that raises on either tree is left out of
+both totals and counted.  Nothing is written.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import time
+import traceback
 from collections import Counter
 from pathlib import Path
 
@@ -223,9 +241,133 @@ def report(name: str, parent: dict, change: dict, reference: dict) -> list[str]:
             f"  max |fingerprint - reference|    {to_ref[0]:.2e} / {to_ref[1]:.2e}"]
 
 
+def _load_tree(src: str):
+    """Import the ``matchlab`` under ``src``, and this checkout's perfbench
+    workloads on it, in place of any tree loaded before; the workloads
+    module."""
+    for name in [m for m in sys.modules if m.split(".")[0] in ("matchlab", "workloads")]:
+        del sys.modules[name]
+    sys.path[:] = [os.path.abspath(src), str(PERFBENCH)] + [
+        p for p in sys.path if p not in (os.path.abspath(src), str(PERFBENCH))]
+    import matchlab
+    if Path(matchlab.__file__).resolve().parent != (Path(src) / "matchlab").resolve():
+        sys.exit(f"compare_trees: imported matchlab from {matchlab.__file__}, not {src}")
+    import workloads
+    return workloads
+
+
+def time_worker() -> None:
+    """Serve the timing commands of :func:`time_trees`, one JSON line each
+    way: ``{"load": SRC, "workload": NAME}`` loads a tree and a fresh
+    catalogue and warms up (reply: the op count), and ``{"run": I}`` runs
+    op I (reply: its seconds, or None when it raised)."""
+    sys.dont_write_bytecode = True
+    tasks: list = []
+    for line in sys.stdin:
+        cmd = json.loads(line)
+        if "load" in cmd:
+            wl = _load_tree(cmd["load"]).WORKLOADS[cmd["workload"]]
+            tasks = wl.catalogue(wl.setup(0))
+            wl.warm_up()
+            reply = len(tasks)
+        else:
+            began = time.perf_counter()
+            try:
+                tasks[cmd["run"]].run()
+                reply = time.perf_counter() - began
+            except Exception:   # a failed op is left out of both totals
+                traceback.print_exc()
+                reply = None
+        print(json.dumps(reply), flush=True)
+
+
+def _ask(worker, cmd: dict):
+    worker.stdin.write(json.dumps(cmd) + "\n")
+    worker.stdin.flush()
+    line = worker.stdout.readline()
+    if not line:
+        sys.exit("compare_trees: a timing worker exited")
+    return json.loads(line)
+
+
+def ratio_interval(passes: list, resamples: int = 2000) -> tuple[float, float, float]:
+    """sum(b) / sum(a) over the (a, b) op pairs of ``passes`` (a list of
+    lists of pairs), and the 2.5 and 97.5 percentiles of that ratio over
+    bootstrap resamples (fixed seed).  With several passes a resample draws
+    passes, then ops within each drawn pass, so that the spread between
+    passes (the host's drift, a worker's bias) widens the interval."""
+    import numpy as np
+    rng = np.random.default_rng(0)
+    runs = [np.asarray(pairs, dtype=float).T for pairs in passes]
+    ratios = np.empty(resamples)
+    for r in range(resamples):
+        drawn = rng.integers(0, len(runs), size=len(runs)) if len(runs) > 1 else [0]
+        total = np.zeros(2)
+        for at in drawn:
+            a, b = runs[at]
+            pick = rng.integers(0, len(a), size=len(a))
+            total += a[pick].sum(), b[pick].sum()
+        ratios[r] = total[1] / total[0]
+    lo, hi = np.percentile(ratios, [2.5, 97.5])
+    a, b = np.concatenate(runs, axis=1)
+    return float(b.sum() / a.sum()), float(lo), float(hi)
+
+
+def time_trees(trees: list[str], passes: int, names: list[str]) -> None:
+    """Print the paired timing of the docstring for two trees."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
+    workers = [subprocess.Popen([sys.executable, __file__, "--time-worker"], env=env,
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+               for _ in range(2)]
+    try:
+        for name in names:
+            print(f"{name}: B/A total op time, 95% bootstrap interval over ops "
+                  f"(A = {trees[0]}, B = {trees[1]})", flush=True)
+            runs, failed = [], 0
+            for at in range(passes):
+                holder = (0, 1) if at % 2 == 0 else (1, 0)     # the worker of each tree
+                ops = [_ask(workers[holder[tree]], {"load": trees[tree], "workload": name})
+                       for tree in (0, 1)]
+                pairs = []
+                for op in range(ops[0]):
+                    got = [None, None]
+                    for tree in ((0, 1) if op % 2 == 0 else (1, 0)):
+                        got[tree] = _ask(workers[holder[tree]], {"run": op})
+                    if None in got:
+                        failed += 1
+                    else:
+                        pairs.append(got)
+                ratio, lo, hi = ratio_interval([pairs])
+                a, b = (sum(pair[tree] for pair in pairs) for tree in (0, 1))
+                print(f"  pass {at + 1}  {ratio:.3f}  [{lo:.3f}, {hi:.3f}]  "
+                      f"A {a:.3f} s  B {b:.3f} s  A on worker {holder[0] + 1}", flush=True)
+                runs.append(pairs)
+            ratio, lo, hi = ratio_interval(runs)
+            print(f"  all {passes}   {ratio:.3f}  [{lo:.3f}, {hi:.3f}]  "
+                  f"{sum(map(len, runs))} op pairs, {failed} failed", flush=True)
+    finally:
+        for worker in workers:
+            worker.stdin.close()
+            worker.wait()
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "--worker":
         print(json.dumps(run_tree(argv[1])))
+        return 0
+    if argv == ["--time-worker"]:
+        time_worker()
+        return 0
+    if argv and argv[0] == "--time":
+        parser = argparse.ArgumentParser(prog="compare_trees.py --time")
+        parser.add_argument("passes", type=int)
+        parser.add_argument("--workload", action="append", choices=WORKLOADS)
+        parser.add_argument("trees", nargs=2)
+        args = parser.parse_args(argv[1:])
+        if args.passes < 1:
+            parser.error("PASSES must be at least 1")
+        time_trees(args.trees, args.passes, args.workload or list(WORKLOADS))
         return 0
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
