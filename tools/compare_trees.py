@@ -59,6 +59,51 @@ ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 REFERENCE = PERFBENCH / "reference.json"
 WORKLOADS = ("rho_scan", "rpi_lottery", "large_solve")
+# One BLAS thread, set before numpy loads, and no bytecode written under
+# perfbench/: the environment of every process that runs a tree.
+ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+              "PYTHONDONTWRITEBYTECODE": "1"}
+ONE_THREAD_ENV = {**os.environ, **ONE_THREAD}
+
+
+def load_tree(src: str):
+    """Import the ``matchlab`` under ``src``, and this checkout's perfbench
+    workloads on it, in place of any tree loaded before; the workloads
+    module."""
+    sys.dont_write_bytecode = True
+    for name in [m for m in sys.modules if m.split(".")[0] in ("matchlab", "workloads")]:
+        del sys.modules[name]
+    sys.path[:] = [os.path.abspath(src), str(PERFBENCH)] + [
+        p for p in sys.path if p not in (os.path.abspath(src), str(PERFBENCH))]
+    import matchlab
+    if Path(matchlab.__file__).resolve().parent != (Path(src) / "matchlab").resolve():
+        sys.exit(f"compare_trees: imported matchlab from {matchlab.__file__}, not {src}")
+    import workloads
+    return workloads
+
+
+def hook(owner, attr: str, record) -> None:
+    """Replace every binding of ``owner.attr`` in the loaded ``matchlab``
+    modules with a wrapper that calls ``record(result, args, kwargs)``
+    after each call.  The mechanisms import ``solve`` by name, and
+    ``solve_many`` finishes every problem through ``nsw.solve``, so every
+    binding is replaced, not only the module's own."""
+    real = getattr(owner, attr)
+
+    def wrapper(*args, **kwargs):
+        result = real(*args, **kwargs)
+        record(result, args, kwargs)
+        return result
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("matchlab")]:
+        if getattr(module, attr, None) is real:
+            setattr(module, attr, wrapper)
+
+
+def solve_path(kwargs: dict) -> str:
+    """"batched" for an ``nsw.solve`` call that ``solve_many`` made with the
+    problem's barrier path already run, else "lone"."""
+    return "batched" if "_prepared" in kwargs else "lone"
 
 
 def _digest(sol) -> str:
@@ -98,43 +143,28 @@ def run_tree(src: str) -> dict:
     ``RECORDED``, the digests of the results it made, in call order, and
     the :func:`_lottery_stats` of its lotteries and the (path, tau, Newton
     steps, polish steps) of its solves."""
-    sys.path[:0] = [os.path.abspath(src), str(PERFBENCH)]
-    import matchlab
+    workloads = load_tree(src)
     from matchlab import lottery, nsw
-    if Path(matchlab.__file__).resolve().parent != (Path(src) / "matchlab").resolve():
-        sys.exit(f"compare_trees: imported matchlab from {matchlab.__file__}, not {src}")
     from run import Phase
-    import workloads
 
     digests: dict[str, list[str]] = {kind: [] for kind in RECORDED}
     stats: list[list] = []
     solve_paths: list[list] = []
 
-    def recording(kind, real):
-        def wrapper(*args, **kwargs):
-            result = real(*args, **kwargs)
+    def recording(kind):
+        def record(result, args, kwargs):
             digests[kind].append(RECORDED[kind](result))
             if kind == "lotteries":
                 stats.append(_lottery_stats(result, args[0] if args else kwargs["p"]))
             if kind == "solves":
-                # solve_many hands each problem to nsw.solve with its
-                # barrier path already run.
-                path = "batched" if "_prepared" in kwargs else "lone"
                 meta = result.metadata
-                solve_paths.append([path, meta["polish"], meta["iterations"],
+                solve_paths.append([solve_path(kwargs), meta["polish"], meta["iterations"],
                                     meta["polish_steps"]])
-            return result
-        return wrapper
+        return record
 
-    # The mechanisms import solve by name, and solve_many finishes every
-    # problem through nsw.solve, so every binding is replaced.  The
-    # workloads call the lottery through its module.
     for kind, owner, attr in (("solves", nsw, "solve"), ("lotteries", lottery, "decompose"),
                               ("samples", lottery, "sample")):
-        real, wrapper = getattr(owner, attr), recording(kind, getattr(owner, attr))
-        for module in [m for name, m in sys.modules.items() if name.startswith("matchlab")]:
-            if getattr(module, attr, None) is real:
-                setattr(module, attr, wrapper)
+        hook(owner, attr, recording(kind))
     reference = json.loads(REFERENCE.read_text())
     out: dict[str, dict] = {}
     for name in WORKLOADS:
@@ -171,9 +201,7 @@ class _Recorded:
 
 
 def run_in_child(src: str) -> dict:
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
-    run = subprocess.run([sys.executable, __file__, "--worker", src], env=env,
+    run = subprocess.run([sys.executable, __file__, "--worker", src], env=ONE_THREAD_ENV,
                          capture_output=True, text=True)
     if run.returncode != 0:
         sys.exit(f"compare_trees: the run on {src} failed:\n{run.stderr}")
@@ -241,32 +269,16 @@ def report(name: str, parent: dict, change: dict, reference: dict) -> list[str]:
             f"  max |fingerprint - reference|    {to_ref[0]:.2e} / {to_ref[1]:.2e}"]
 
 
-def _load_tree(src: str):
-    """Import the ``matchlab`` under ``src``, and this checkout's perfbench
-    workloads on it, in place of any tree loaded before; the workloads
-    module."""
-    for name in [m for m in sys.modules if m.split(".")[0] in ("matchlab", "workloads")]:
-        del sys.modules[name]
-    sys.path[:] = [os.path.abspath(src), str(PERFBENCH)] + [
-        p for p in sys.path if p not in (os.path.abspath(src), str(PERFBENCH))]
-    import matchlab
-    if Path(matchlab.__file__).resolve().parent != (Path(src) / "matchlab").resolve():
-        sys.exit(f"compare_trees: imported matchlab from {matchlab.__file__}, not {src}")
-    import workloads
-    return workloads
-
-
 def time_worker() -> None:
     """Serve the timing commands of :func:`time_trees`, one JSON line each
     way: ``{"load": SRC, "workload": NAME}`` loads a tree and a fresh
     catalogue and warms up (reply: the op count), and ``{"run": I}`` runs
     op I (reply: its seconds, or None when it raised)."""
-    sys.dont_write_bytecode = True
     tasks: list = []
     for line in sys.stdin:
         cmd = json.loads(line)
         if "load" in cmd:
-            wl = _load_tree(cmd["load"]).WORKLOADS[cmd["workload"]]
+            wl = load_tree(cmd["load"]).WORKLOADS[cmd["workload"]]
             tasks = wl.catalogue(wl.setup(0))
             wl.warm_up()
             reply = len(tasks)
@@ -315,9 +327,7 @@ def ratio_interval(passes: list, resamples: int = 2000) -> tuple[float, float, f
 
 def time_trees(trees: list[str], passes: int, names: list[str]) -> None:
     """Print the paired timing of the docstring for two trees."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
-    workers = [subprocess.Popen([sys.executable, __file__, "--time-worker"], env=env,
+    workers = [subprocess.Popen([sys.executable, __file__, "--time-worker"], env=ONE_THREAD_ENV,
                                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
                for _ in range(2)]
     try:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Split one benchmark catalogue's time by solver stage, and profile it.
 
-    python3 tools/profile_catalogue.py WORKLOAD [--stride K] [--src DIR] [--top N]
+    python3 tools/profile_catalogue.py WORKLOAD [--stride K] [--src DIR]
 
 WORKLOAD is a workload of ``perfbench/workloads.py`` that has a catalogue
 (rho_scan, rpi_lottery or large_solve).  Every K-th catalogue op (all of
@@ -16,9 +16,9 @@ fresh catalogue, so that memos start empty:
    (``metadata["barrier_batch"]``), so that the batch's barrier is counted
    once.  The rest of the op's time (mechanisms, ``lottery.decompose``,
    the work of ``solve_many`` between its calls) is printed as "outside";
-3. a profiled pass under cProfile, which prints the top N functions by
-   self time (default 25).  Its times carry the profiler's overhead, which
-   is why the split comes from the pass before it.
+3. a profiled pass under cProfile, which prints the top 25 functions by
+   self time.  Its times carry the profiler's overhead, which is why the
+   split comes from the pass before it.
 
 ``--src`` names the directory that holds the ``matchlab`` package
 (default: this repository's ``src``).
@@ -26,38 +26,23 @@ fresh catalogue, so that memos start empty:
 
 from __future__ import annotations
 
-import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"          # before numpy loads
-
 import argparse
 import cProfile
 import io
+import os
 import pstats
 import sys
 import time
 from collections import defaultdict
 from pathlib import Path
 
+from compare_trees import ONE_THREAD, hook, load_tree, solve_path
+
+os.environ.update(ONE_THREAD)       # before numpy loads
+
 ROOT = Path(__file__).resolve().parent.parent
 STAGES = ("start", "barrier", "polish", "finish")
-
-
-def _record_solves(nsw, records: list) -> None:
-    """Replace every binding of ``nsw.solve`` in the loaded ``matchlab``
-    modules with a wrapper that appends (path, metadata) to ``records``."""
-    real = nsw.solve
-
-    def recording(*args, **kwargs):
-        sol = real(*args, **kwargs)
-        # solve_many hands each problem to nsw.solve with its barrier run.
-        records.append(("batched" if "_prepared" in kwargs else "lone", sol.metadata))
-        return sol
-
-    for module in [m for name, m in sys.modules.items() if name.startswith("matchlab")]:
-        if getattr(module, "solve", None) is real:
-            setattr(module, "solve", recording)
+TOP = 25                            # functions listed from the profiled pass
 
 
 def _run_pass(wl, stride: int) -> float:
@@ -89,20 +74,20 @@ def main(argv: list[str]) -> int:
     parser.add_argument("workload")
     parser.add_argument("--stride", type=int, default=1)
     parser.add_argument("--src", default=str(ROOT / "src"))
-    parser.add_argument("--top", type=int, default=25)
     args = parser.parse_args(argv)
     if args.stride < 1:
         parser.error("--stride must be at least 1")
-    sys.dont_write_bytecode = True      # nothing is written under perfbench/
-    sys.path[:0] = [os.path.abspath(args.src), str(ROOT / "perfbench")]
-    from matchlab import nsw
-    import workloads
-    wl = workloads.WORKLOADS.get(args.workload)
+    wl = load_tree(args.src).WORKLOADS.get(args.workload)
     if wl is None or wl.catalogue is None:
         parser.error(f"no catalogue workload named {args.workload!r}")
 
+    from matchlab import nsw
     records: list = []
-    _record_solves(nsw, records)
+
+    def record(sol, args, kwargs):
+        records.append((solve_path(kwargs), sol.metadata))
+
+    hook(nsw, "solve", record)
     _run_pass(wl, args.stride)
     records.clear()
     wall = _run_pass(wl, args.stride)
@@ -127,8 +112,8 @@ def main(argv: list[str]) -> int:
     _run_pass(wl, args.stride)
     profiler.disable()
     out = io.StringIO()
-    pstats.Stats(profiler, stream=out).sort_stats("tottime").print_stats(args.top)
-    print(f"\nTop {args.top} functions by self time (profiled pass):")
+    pstats.Stats(profiler, stream=out).sort_stats("tottime").print_stats(TOP)
+    print(f"\nTop {TOP} functions by self time (profiled pass):")
     print("\n".join(line for line in out.getvalue().splitlines()
                     if line.strip() and not line.startswith(("   Ordered", "   List"))))
     return 0
